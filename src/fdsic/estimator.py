@@ -11,6 +11,14 @@ into independent quadratic programs; each one can be solved either through
 the real block embedding of its normal equations or, equivalently, through
 one complex Hermitian solve giving V = conj(B).T @ inv(C).  The conventional
 least-squares channel estimator is included as the baseline.
+
+The simulator itself runs the spectral engine: A scales with the channel
+power s, A = s * A0, so one eigendecomposition A0 = U diag(lam0) U^H serves
+every noise, SOI and channel power level.  With lam = s * lam0 the optimal
+weights are V = U diag((lam + noise) / (lam + noise + soi)) U^H and both the
+optimal and the least-squares expected residuals come in closed form.  The
+Cholesky and real-embedded solves above stay as the oracles it is checked
+against.
 """
 
 import logging
@@ -224,6 +232,95 @@ def optimal_weights(
     else:
         raise ValueError(f"unknown method {method!r}")
     return WeightSolution(weights=weights, opt_values=opt_values)
+
+
+@dataclass(frozen=True)
+class SiSpectrum:
+    """Eigendecomposition A0 = U diag(eigenvalues) U^H of the SI covariance at
+    unit channel power, and the SI power per unit channel power that the
+    least-squares reconstruction leaves behind, tr{(I - P) A0}, with P the
+    projector onto the span of the known symbols."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    ls_leakage: float
+    n_taps: int
+
+
+def si_spectrum(
+    si_cov: np.ndarray, symbols: np.ndarray, n_taps: int
+) -> SiSpectrum:
+    """Decompose a unit-channel-power SI covariance once, for every operating
+    point that shares its symbols, oscillator statistics and delay profile."""
+    si_cov = np.asarray(si_cov, dtype=np.complex128)
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    n = symbols.size
+    if si_cov.shape != (n, n):
+        raise ValueError("si_cov must be N x N for N symbols")
+    projector = ls_weight_matrix(symbols, n_taps)
+    captured = np.einsum("km,mk->", projector, si_cov).real
+    eigenvalues, eigenvectors = np.linalg.eigh(si_cov)
+    return SiSpectrum(
+        eigenvalues=eigenvalues,
+        eigenvectors=eigenvectors,
+        ls_leakage=float(np.trace(si_cov).real - captured),
+        n_taps=n_taps,
+    )
+
+
+@dataclass(frozen=True)
+class SpectralWeights:
+    """Optimal weights V = U diag(gains) U^H at one operating point and their
+    expected residual power."""
+
+    eigenvectors: np.ndarray
+    gains: np.ndarray
+    residual_power: float
+
+    def estimate(self, received: np.ndarray) -> np.ndarray:
+        """The SI estimate V @ received, in O(N^2)."""
+        u = self.eigenvectors
+        return u @ (self.gains * (u.conj().T @ received))
+
+
+def spectral_weights(
+    spectrum: SiSpectrum, scale: float, noise_power: float, soi_power: float
+) -> SpectralWeights:
+    """Optimal weights for the SI covariance scale * A0.
+
+    Each eigenvalue lam of the scaled covariance gets the gain
+    (lam + noise) / (lam + noise + soi) and adds the non-negative term
+    (lam + noise) * soi / (lam + noise + soi) to the expected residual
+    power.  Their sum equals N*noise + tr{A} + sum_k f_k of the Cholesky
+    route without the cancellation between its large terms.
+    """
+    si_noise = scale * spectrum.eigenvalues + noise_power
+    received = si_noise + soi_power
+    if not received.min() > 0.0:
+        raise SingularMatrixError("received covariance is not positive definite")
+    return SpectralWeights(
+        eigenvectors=spectrum.eigenvectors,
+        gains=si_noise / received,
+        residual_power=float(np.sum(si_noise * soi_power / received)),
+    )
+
+
+def ls_residual_power(
+    spectrum: SiSpectrum, scale: float, noise_power: float, soi_power: float
+) -> float:
+    """Expected residual power of least squares plus reconstruction.
+
+    The LS weights are the Hermitian idempotent projector P of rank L, so
+    the residual functional collapses to
+    (N - L)*noise + L*soi + scale * tr{(I - P) A0}.
+    """
+    n = spectrum.eigenvalues.size
+    value = (
+        (n - spectrum.n_taps) * noise_power
+        + spectrum.n_taps * soi_power
+        + scale * spectrum.ls_leakage
+    )
+    return max(value, 0.0)
 
 
 def estimator_from_weights(

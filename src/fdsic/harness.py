@@ -23,17 +23,17 @@ from .cancellation import (
     CancellationReport,
     cancel,
     cancellation_ability,
-    expected_residual_power,
     reconstruct_si,
     si_power,
 )
 from .estimator import (
     EstimatorStatistics,
-    covariance_bundle,
+    SiSpectrum,
     ls_estimate,
-    ls_weight_matrix,
-    optimal_weights,
+    ls_residual_power,
     si_covariance,
+    si_spectrum,
+    spectral_weights,
 )
 from .impairments import (
     OSCILLATOR_MODES,
@@ -236,7 +236,11 @@ class TrialResult:
     ls: CancellationReport
 
 
-def _run_trial(scenario: Scenario, rng: np.random.Generator) -> TrialResult:
+def _run_trial(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    spectra: dict[tuple, SiSpectrum],
+) -> TrialResult:
     cfg = scenario.config
     n = cfg.n_subcarriers
     symbols = gen_bpsk_symbols(n, cfg.symbol_power, rng)
@@ -255,43 +259,49 @@ def _run_trial(scenario: Scenario, rng: np.random.Generator) -> TrialResult:
         rng,
     )
 
-    stats = EstimatorStatistics(
-        symbols=symbols,
-        pn=scenario.pn,
-        pdp=scenario.pdp,
-        n_tx=cfg.n_tx,
-        noise_power=scenario.powers.noise_power,
-        soi_power=scenario.powers.soi_power,
+    # The SI covariance is channel_power * A0, where A0 depends on the symbols,
+    # the oscillator statistics and the delay profile shape but not on INR or
+    # SNR, so sweep points sharing those share one decomposition.
+    key = (
+        symbols.tobytes(),
+        cfg.delta_f,
+        cfg.oscillator_mode,
+        cfg.n_tx,
+        cfg.n_taps,
+        cfg.pdp_shape,
+        cfg.pdp_decay,
     )
-    cov = si_covariance(stats)
-    bundle = covariance_bundle(
-        cov, scenario.powers.noise_power, scenario.powers.soi_power
-    )
-    solution = optimal_weights(bundle)
+    spectrum = spectra.get(key)
+    if spectrum is None:
+        stats = EstimatorStatistics(
+            symbols=symbols,
+            pn=scenario.pn,
+            pdp=pdp_profile(cfg, 1.0),
+            n_tx=cfg.n_tx,
+            noise_power=scenario.powers.noise_power,
+            soi_power=scenario.powers.soi_power,
+        )
+        spectrum = si_spectrum(si_covariance(stats), symbols, cfg.n_taps)
+        spectra[key] = spectrum
+    scale = scenario.powers.channel_power
+    noise_power = scenario.powers.noise_power
+    soi_power = scenario.powers.soi_power
 
     # The optimal method subtracts the weighted estimate directly; the LS
     # baseline reconstructs from its tap estimate.
-    optimal_estimate = solution.weights @ received.total
-    residual_opt = cancel(received.total, optimal_estimate) - received.soi
-    theo_opt = (
-        scenario.noise_floor
-        + float(np.trace(cov).real)
-        + float(solution.opt_values.sum())
+    weights = spectral_weights(spectrum, scale, noise_power, soi_power)
+    residual_opt = (
+        cancel(received.total, weights.estimate(received.total)) - received.soi
     )
     opt_report = _report(
-        "optimal", residual_opt, max(theo_opt, 0.0), scenario
+        "optimal", residual_opt, weights.residual_power, scenario
     )
 
     taps_ls = ls_estimate(received.total, symbols, cfg.n_taps)
     residual_ls = (
         cancel(received.total, reconstruct_si(symbols, taps_ls)) - received.soi
     )
-    theo_ls = expected_residual_power(
-        cov,
-        ls_weight_matrix(symbols, cfg.n_taps),
-        scenario.powers.noise_power,
-        scenario.powers.soi_power,
-    )
+    theo_ls = ls_residual_power(spectrum, scale, noise_power, soi_power)
     ls_report = _report("ls", residual_ls, theo_ls, scenario)
     return TrialResult(optimal=opt_report, ls=ls_report)
 
@@ -320,17 +330,25 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     scenario = Scenario.from_config(config)
-    return _run_trial_checked(scenario, trial_index)
+    return _run_trial_checked(scenario, trial_index, {}, "inr")
 
 
-def _run_trial_checked(scenario: Scenario, trial_index: int) -> TrialResult:
+def _run_trial_checked(
+    scenario: Scenario,
+    trial_index: int,
+    spectra: dict[tuple, SiSpectrum],
+    variable: str,
+) -> TrialResult:
     rng = np.random.default_rng(
         [scenario.config.master_seed, trial_index]
     )
     try:
-        return _run_trial(scenario, rng)
+        return _run_trial(scenario, rng, spectra)
     except Exception as exc:
-        raise RuntimeError(f"trial {trial_index} failed: {exc}") from exc
+        value = getattr(scenario.config, _SWEEP_FIELDS[variable])
+        raise type(exc)(
+            f"trial {trial_index} at {variable}={value!r} failed: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -353,24 +371,31 @@ def sweep(
     """Monte Carlo sweep of one scenario variable.
 
     Every sweep point runs config.n_trials trials whose random streams
-    depend only on (master_seed, trial_index), so points are paired.
-    Records come back sorted by (value, method).
+    depend only on (master_seed, trial_index), so points are paired.  Trials
+    run trial-major, each one visiting every point in turn, so the points
+    of one trial share its SI covariance decomposition.  Records come back
+    sorted by (value, method).
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
     if len(values) == 0:
         raise ValueError("values must be non-empty")
     field = _SWEEP_FIELDS[variable]
+    scenarios = [
+        Scenario.from_config(replace(config, **{field: float(value)}))
+        for value in values
+    ]
+    results: list[list[TrialResult]] = [[] for _ in scenarios]
+    for trial in range(config.n_trials):
+        spectra: dict[tuple, SiSpectrum] = {}
+        for scenario, point_results in zip(scenarios, results):
+            point_results.append(
+                _run_trial_checked(scenario, trial, spectra, variable)
+            )
     records = []
-    for value in values:
-        point_cfg = replace(config, **{field: float(value)})
-        scenario = Scenario.from_config(point_cfg)
-        results = [
-            _run_trial_checked(scenario, trial)
-            for trial in range(point_cfg.n_trials)
-        ]
+    for value, scenario, point_results in zip(values, scenarios, results):
         for method in ("ls", "optimal"):
-            reports = [getattr(result, method) for result in results]
+            reports = [getattr(result, method) for result in point_results]
             records.append(_aggregate(variable, value, method, reports, scenario))
     records.sort(key=lambda record: (record.value, record.method))
     return records

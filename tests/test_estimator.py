@@ -14,14 +14,18 @@ from fdsic.estimator import (
     estimate_si_channel,
     estimator_from_weights,
     ls_estimate,
+    ls_residual_power,
     ls_weight_matrix,
     optimal_weights,
     real_embedding,
     real_qp_blocks,
     si_covariance,
+    si_spectrum,
     solve_qp,
+    spectral_weights,
 )
 from fdsic.impairments import (
+    OSCILLATOR_MODES,
     gen_si_channel,
     gen_wiener_phase,
     phase_increment_variance,
@@ -388,3 +392,55 @@ def test_optimal_weights_rejects_indefinite_received():
         optimal_weights(bad)
     with pytest.raises(SingularMatrixError):
         optimal_weights(bad, method="real")
+
+
+@pytest.mark.parametrize("mode", OSCILLATOR_MODES)
+@pytest.mark.parametrize("n_tx", [1, 8])
+@pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])
+@pytest.mark.parametrize("inr_db", [20.0, 50.0])
+def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
+    # one decomposition at unit channel power, scaled to the operating point,
+    # against the dense route on the covariance built at that point
+    rng = np.random.default_rng(66)
+    n, n_taps, noise, soi = 32, 4, 1.0, 10.0
+    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
+    unit_pdp /= unit_pdp.sum()
+    scale = 10.0 ** (inr_db / 10.0) * noise / n_tx
+    table = pn_covariance_table(delta_f, n, mode)
+
+    def covariance(pdp):
+        return si_covariance(
+            EstimatorStatistics(symbols, table, pdp, n_tx, noise, soi)
+        )
+
+    cov = covariance(scale * unit_pdp)
+    spectrum = si_spectrum(covariance(unit_pdp), symbols, n_taps)
+    solution = spectral_weights(spectrum, scale, noise, soi)
+    u = spectrum.eigenvectors
+    weights = (u * solution.gains) @ u.conj().T
+    oracle = optimal_weights(covariance_bundle(cov, noise, soi)).weights
+    assert np.linalg.norm(weights - oracle) <= 1e-9 * np.linalg.norm(oracle)
+    assert solution.residual_power == pytest.approx(
+        expected_residual_power(cov, weights, noise, soi), rel=1e-9
+    )
+    ls_oracle = expected_residual_power(
+        cov, ls_weight_matrix(symbols, n_taps), noise, soi
+    )
+    assert ls_residual_power(spectrum, scale, noise, soi) == pytest.approx(
+        ls_oracle, rel=1e-9
+    )
+    received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert_allclose(
+        solution.estimate(received), weights @ received, rtol=1e-12, atol=1e-12
+    )
+
+
+def test_spectral_weights_reject_indefinite_received():
+    symbols = np.ones(4, dtype=np.complex128)
+    spectrum = si_spectrum(-1.5 * np.eye(4), symbols, 2)
+    # min(lam) + noise + soi = 0 and < 0
+    for scale in (1.0, 2.0):
+        with pytest.raises(SingularMatrixError):
+            spectral_weights(spectrum, scale, 1.0, 0.5)
+    spectral_weights(spectrum, 1.0, 1.0, 0.6)  # just above the boundary

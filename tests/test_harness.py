@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fdsic.estimator import SingularMatrixError
 from fdsic.harness import (
     Scenario,
     SimConfig,
@@ -158,11 +159,15 @@ def test_run_trial_rejects_negative_index():
 
 def test_run_trial_wraps_internal_failures(monkeypatch):
     def boom(*args, **kwargs):
-        raise np.linalg.LinAlgError("synthetic failure")
+        raise SingularMatrixError("synthetic failure")
 
-    monkeypatch.setattr("fdsic.harness.optimal_weights", boom)
-    with pytest.raises(RuntimeError, match="trial 7 failed"):
+    monkeypatch.setattr("fdsic.harness.spectral_weights", boom)
+    with pytest.raises(
+        SingularMatrixError, match="trial 7 at inr=40.0 failed: synthetic"
+    ):
         run_trial(SimConfig(**SMALL), 7)
+    with pytest.raises(SingularMatrixError, match="trial 0 at snr=5.0 failed"):
+        sweep(SimConfig(**SMALL), "snr", [5.0])
 
 
 def test_run_trial_ls_floor_without_phase_noise():
@@ -192,12 +197,46 @@ def test_sweep_pairs_trials_across_points():
     records = sweep(config, "inr", [30.0, 20.0])
     assert [r.value for r in records] == [20.0, 20.0, 30.0, 30.0]
     assert [r.method for r in records] == ["ls", "optimal", "ls", "optimal"]
-    # one point re-derived straight from run_trial
-    point = dataclasses.replace(config, inr_db=20.0)
-    trials = [run_trial(point, t) for t in range(config.n_trials)]
-    mean = np.mean([t.ls.residual_power_empirical for t in trials])
-    assert records[0].residual_power_mean == pytest.approx(mean, rel=1e-12)
     assert records[0].trials == config.n_trials
+    # one point re-derived straight from run_trial
+    _assert_cells_match_run_trial(records, config, "inr_db", 20.0)
+    # points of one trial that differ in delta_f must not share the trial's
+    # covariance decomposition
+    records = sweep(config, "delta_f", [1e-4, 1e-2])
+    for value in (1e-4, 1e-2):
+        _assert_cells_match_run_trial(records, config, "delta_f", value)
+
+
+def _assert_cells_match_run_trial(records, config, field, value):
+    point = dataclasses.replace(config, **{field: value})
+    trials = [run_trial(point, t) for t in range(config.n_trials)]
+    cells = {r.method: r for r in records if r.value == value}
+    for method, rel in (("ls", 1e-12), ("optimal", 1e-9)):
+        mean = np.mean(
+            [getattr(t, method).residual_power_empirical for t in trials]
+        )
+        assert cells[method].residual_power_mean == pytest.approx(mean, rel=rel)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(inr_db=110.0),
+        dict(delta_f=0.0),
+        dict(delta_f=0.1),
+        dict(n_tx=1),
+        dict(oscillator_mode="shared"),
+    ],
+    ids=["inr110", "no-phase-noise", "delta-f-0.1", "one-tx", "shared-osc"],
+)
+def test_sweep_edge_configs_track_theory(overrides):
+    # extreme but legal settings of the reference node run, and the
+    # prediction stays within the acceptance tolerance of the simulation
+    config = SimConfig(n_trials=4, **overrides)
+    records = sweep(config, "inr", [config.inr_db])
+    optimal = [r for r in records if r.method == "optimal"]
+    assert len(optimal) == 1
+    assert abs(optimal[0].g_theoretical_db - optimal[0].g_empirical_db) <= 1.0
 
 
 def test_sweep_records_theory_for_optimal_only():

@@ -1,0 +1,93 @@
+"""Property tests of the spectral engine over random symbols, oscillator
+qualities, array sizes and operating points."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from fdsic.cancellation import cancellation_ability
+from fdsic.estimator import (
+    EstimatorStatistics,
+    ls_residual_power,
+    si_covariance,
+    si_spectrum,
+    spectral_weights,
+)
+from fdsic.impairments import pn_covariance_table
+from fdsic.ofdm import gen_bpsk_symbols
+
+N, N_TAPS = 16, 4
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _unit_covariance(seed, delta_f, n_tx):
+    """One trial's SI covariance at unit channel power, with its symbols."""
+    rng = np.random.default_rng(seed)
+    symbols = gen_bpsk_symbols(N, 1.0, rng)
+    pdp = rng.uniform(0.1, 1.0, N_TAPS)
+    stats = EstimatorStatistics(
+        symbols=symbols,
+        pn=pn_covariance_table(delta_f, N),
+        pdp=pdp / pdp.sum(),
+        n_tx=n_tx,
+        noise_power=1.0,
+        soi_power=1.0,
+    )
+    return si_covariance(stats), symbols
+
+
+trials = st.builds(
+    _unit_covariance,
+    seed=st.integers(0, 2**32 - 1),
+    delta_f=st.just(0.0) | st.floats(1e-6, 0.1),
+    n_tx=st.integers(1, 8),
+)
+levels_db = st.floats(-10.0, 60.0)
+
+
+def _power(db):
+    return 10.0 ** (db / 10.0)
+
+
+@PROPERTY
+@given(trial=trials, inr_db=levels_db, snr_db=st.floats(-10.0, 30.0))
+def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
+    cov, symbols = trial
+    spectrum = si_spectrum(cov, symbols, N_TAPS)
+    gains = spectral_weights(spectrum, _power(inr_db), 1.0, _power(snr_db)).gains
+    assert gains.min() >= 0.0
+    assert gains.max() < 1.0
+
+
+@PROPERTY
+@given(trial=trials, inr_db=levels_db, snr_db=st.floats(-10.0, 30.0))
+def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
+    cov, symbols = trial
+    spectrum = si_spectrum(cov, symbols, N_TAPS)
+    scale, soi = _power(inr_db), _power(snr_db)
+    optimal = spectral_weights(spectrum, scale, 1.0, soi).residual_power
+    assert optimal <= ls_residual_power(spectrum, scale, 1.0, soi) * (1 + 1e-12)
+
+
+@PROPERTY
+@given(
+    trial=trials,
+    inr_db=st.lists(levels_db, min_size=2, max_size=6, unique=True),
+    snr_db=st.floats(-10.0, 30.0),
+)
+def test_optimal_prediction_is_monotone_in_inr(trial, inr_db, snr_db):
+    cov, symbols = trial
+    spectrum = si_spectrum(cov, symbols, N_TAPS)
+    unit_si_power = float(np.trace(cov).real)
+    abilities = []
+    for level in sorted(inr_db):
+        scale = _power(level)
+        residual = spectral_weights(
+            spectrum, scale, 1.0, _power(snr_db)
+        ).residual_power
+        abilities.append(
+            cancellation_ability(scale * unit_si_power, N * 1.0, residual)
+        )
+    assert np.all(np.diff(abilities) >= -1e-9)
