@@ -11,108 +11,46 @@ ability.
 
 __version__ = "0.1.0"
 
-from .cancellation import (
-    CancellationReport,
-    cancel,
-    cancellation_ability,
-    expected_residual_power,
-    max_cancellation_ability,
-    reconstruct_si,
-    si_power,
-)
+from .cancellation import cancellation_ability
 from .estimator import (
-    CovarianceBundle,
     EstimatorStatistics,
     SingularMatrixError,
-    WeightSolution,
-    covariance_bundle,
-    estimate_si_channel,
-    estimator_from_weights,
     ls_estimate,
-    ls_weight_matrix,
-    optimal_weights,
-    real_embedding,
-    real_qp_blocks,
+    ls_residual_power,
     si_covariance,
-    solve_qp,
+    si_spectrum,
+    spectral_weights,
 )
 from .harness import (
-    PowerAllocation,
     Scenario,
     SimConfig,
     SweepRecord,
-    TrialResult,
-    derive_powers,
     emit_csv,
-    pdp_profile,
     read_csv,
     run_trial,
     sweep,
     write_json_summary,
 )
-from .impairments import (
-    PhaseNoiseTrace,
-    PnCovarianceTable,
-    ReceivedSymbol,
-    SiChannelSet,
-    gen_awgn,
-    gen_si_channel,
-    gen_wiener_phase,
-    ici_coefficients,
-    phase_increment_variance,
-    pn_covariance_table,
-    synthesize_received,
-)
-from .ofdm import OfdmFrame, demodulate, dft_matrix, gen_bpsk_symbols, modulate
+from .impairments import pn_covariance_table
+from .ofdm import gen_bpsk_symbols
 
 __all__ = [
-    "CancellationReport",
-    "CovarianceBundle",
     "EstimatorStatistics",
-    "OfdmFrame",
-    "PhaseNoiseTrace",
-    "PnCovarianceTable",
-    "PowerAllocation",
-    "ReceivedSymbol",
     "Scenario",
-    "SiChannelSet",
     "SimConfig",
     "SingularMatrixError",
     "SweepRecord",
-    "TrialResult",
-    "WeightSolution",
-    "cancel",
     "cancellation_ability",
-    "covariance_bundle",
-    "demodulate",
-    "derive_powers",
-    "dft_matrix",
     "emit_csv",
-    "estimate_si_channel",
-    "estimator_from_weights",
-    "expected_residual_power",
-    "gen_awgn",
     "gen_bpsk_symbols",
-    "gen_si_channel",
-    "gen_wiener_phase",
-    "ici_coefficients",
     "ls_estimate",
-    "ls_weight_matrix",
-    "max_cancellation_ability",
-    "modulate",
-    "optimal_weights",
-    "pdp_profile",
-    "phase_increment_variance",
+    "ls_residual_power",
     "pn_covariance_table",
     "read_csv",
-    "real_embedding",
-    "real_qp_blocks",
-    "reconstruct_si",
     "run_trial",
     "si_covariance",
-    "si_power",
-    "solve_qp",
+    "si_spectrum",
+    "spectral_weights",
     "sweep",
-    "synthesize_received",
     "write_json_summary",
 ]

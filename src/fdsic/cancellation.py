@@ -1,10 +1,9 @@
 """Cancellation step and the power accounting around it.
 
 The residual after subtracting an SI estimate V y from the received vector is
-r = (I - V)(si + noise) - V soi; its expected power for fixed symbols is the
-quadratic functional evaluated by expected_residual_power.  Cancellation
-ability is the ratio of pre-cancellation power (SI plus the noise floor) to
-the residual power, in dB.
+r = (I - V)(si + noise) - V soi.  Cancellation ability is the ratio of
+pre-cancellation power (SI plus the noise floor) to the residual power, in
+dB.
 """
 
 import math
@@ -31,30 +30,6 @@ def cancel(received: np.ndarray, si_estimate: np.ndarray) -> np.ndarray:
     return received - si_estimate
 
 
-def expected_residual_power(
-    si_cov: np.ndarray,
-    weights: np.ndarray,
-    noise_power: float,
-    soi_power: float,
-) -> float:
-    """Expected residual power of weights V for fixed transmit symbols:
-    N*noise + tr{A} + tr{V C conj(V).T} - 2 Re tr{V B}."""
-    si_cov = np.asarray(si_cov, dtype=np.complex128)
-    weights = np.asarray(weights, dtype=np.complex128)
-    n = si_cov.shape[0]
-    if si_cov.shape != (n, n) or weights.shape != (n, n):
-        raise ValueError("si_cov and weights must be square and equally sized")
-    if noise_power < 0.0 or soi_power < 0.0:
-        raise ValueError("powers must be non-negative")
-    eye = np.eye(n)
-    si_noise = si_cov + noise_power * eye
-    received = si_noise + soi_power * eye
-    quad = np.einsum("km,km->", weights @ received, weights.conj()).real
-    cross = np.einsum("km,mk->", weights, si_noise).real
-    value = n * noise_power + np.trace(si_cov).real + quad - 2.0 * cross
-    return max(float(value), 0.0)
-
-
 def si_power(
     symbol_power: float, pdp: np.ndarray, n_tx: int, n_subcarriers: int
 ) -> float:
@@ -78,18 +53,6 @@ def cancellation_ability(
     if residual_power <= 0.0:
         return math.inf
     return 10.0 * math.log10((si_power + noise_floor) / residual_power)
-
-
-def max_cancellation_ability(
-    si_power: float, noise_floor: float, mean_opt_value_sum: float
-) -> float:
-    """Upper bound on the ability of any linear canceller: the pre-
-    cancellation power divided by the mean optimal residual
-    si_power + noise_floor + E[sum_k f_k]."""
-    if si_power < 0.0 or noise_floor < 0.0:
-        raise ValueError("powers must be non-negative")
-    residual = si_power + noise_floor + mean_opt_value_sum
-    return cancellation_ability(si_power, noise_floor, residual)
 
 
 @dataclass(frozen=True)

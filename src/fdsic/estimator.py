@@ -6,26 +6,22 @@ and is judged by the expected residual power
     E_r(V) = N*noise + tr{A} + tr{V C conj(V).T} - 2 Re tr{V B},
 
 where A is the conditional SI covariance for the known transmit symbols,
-B = A + noise*I and C = B + soi*I.  The trace splits per receive subcarrier
-into independent quadratic programs; each one can be solved either through
-the real block embedding of its normal equations or, equivalently, through
-one complex Hermitian solve giving V = conj(B).T @ inv(C).  The conventional
-least-squares channel estimator is included as the baseline.
+B = A + noise*I and C = B + soi*I.  Its minimizer is V = conj(B).T @ inv(C).
 
-The simulator itself runs the spectral engine: A scales with the channel
-power s, A = s * A0, so one eigendecomposition A0 = U diag(lam0) U^H serves
-every noise, SOI and channel power level.  With lam = s * lam0 the optimal
-weights are V = U diag((lam + noise) / (lam + noise + soi)) U^H and both the
-optimal and the least-squares expected residuals come in closed form.  The
-Cholesky and real-embedded solves above stay as the oracles it is checked
-against.
+The simulator reaches it through one spectral engine: A scales with the
+channel power s, A = s * A0, so one eigendecomposition A0 = U diag(lam0) U^H
+serves every noise, SOI and channel power level.  With lam = s * lam0 the
+optimal weights are V = U diag((lam + noise) / (lam + noise + soi)) U^H and
+both the optimal and the least-squares expected residuals come in closed
+form.  The conventional least-squares channel estimator is included as the
+baseline.  The dense Cholesky and real-embedded solves that the engine is
+checked against live in fdsic.validation.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .impairments import PnCovarianceTable
 from .ofdm import dft_matrix
@@ -39,16 +35,14 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class EstimatorStatistics:
-    """Everything the canceller knows ahead of one symbol: the transmit
-    symbols, the oscillator statistics, the channel power profile and the
-    additive power levels."""
+    """Everything the canceller knows ahead of one symbol that shapes the SI
+    covariance: the transmit symbols, the oscillator statistics, the channel
+    power profile and the number of transmit antennas."""
 
     symbols: np.ndarray
     pn: PnCovarianceTable
     pdp: np.ndarray
     n_tx: int
-    noise_power: float
-    soi_power: float
 
     def __post_init__(self):
         symbols = np.asarray(self.symbols, dtype=np.complex128)
@@ -67,8 +61,6 @@ class EstimatorStatistics:
             raise ValueError("pdp entries must be non-negative")
         if self.n_tx < 1:
             raise ValueError("n_tx must be positive")
-        if self.noise_power < 0.0 or self.soi_power < 0.0:
-            raise ValueError("powers must be non-negative")
 
 
 def si_covariance(stats: EstimatorStatistics) -> np.ndarray:
@@ -99,139 +91,19 @@ def si_covariance(stats: EstimatorStatistics) -> np.ndarray:
     return 0.5 * (cov + cov.conj().T)
 
 
-@dataclass(frozen=True)
-class CovarianceBundle:
-    """The three covariances the canceller needs: the SI part alone, SI plus
-    noise, and the full received vector."""
+def _constant_modulus_power(symbols: np.ndarray) -> float:
+    """The common power p = |x_n|^2 of constant-modulus symbols.
 
-    si: np.ndarray
-    si_noise: np.ndarray
-    received: np.ndarray
-
-
-def covariance_bundle(
-    si_cov: np.ndarray, noise_power: float, soi_power: float
-) -> CovarianceBundle:
-    """Diagonal-load the SI covariance with the noise and SOI powers."""
-    si_cov = np.asarray(si_cov, dtype=np.complex128)
-    n = si_cov.shape[0]
-    if si_cov.shape != (n, n):
-        raise ValueError("si_cov must be square")
-    if noise_power < 0.0 or soi_power < 0.0:
-        raise ValueError("powers must be non-negative")
-    scale = max(float(np.max(np.abs(si_cov))), 1.0)
-    if float(np.max(np.abs(si_cov - si_cov.conj().T))) > 1e-8 * scale:
-        raise ValueError("si_cov must be Hermitian")
-    eye = np.eye(n)
-    si_noise = si_cov + noise_power * eye
-    received = si_noise + soi_power * eye
-    return CovarianceBundle(si=si_cov, si_noise=si_noise, received=received)
-
-
-def real_embedding(matrix: np.ndarray) -> np.ndarray:
-    """Real 2Nx2N block form [[Re M, Im M], [-Im M, Re M]] of a complex matrix.
-
-    The embedding multiplies like the matrices themselves, so the inverse of
-    an embedding is the embedding of inv(M); for Hermitian positive definite
-    M the result is symmetric positive definite.
+    For such symbols the LS Gram matrix of the basis diag(x) F_L is N*p*I,
+    which is what makes the matched filter exact least squares.
     """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    return np.block(
-        [[matrix.real, matrix.imag], [-matrix.imag, matrix.real]]
-    )
-
-
-def real_qp_blocks(
-    received_cov: np.ndarray, si_noise_cov: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-program blocks for receive subcarrier k.
-
-    Returns (phi, b) such that the real stacking v = [Re w; Im w] of that
-    subcarrier's weight row w minimizes v.T @ phi @ v - 2 b.T @ v.
-    """
-    received_cov = np.asarray(received_cov, dtype=np.complex128)
-    si_noise_cov = np.asarray(si_noise_cov, dtype=np.complex128)
-    n = received_cov.shape[0]
-    if received_cov.shape != (n, n) or si_noise_cov.shape != (n, n):
-        raise ValueError("covariances must be square and equally sized")
-    if not 0 <= k < n:
-        raise ValueError(f"k={k} out of range for N={n}")
-    phi = real_embedding(received_cov)
-    column = si_noise_cov[:, k]
-    b = np.concatenate([column.real, -column.imag])
-    return phi, b
-
-
-def solve_qp(phi: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize v.T @ phi @ v - 2 b.T @ v for symmetric positive definite phi.
-
-    Returns the minimizer and the minimum value -b.T @ inv(phi) @ b, which is
-    never positive.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if phi.shape != (b.size, b.size):
-        raise ValueError("phi and b sizes disagree")
-    try:
-        factor = cho_factor(phi, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularMatrixError(
-            "quadratic-program matrix is not positive definite"
-        ) from exc
-    v = cho_solve(factor, b, check_finite=False)
-    return v, float(-b @ v)
-
-
-@dataclass(frozen=True)
-class WeightSolution:
-    """Optimal cancellation weights V and the per-subcarrier minima of the
-    residual quadratic programs."""
-
-    weights: np.ndarray
-    opt_values: np.ndarray
-
-
-def optimal_weights(
-    bundle: CovarianceBundle, method: str = "complex"
-) -> WeightSolution:
-    """Row-wise optimal weight matrix for the residual-power objective.
-
-    method "complex" solves the normal equations C conj(V).T = B with one
-    Hermitian factorization; method "real" runs the per-subcarrier real
-    embedded quadratic programs.  Both give V = conj(B).T @ inv(C) and the
-    per-row optima f_k = -Re{(V @ B)[k, k]} <= 0.
-    """
-    b_mat = bundle.si_noise
-    c_mat = bundle.received
-    n = c_mat.shape[0]
-    if method == "complex":
-        try:
-            factor = cho_factor(c_mat, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise SingularMatrixError(
-                "received covariance is not positive definite"
-            ) from exc
-        weights = cho_solve(factor, b_mat, check_finite=False).conj().T
-        opt_values = -np.einsum("km,mk->k", weights, b_mat).real
-    elif method == "real":
-        phi = real_embedding(c_mat)
-        try:
-            factor = cho_factor(phi, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise SingularMatrixError(
-                "received covariance is not positive definite"
-            ) from exc
-        weights = np.empty((n, n), dtype=np.complex128)
-        opt_values = np.empty(n)
-        for k in range(n):
-            column = b_mat[:, k]
-            b = np.concatenate([column.real, -column.imag])
-            v = cho_solve(factor, b, check_finite=False)
-            weights[k] = v[:n] + 1j * v[n:]
-            opt_values[k] = -b @ v
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return WeightSolution(weights=weights, opt_values=opt_values)
+    power = np.abs(symbols) ** 2
+    if power.min() == 0.0:
+        raise SingularMatrixError("LS normal equations are singular")
+    mean = float(power.mean())
+    if float(np.max(np.abs(power - mean))) > 1e-12 * mean:
+        raise ValueError("LS needs constant-modulus symbols")
+    return mean
 
 
 @dataclass(frozen=True)
@@ -251,14 +123,21 @@ def si_spectrum(
     si_cov: np.ndarray, symbols: np.ndarray, n_taps: int
 ) -> SiSpectrum:
     """Decompose a unit-channel-power SI covariance once, for every operating
-    point that shares its symbols, oscillator statistics and delay profile."""
+    point that shares its symbols, oscillator statistics and delay profile.
+
+    The LS projector P = Bb (Bb^H Bb)^-1 Bb^H onto the columns b_l of the
+    N x L basis Bb = diag(symbols) F_L has Gram N*p*I for constant-modulus
+    symbols of power p, so tr{P A0} = Re sum_l b_l^H A0 b_l / (N*p) without
+    forming P.
+    """
     si_cov = np.asarray(si_cov, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
     n = symbols.size
     if si_cov.shape != (n, n):
         raise ValueError("si_cov must be N x N for N symbols")
-    projector = ls_weight_matrix(symbols, n_taps)
-    captured = np.einsum("km,mk->", projector, si_cov).real
+    power = _constant_modulus_power(symbols)
+    basis = symbols[:, None] * dft_matrix(n, n_taps)
+    captured = np.vdot(basis, si_cov @ basis).real / (n * power)
     eigenvalues, eigenvectors = np.linalg.eigh(si_cov)
     return SiSpectrum(
         eigenvalues=eigenvalues,
@@ -323,46 +202,16 @@ def ls_residual_power(
     return max(value, 0.0)
 
 
-def estimator_from_weights(
-    weights: np.ndarray, symbols: np.ndarray, n_taps: int
-) -> np.ndarray:
-    """Collapse an N x N weight matrix to the L x N channel estimator W.
-
-    W y is the tap-domain estimate whose reconstruction X F (W y) is the
-    projection of the weighted estimate V y onto the span of the known
-    symbols, i.e. the best reachable by any L-tap reconstruction.  For
-    weights of the form V = diag(X) F W0 the original W0 is recovered
-    exactly.
-    """
-    weights = np.asarray(weights, dtype=np.complex128)
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    n = symbols.size
-    if weights.shape != (n, n):
-        raise ValueError("weights must be N x N for N symbols")
-    if not 1 <= n_taps <= n:
-        raise ValueError(f"n_taps={n_taps} out of range")
-    if np.any(np.abs(symbols) == 0.0):
-        raise ValueError("symbols must have no zero entries")
-    return np.fft.ifft(weights / symbols[:, None], axis=0)[:n_taps]
-
-
-def estimate_si_channel(estimator: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Apply a channel estimator matrix to one received vector."""
-    estimator = np.asarray(estimator, dtype=np.complex128)
-    received = np.asarray(received, dtype=np.complex128)
-    if estimator.ndim != 2 or estimator.shape[1] != received.size:
-        raise ValueError("estimator and received sizes disagree")
-    return estimator @ received
-
-
 def ls_estimate(
     received: np.ndarray, symbols: np.ndarray, n_taps: int
 ) -> np.ndarray:
     """Least-squares tap estimate from one received symbol.
 
-    Solves min_h || received - diag(symbols) F h ||^2 through the normal
-    equations; for constant-modulus symbols the system matrix is a scaled
-    identity and the estimate reduces to a matched filter.
+    Solves min_h || received - diag(symbols) F h ||^2.  For constant-modulus
+    symbols the normal equations are N*p*I h = F^H diag(conj(symbols))
+    received, so the estimate is the matched filter
+    ifft(received / symbols)[:n_taps].  Zero symbols raise
+    SingularMatrixError; symbols of unequal modulus raise ValueError.
     """
     received = np.asarray(received, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
@@ -371,25 +220,5 @@ def ls_estimate(
         raise ValueError("received and symbols sizes disagree")
     if not 1 <= n_taps <= n:
         raise ValueError(f"n_taps={n_taps} out of range")
-    basis = symbols[:, None] * dft_matrix(n, n_taps)
-    gram = basis.conj().T @ basis
-    rhs = basis.conj().T @ received
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("LS normal equations are singular") from exc
-
-
-def ls_weight_matrix(symbols: np.ndarray, n_taps: int) -> np.ndarray:
-    """The N x N weights implied by LS estimation plus reconstruction,
-    an oblique projection onto the span of the known symbols."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    n = symbols.size
-    if not 1 <= n_taps <= n:
-        raise ValueError(f"n_taps={n_taps} out of range")
-    basis = symbols[:, None] * dft_matrix(n, n_taps)
-    gram = basis.conj().T @ basis
-    try:
-        return basis @ np.linalg.solve(gram, basis.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("LS normal equations are singular") from exc
+    _constant_modulus_power(symbols)
+    return np.fft.ifft(received / symbols)[:n_taps]

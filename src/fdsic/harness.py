@@ -36,17 +36,15 @@ from .estimator import (
     spectral_weights,
 )
 from .impairments import (
-    OSCILLATOR_MODES,
     PnCovarianceTable,
-    gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
-    phase_increment_variance,
     pn_covariance_table,
     synthesize_received,
 )
 from .ofdm import gen_bpsk_symbols
 
+OSCILLATOR_MODES = ("per-antenna", "shared")
 SWEEP_VARIABLES = ("inr", "snr", "delta_f")
 _SWEEP_FIELDS = {"inr": "inr_db", "snr": "snr_db", "delta_f": "delta_f"}
 CSV_COLUMNS = (
@@ -69,9 +67,6 @@ class SimConfig:
     n_subcarriers: int = 128
     cp_length: int = 16
     n_taps: int = 16
-    subcarrier_spacing: float = 15e3
-    sample_time: float | None = None
-    modulation: str = "bpsk"
     symbol_power: float = 1.0
     delta_f: float = 1e-3
     inr_db: float = 40.0
@@ -89,8 +84,6 @@ class SimConfig:
             raise ValueError("n_taps cannot exceed n_subcarriers")
         if self.cp_length < 0 or self.cp_length >= self.n_subcarriers:
             raise ValueError("cp_length must be in [0, n_subcarriers)")
-        if self.modulation != "bpsk":
-            raise ValueError(f"unsupported modulation {self.modulation!r}")
         if self.oscillator_mode not in OSCILLATOR_MODES:
             raise ValueError(
                 f"oscillator_mode must be one of {OSCILLATOR_MODES}"
@@ -109,21 +102,6 @@ class SimConfig:
                 UserWarning,
                 stacklevel=2,
             )
-        if self.sample_time is not None:
-            nominal = 1.0 / (self.subcarrier_spacing * self.n_subcarriers)
-            if abs(self.sample_time / nominal - 1.0) > 0.05:
-                warnings.warn(
-                    "sample_time deviates more than 5% from "
-                    "1/(subcarrier_spacing * n_subcarriers)",
-                    UserWarning,
-                    stacklevel=2,
-                )
-
-    @property
-    def effective_sample_time(self) -> float:
-        if self.sample_time is not None:
-            return self.sample_time
-        return 1.0 / (self.subcarrier_spacing * self.n_subcarriers)
 
     def fast(self) -> "SimConfig":
         """Reduced profile for smoke runs: smaller array and fewer trials."""
@@ -131,7 +109,10 @@ class SimConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimConfig":
-        """Parse a plain 'key = value' file, one setting per line, '#' comments."""
+        """Parse a plain 'key = value' file, one setting per line, '#' comments.
+
+        Each value is converted by its field's type (int, float or str).
+        """
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
         text = Path(path).read_text()
@@ -144,20 +125,14 @@ class SimConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, value)
+            kind = fields[key].type
+            try:
+                values[key] = kind(value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} needs {kind.__name__}, got {value!r}"
+                ) from exc
         return cls(**values)
-
-
-def _coerce(key: str, value: str):
-    int_keys = {"n_tx", "n_subcarriers", "cp_length", "n_taps", "n_trials",
-                "master_seed"}
-    float_keys = {"subcarrier_spacing", "sample_time", "symbol_power",
-                  "delta_f", "inr_db", "snr_db", "pdp_decay"}
-    if key in int_keys:
-        return int(value)
-    if key in float_keys:
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -215,9 +190,7 @@ class Scenario:
     def from_config(cls, config: SimConfig) -> "Scenario":
         powers = derive_powers(config)
         pdp = pdp_profile(config, powers.channel_power)
-        pn = pn_covariance_table(
-            config.delta_f, config.n_subcarriers, config.oscillator_mode
-        )
+        pn = pn_covariance_table(config.delta_f, config.n_subcarriers)
         return cls(
             config=config,
             powers=powers,
@@ -247,13 +220,13 @@ def _run_trial(
     channels = gen_si_channel(cfg.n_tx, cfg.n_taps, scenario.pdp, rng)
     n_osc = cfg.n_tx if cfg.oscillator_mode == "per-antenna" else 1
     variance = scenario.pn.increment_variance
-    tx_traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
-    rx_trace = gen_wiener_phase(n, variance, rng)
+    tx_phases = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
+    rx_phases = gen_wiener_phase(n, variance, rng)
     received = synthesize_received(
         symbols,
         channels,
-        tx_traces,
-        rx_trace,
+        tx_phases,
+        rx_phases,
         scenario.powers.soi_power,
         scenario.powers.noise_power,
         rng,
@@ -261,11 +234,12 @@ def _run_trial(
 
     # The SI covariance is channel_power * A0, where A0 depends on the symbols,
     # the oscillator statistics and the delay profile shape but not on INR or
-    # SNR, so sweep points sharing those share one decomposition.
+    # SNR, so sweep points sharing those share one decomposition.  It does not
+    # depend on the oscillator mode either: the channels are independent and
+    # zero-mean, so only same-antenna terms survive the expectation.
     key = (
         symbols.tobytes(),
         cfg.delta_f,
-        cfg.oscillator_mode,
         cfg.n_tx,
         cfg.n_taps,
         cfg.pdp_shape,
@@ -278,8 +252,6 @@ def _run_trial(
             pn=scenario.pn,
             pdp=pdp_profile(cfg, 1.0),
             n_tx=cfg.n_tx,
-            noise_power=scenario.powers.noise_power,
-            soi_power=scenario.powers.soi_power,
         )
         spectrum = si_spectrum(si_covariance(stats), symbols, cfg.n_taps)
         spectra[key] = spectrum
@@ -486,25 +458,19 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
     return records
 
 
-def summarize(
-    config: SimConfig, records: Sequence[SweepRecord], command: str
-) -> dict:
-    """JSON-ready summary: version, command, configuration echo, records."""
-    return {
-        "version": __version__,
-        "command": command,
-        "config": dataclasses.asdict(config),
-        "records": [dataclasses.asdict(record) for record in records],
-    }
-
-
 def write_json_summary(
     path: str | Path,
     config: SimConfig,
     records: Sequence[SweepRecord],
     command: str,
 ) -> None:
-    payload = summarize(config, records, command)
+    """Write the version, command, configuration echo and records as JSON."""
+    payload = {
+        "version": __version__,
+        "command": command,
+        "config": dataclasses.asdict(config),
+        "records": [dataclasses.asdict(record) for record in records],
+    }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

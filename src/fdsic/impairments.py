@@ -15,12 +15,9 @@ delta_m = (1/N) sum_n exp(j*phi(n)) exp(+2j*pi*m*n/N): delta_0 is the common
 phase error, the rest is inter-carrier interference.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-OSCILLATOR_MODES = ("per-antenna", "shared")
 
 
 def phase_increment_variance(delta_f: float, n_subcarriers: int) -> float:
@@ -37,36 +34,18 @@ def phase_increment_variance(delta_f: float, n_subcarriers: int) -> float:
     return 4.0 * np.pi * delta_f / n_subcarriers
 
 
-@dataclass(frozen=True)
-class PhaseNoiseTrace:
-    """Sampled phase trajectory of one oscillator."""
-
-    phases: np.ndarray
-    increment_variance: float
-    initial_phase: float
-
-
 def gen_wiener_phase(
-    n_samples: int,
-    increment_variance: float,
-    rng: np.random.Generator,
-    initial_phase: float = 0.0,
-) -> PhaseNoiseTrace:
-    """Random-walk phase trace: phases[0] = initial_phase, then independent
-    Gaussian increments of the given variance."""
+    n_samples: int, increment_variance: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Sampled phase trajectory of one oscillator: a random walk with
+    phases[0] = 0, then independent Gaussian increments of the given
+    variance."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if increment_variance < 0.0:
         raise ValueError("increment_variance must be non-negative")
     steps = np.sqrt(increment_variance) * rng.standard_normal(n_samples - 1)
-    phases = np.empty(n_samples)
-    phases[0] = initial_phase
-    phases[1:] = initial_phase + np.cumsum(steps)
-    return PhaseNoiseTrace(
-        phases=phases,
-        increment_variance=increment_variance,
-        initial_phase=initial_phase,
-    )
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def ici_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -94,9 +73,7 @@ class PnCovarianceTable:
 
     gamma: np.ndarray
     kernel: np.ndarray = field(repr=False)
-    delta_f: float
     n_subcarriers: int
-    oscillator_mode: str
     increment_variance: float
 
     @property
@@ -105,20 +82,17 @@ class PnCovarianceTable:
         return 2.0 * self.increment_variance
 
 
-def pn_covariance_table(
-    delta_f: float, n_subcarriers: int, oscillator_mode: str = "per-antenna"
-) -> PnCovarianceTable:
+def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable:
     """Closed-form mixing covariance for independent Wiener oscillator pairs.
 
     The phase difference phi(n1) - phi(n2) of the combined transmit+receive
     process is Gaussian with variance combined_variance * |n1 - n2|, so its
     characteristic function is the decaying exponential kernel; gamma is the
-    kernel's two-sided transform.  Both oscillator modes share this table
-    because it describes a single transmit/receive pair; the mode only
-    changes whether coefficient draws are shared across antennas.
+    kernel's two-sided transform.  The table describes a single
+    transmit/receive pair, so it serves both oscillator modes: whether the
+    antennas share one transmit oscillator changes only the draws, not the
+    SI covariance, because the channels are independent and zero-mean.
     """
-    if oscillator_mode not in OSCILLATOR_MODES:
-        raise ValueError(f"oscillator_mode must be one of {OSCILLATOR_MODES}")
     sigma2 = phase_increment_variance(delta_f, n_subcarriers)
     combined = 2.0 * sigma2
     lags = np.arange(n_subcarriers)
@@ -127,9 +101,7 @@ def pn_covariance_table(
     return PnCovarianceTable(
         gamma=gamma,
         kernel=kernel,
-        delta_f=delta_f,
         n_subcarriers=n_subcarriers,
-        oscillator_mode=oscillator_mode,
         increment_variance=sigma2,
     )
 
@@ -194,17 +166,17 @@ class ReceivedSymbol:
 def synthesize_received(
     freq_symbols: np.ndarray,
     channels: SiChannelSet,
-    tx_traces: list[PhaseNoiseTrace],
-    rx_trace: PhaseNoiseTrace,
+    tx_phases: list[np.ndarray],
+    rx_phases: np.ndarray,
     soi_power: float,
     noise_power: float,
     rng: np.random.Generator,
 ) -> ReceivedSymbol:
     """Synthesize one received symbol from the model above.
 
-    tx_traces holds one trace per transmit antenna, or a single trace that is
-    shared by all antennas (shared-oscillator mode).  Trace lengths must equal
-    the symbol body length.  The signal of interest and the receiver noise are
+    tx_phases holds one phase trace per transmit antenna, or a single trace
+    that is shared by all antennas (shared-oscillator mode).  Trace lengths
+    must equal the symbol body length.  The signal of interest and the receiver noise are
     drawn white circular Gaussian in the subcarrier domain, in that order.
     """
     symbols = np.asarray(freq_symbols, dtype=np.complex128)
@@ -213,16 +185,15 @@ def synthesize_received(
         raise ValueError("freq_symbols must be non-empty")
     if channels.n_taps > n:
         raise ValueError("channel longer than the symbol body")
-    if len(tx_traces) not in (1, channels.n_tx):
+    if len(tx_phases) not in (1, channels.n_tx):
         raise ValueError(
-            f"need 1 or {channels.n_tx} transmit traces, got {len(tx_traces)}"
+            f"need 1 or {channels.n_tx} transmit traces, got {len(tx_phases)}"
         )
-    for trace in (*tx_traces, rx_trace):
-        if trace.phases.size != n:
+    for phases in (*tx_phases, rx_phases):
+        if np.shape(phases) != (n,):
             raise ValueError("phase trace length must equal the symbol body")
 
-    tx_phases = np.stack([trace.phases for trace in tx_traces])
-    rotation = np.exp(1j * (tx_phases + rx_trace.phases[None, :]))
+    rotation = np.exp(1j * (np.stack(tx_phases) + rx_phases))
     # Per-antenna circular channel output, then the oscillator rotation at the
     # receive instants; broadcasting covers the shared-trace case.
     response = np.fft.fft(channels.taps, n=n, axis=1)

@@ -5,8 +5,6 @@ the plain unnormalized sum over time samples, the inverse carries the 1/N
 factor.  np.fft matches this with its default norm.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -58,24 +56,3 @@ def demodulate(time_samples: np.ndarray, cp_length: int) -> np.ndarray:
     if cp_length < 0 or samples.size - cp_length < 1:
         raise ValueError("time_samples too short for the given cp_length")
     return np.fft.fft(samples[cp_length:])
-
-
-@dataclass(frozen=True)
-class OfdmFrame:
-    """One OFDM symbol in both domains, CP included in the time samples."""
-
-    freq_symbols: np.ndarray
-    time_samples: np.ndarray
-    cp_length: int
-    symbol_power: float
-
-    @classmethod
-    def build(
-        cls, freq_symbols: np.ndarray, cp_length: int, symbol_power: float
-    ) -> "OfdmFrame":
-        return cls(
-            freq_symbols=np.asarray(freq_symbols, dtype=np.complex128),
-            time_samples=modulate(freq_symbols, cp_length),
-            cp_length=cp_length,
-            symbol_power=symbol_power,
-        )

@@ -11,15 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from fdsic.cancellation import expected_residual_power
 from fdsic.cli import main
-from fdsic.estimator import (
-    EstimatorStatistics,
-    covariance_bundle,
-    ls_weight_matrix,
-    optimal_weights,
-    si_covariance,
-)
+from fdsic.estimator import EstimatorStatistics, si_covariance
 from fdsic.harness import SimConfig, sweep
 from fdsic.impairments import pn_covariance_table
 from fdsic.ofdm import gen_bpsk_symbols
@@ -28,6 +21,9 @@ from fdsic.validation import (
     check_pn_covariance,
     check_qp_oracle,
     check_si_covariance,
+    expected_residual_power,
+    ls_weight_matrix,
+    optimal_weights,
 )
 
 INR_VALUES = [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
@@ -189,14 +185,14 @@ def test_criterion_8_optimality_and_closed_form():
             pn=pn_covariance_table(delta_f, n),
             pdp=pdp,
             n_tx=n_tx,
-            noise_power=1.0,
-            soi_power=soi_power,
         )
         cov = si_covariance(stats)
-        bundle = covariance_bundle(cov, 1.0, soi_power)
-        solution = optimal_weights(bundle)
-        best = expected_residual_power(cov, solution.weights, 1.0, soi_power)
-        closed = n * 1.0 + np.trace(cov).real + solution.opt_values.sum()
+        si_noise = cov + 1.0 * np.eye(n)
+        weights, opt_values = optimal_weights(
+            si_noise + soi_power * np.eye(n), si_noise
+        )
+        best = expected_residual_power(cov, weights, 1.0, soi_power)
+        closed = n * 1.0 + np.trace(cov).real + opt_values.sum()
         worst_rel = max(worst_rel, abs(best - closed) / closed)
         for competitor in (
             np.zeros((n, n)),

@@ -1,49 +1,54 @@
-"""Conditional SI covariance, the per-subcarrier quadratic programs and the
-least-squares baseline, each checked against an independent oracle."""
+"""Conditional SI covariance, the spectral engine, the per-subcarrier
+quadratic programs and the least-squares baseline, each checked against an
+independent oracle."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdsic.cancellation import expected_residual_power, reconstruct_si
+from fdsic.cancellation import reconstruct_si
 from fdsic.estimator import (
-    CovarianceBundle,
     EstimatorStatistics,
     SingularMatrixError,
-    covariance_bundle,
-    estimate_si_channel,
-    estimator_from_weights,
     ls_estimate,
     ls_residual_power,
-    ls_weight_matrix,
-    optimal_weights,
-    real_embedding,
-    real_qp_blocks,
     si_covariance,
     si_spectrum,
-    solve_qp,
     spectral_weights,
 )
+from fdsic.harness import OSCILLATOR_MODES, Scenario, SimConfig
 from fdsic.impairments import (
-    OSCILLATOR_MODES,
     gen_si_channel,
     gen_wiener_phase,
-    phase_increment_variance,
     pn_covariance_table,
     synthesize_received,
 )
 from fdsic.ofdm import dft_matrix, gen_bpsk_symbols
+from fdsic.validation import (
+    expected_residual_power,
+    ls_weight_matrix,
+    optimal_weights,
+    real_embedding,
+    real_qp_blocks,
+    real_qp_weights,
+    solve_qp,
+)
 
 
-def _stats(symbols, pdp, n_tx, delta_f, noise_power=0.0, soi_power=0.0):
+def _stats(symbols, pdp, n_tx, delta_f):
     return EstimatorStatistics(
         symbols=symbols,
         pn=pn_covariance_table(delta_f, symbols.size),
         pdp=pdp,
         n_tx=n_tx,
-        noise_power=noise_power,
-        soi_power=soi_power,
     )
+
+
+def _loaded(cov, noise, soi):
+    """Received and SI-plus-noise covariances: cov diagonally loaded."""
+    eye = np.eye(cov.shape[0])
+    si_noise = cov + noise * eye
+    return si_noise + soi * eye, si_noise
 
 
 def _covariance_by_direct_sum(symbols, gamma, pdp, n_tx):
@@ -121,28 +126,13 @@ def test_estimator_statistics_validation():
     with pytest.raises(ValueError, match="zero"):
         bad = symbols.copy()
         bad[3] = 0.0
-        EstimatorStatistics(bad, table, np.ones(2), 1, 1.0, 1.0)
+        EstimatorStatistics(bad, table, np.ones(2), 1)
     with pytest.raises(ValueError, match="disagree"):
-        EstimatorStatistics(symbols[:8], table, np.ones(2), 1, 1.0, 1.0)
+        EstimatorStatistics(symbols[:8], table, np.ones(2), 1)
     with pytest.raises(ValueError, match="non-negative"):
-        EstimatorStatistics(symbols, table, np.array([1.0, -0.1]), 1, 1.0, 1.0)
+        EstimatorStatistics(symbols, table, np.array([1.0, -0.1]), 1)
     with pytest.raises(ValueError, match="n_tx"):
-        EstimatorStatistics(symbols, table, np.ones(2), 0, 1.0, 1.0)
-
-
-def test_covariance_bundle_diagonal_loading():
-    rng = np.random.default_rng(46)
-    symbols = gen_bpsk_symbols(8, 1.0, rng)
-    cov = si_covariance(_stats(symbols, np.ones(2), 1, 1e-3))
-    bundle = covariance_bundle(cov, 1.0, 10.0)
-    assert_allclose(bundle.si_noise, cov + np.eye(8))
-    assert_allclose(bundle.received, cov + 11.0 * np.eye(8))
-
-
-def test_covariance_bundle_rejects_non_hermitian():
-    skewed = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=np.complex128)
-    with pytest.raises(ValueError, match="Hermitian"):
-        covariance_bundle(skewed, 1.0, 1.0)
+        EstimatorStatistics(symbols, table, np.ones(2), 0)
 
 
 def test_real_embedding_is_multiplicative():
@@ -168,22 +158,23 @@ def test_real_qp_blocks_reproduce_complex_objective():
     received = root @ root.conj().T + np.eye(n)
     herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     si_noise = 0.5 * (herm + herm.conj().T)
-    phi, b = real_qp_blocks(received, si_noise, k)
+    phi, b = real_qp_blocks(received, si_noise)
+    assert b.shape == (2 * n, n)
     for _ in range(10):
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = np.concatenate([w.real, w.imag])
         complex_value = (
             np.real(w @ received @ w.conj()) - 2.0 * np.real(w @ si_noise[:, k])
         )
-        assert v @ phi @ v - 2.0 * b @ v == pytest.approx(complex_value)
+        assert v @ phi @ v - 2.0 * b[:, k] @ v == pytest.approx(complex_value)
 
 
 def test_real_qp_blocks_validation():
     eye = np.eye(3, dtype=np.complex128)
-    with pytest.raises(ValueError, match="out of range"):
-        real_qp_blocks(eye, eye, 3)
     with pytest.raises(ValueError, match="square"):
-        real_qp_blocks(eye, np.eye(2, dtype=np.complex128), 0)
+        real_qp_blocks(eye, np.eye(2, dtype=np.complex128))
+    with pytest.raises(ValueError, match="square"):
+        real_qp_blocks(np.ones((3, 2), dtype=np.complex128), eye)
 
 
 def test_solve_qp_against_dense_solve():
@@ -203,111 +194,69 @@ def test_solve_qp_rejects_indefinite_matrix():
         solve_qp(np.zeros((4, 4)), np.ones(4))
 
 
-def _random_bundle(rng, n=12, n_taps=3, n_tx=2, delta_f=1e-3, soi=5.0):
+def _random_covariance(rng, n=12, n_taps=3, n_tx=2, delta_f=1e-3):
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    cov = si_covariance(_stats(symbols, pdp, n_tx, delta_f))
-    return symbols, cov, covariance_bundle(cov, 1.0, soi)
+    return symbols, si_covariance(_stats(symbols, pdp, n_tx, delta_f))
 
 
 def test_optimal_weights_match_inverse_oracle():
     rng = np.random.default_rng(50)
-    _, _, bundle = _random_bundle(rng)
-    oracle = bundle.si_noise.conj().T @ np.linalg.inv(bundle.received)
-    for method in ("complex", "real"):
-        solution = optimal_weights(bundle, method=method)
-        assert_allclose(solution.weights, oracle, atol=1e-10)
-        assert solution.opt_values.max() <= 1e-12
+    _, cov = _random_covariance(rng)
+    received, si_noise = _loaded(cov, 1.0, 5.0)
+    oracle = si_noise.conj().T @ np.linalg.inv(received)
+    for route in (optimal_weights, real_qp_weights):
+        weights, opt_values = route(received, si_noise)
+        assert_allclose(weights, oracle, atol=1e-10)
+        assert opt_values.max() <= 1e-12
 
 
 def test_optimal_weights_real_and_complex_agree():
     rng = np.random.default_rng(51)
-    _, _, bundle = _random_bundle(rng, n=16, soi=0.5)
-    a = optimal_weights(bundle, method="complex")
-    b = optimal_weights(bundle, method="real")
-    assert np.max(np.abs(a.weights - b.weights)) < 1e-8
-    assert_allclose(a.opt_values, b.opt_values, atol=1e-8)
+    _, cov = _random_covariance(rng, n=16)
+    covariances = _loaded(cov, 1.0, 0.5)
+    a_weights, a_values = optimal_weights(*covariances)
+    b_weights, b_values = real_qp_weights(*covariances)
+    assert np.max(np.abs(a_weights - b_weights)) < 1e-8
+    assert_allclose(a_values, b_values, atol=1e-8)
 
 
 def test_optimal_weights_opt_values_formula():
     rng = np.random.default_rng(52)
-    _, _, bundle = _random_bundle(rng)
-    solution = optimal_weights(bundle)
-    expected = -np.real(np.diag(solution.weights @ bundle.si_noise))
-    assert_allclose(solution.opt_values, expected, atol=1e-12)
+    _, cov = _random_covariance(rng)
+    received, si_noise = _loaded(cov, 1.0, 5.0)
+    weights, opt_values = optimal_weights(received, si_noise)
+    expected = -np.real(np.diag(weights @ si_noise))
+    assert_allclose(opt_values, expected, atol=1e-12)
 
 
 def test_optimal_weights_without_soi_pass_everything_through():
     # no signal of interest: subtracting the received vector itself is optimal
     rng = np.random.default_rng(53)
-    symbols, cov, _ = _random_bundle(rng)
-    bundle = covariance_bundle(cov, 1.0, 0.0)
-    solution = optimal_weights(bundle)
-    assert_allclose(solution.weights, np.eye(symbols.size), atol=1e-10)
-    residual = expected_residual_power(cov, solution.weights, 1.0, 0.0)
+    symbols, cov = _random_covariance(rng)
+    weights, _ = optimal_weights(*_loaded(cov, 1.0, 0.0))
+    assert_allclose(weights, np.eye(symbols.size), atol=1e-10)
+    residual = expected_residual_power(cov, weights, 1.0, 0.0)
     assert residual == pytest.approx(0.0, abs=1e-9)
 
 
 def test_optimal_weights_shrink_under_strong_soi():
     rng = np.random.default_rng(54)
-    symbols, cov, _ = _random_bundle(rng)
-    weak = optimal_weights(covariance_bundle(cov, 1.0, 1.0))
-    strong = optimal_weights(covariance_bundle(cov, 1.0, 1e6))
-    assert np.linalg.norm(strong.weights) < 1e-3 * np.linalg.norm(weak.weights)
+    _, cov = _random_covariance(rng)
+    weak, _ = optimal_weights(*_loaded(cov, 1.0, 1.0))
+    strong, _ = optimal_weights(*_loaded(cov, 1.0, 1e6))
+    assert np.linalg.norm(strong) < 1e-3 * np.linalg.norm(weak)
 
 
 def test_optimal_weights_closed_form_residual_consistency():
     # direct evaluation of the residual functional agrees with the sum of
     # program optima
     rng = np.random.default_rng(55)
-    _, cov, bundle = _random_bundle(rng, n=16)
-    solution = optimal_weights(bundle)
-    direct = expected_residual_power(cov, solution.weights, 1.0, 5.0)
-    closed = 16 * 1.0 + np.trace(cov).real + solution.opt_values.sum()
+    _, cov = _random_covariance(rng, n=16)
+    weights, opt_values = optimal_weights(*_loaded(cov, 1.0, 5.0))
+    direct = expected_residual_power(cov, weights, 1.0, 5.0)
+    closed = 16 * 1.0 + np.trace(cov).real + opt_values.sum()
     assert direct == pytest.approx(closed, rel=1e-9)
-
-
-def test_optimal_weights_rejects_unknown_method():
-    rng = np.random.default_rng(56)
-    _, _, bundle = _random_bundle(rng)
-    with pytest.raises(ValueError, match="method"):
-        optimal_weights(bundle, method="banana")
-
-
-def test_estimator_from_weights_roundtrip():
-    rng = np.random.default_rng(57)
-    n, n_taps = 16, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    w0 = rng.standard_normal((n_taps, n)) + 1j * rng.standard_normal((n_taps, n))
-    weights = symbols[:, None] * (dft_matrix(n, n_taps) @ w0)
-    assert_allclose(
-        estimator_from_weights(weights, symbols, n_taps), w0, atol=1e-10
-    )
-
-
-def test_estimator_from_weights_projects_onto_symbol_span():
-    # for unit-modulus symbols the collapsed estimator reconstructs the
-    # orthogonal projection of the weighted estimate
-    rng = np.random.default_rng(58)
-    n, n_taps = 16, 4
-    symbols, _, bundle = _random_bundle(rng, n=n, n_taps=n_taps)
-    weights = optimal_weights(bundle).weights
-    received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    collapsed = estimator_from_weights(weights, symbols, n_taps)
-    rebuilt = reconstruct_si(symbols, collapsed @ received)
-    projector = ls_weight_matrix(symbols, n_taps)
-    assert_allclose(rebuilt, projector @ (weights @ received), atol=1e-10)
-
-
-def test_estimate_si_channel_applies_matrix():
-    rng = np.random.default_rng(59)
-    estimator = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    received = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert_allclose(
-        estimate_si_channel(estimator, received), estimator @ received
-    )
-    with pytest.raises(ValueError):
-        estimate_si_channel(estimator, received[:4])
 
 
 def test_ls_estimate_recovers_clean_channel():
@@ -351,6 +300,22 @@ def test_ls_estimate_singular_when_symbols_vanish():
         ls_estimate(np.ones(8), np.zeros(8, dtype=np.complex128), 2)
 
 
+def test_ls_estimate_rejects_unequal_moduli():
+    # the matched filter is least squares only for constant-modulus symbols
+    symbols = np.ones(8, dtype=np.complex128)
+    symbols[5] = 2.0
+    with pytest.raises(ValueError, match="constant-modulus"):
+        ls_estimate(np.ones(8), symbols, 2)
+    with pytest.raises(ValueError, match="constant-modulus"):
+        si_spectrum(np.eye(8), symbols, 2)
+    # unit-modulus complex symbols qualify
+    phases = np.exp(0.25j * np.pi * np.arange(8))
+    received = np.arange(8) + 1j
+    basis = phases[:, None] * dft_matrix(8, 3)
+    oracle = np.linalg.lstsq(basis, received, rcond=None)[0]
+    assert_allclose(ls_estimate(received, phases, 3), oracle, atol=1e-10)
+
+
 def test_ls_weight_matrix_is_idempotent_projection():
     rng = np.random.default_rng(63)
     n, n_taps = 16, 4
@@ -373,25 +338,21 @@ def test_ls_weight_matrix_reproduces_ls_reconstruction():
 
 def test_qp_direct_use_matches_optimal_weights_row():
     rng = np.random.default_rng(65)
-    _, _, bundle = _random_bundle(rng, n=8)
-    solution = optimal_weights(bundle)
-    phi, b = real_qp_blocks(bundle.received, bundle.si_noise, 3)
-    v, value = solve_qp(phi, b)
+    _, cov = _random_covariance(rng, n=8)
+    received, si_noise = _loaded(cov, 1.0, 5.0)
+    weights, opt_values = optimal_weights(received, si_noise)
+    phi, b = real_qp_blocks(received, si_noise)
+    v, value = solve_qp(phi, b[:, 3])
     row = v[:8] + 1j * v[8:]
-    assert_allclose(row, solution.weights[3], atol=1e-10)
-    assert value == pytest.approx(solution.opt_values[3], abs=1e-10)
+    assert_allclose(row, weights[3], atol=1e-10)
+    assert value == pytest.approx(opt_values[3], abs=1e-10)
 
 
 def test_optimal_weights_rejects_indefinite_received():
-    bad = CovarianceBundle(
-        si=np.zeros((4, 4), dtype=np.complex128),
-        si_noise=np.zeros((4, 4), dtype=np.complex128),
-        received=np.zeros((4, 4), dtype=np.complex128),
-    )
-    with pytest.raises(SingularMatrixError):
-        optimal_weights(bad)
-    with pytest.raises(SingularMatrixError):
-        optimal_weights(bad, method="real")
+    zeros = np.zeros((4, 4), dtype=np.complex128)
+    for route in (optimal_weights, real_qp_weights):
+        with pytest.raises(SingularMatrixError):
+            route(zeros, zeros)
 
 
 @pytest.mark.parametrize("mode", OSCILLATOR_MODES)
@@ -407,19 +368,22 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
     unit_pdp /= unit_pdp.sum()
     scale = 10.0 ** (inr_db / 10.0) * noise / n_tx
-    table = pn_covariance_table(delta_f, n, mode)
+    # the table the harness builds for this oscillator mode
+    config = SimConfig(
+        n_tx=n_tx, n_subcarriers=n, cp_length=n_taps, n_taps=n_taps,
+        delta_f=delta_f, oscillator_mode=mode,
+    )
+    table = Scenario.from_config(config).pn
 
     def covariance(pdp):
-        return si_covariance(
-            EstimatorStatistics(symbols, table, pdp, n_tx, noise, soi)
-        )
+        return si_covariance(EstimatorStatistics(symbols, table, pdp, n_tx))
 
     cov = covariance(scale * unit_pdp)
     spectrum = si_spectrum(covariance(unit_pdp), symbols, n_taps)
     solution = spectral_weights(spectrum, scale, noise, soi)
     u = spectrum.eigenvectors
     weights = (u * solution.gains) @ u.conj().T
-    oracle = optimal_weights(covariance_bundle(cov, noise, soi)).weights
+    oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
     assert np.linalg.norm(weights - oracle) <= 1e-9 * np.linalg.norm(oracle)
     assert solution.residual_power == pytest.approx(
         expected_residual_power(cov, weights, noise, soi), rel=1e-9

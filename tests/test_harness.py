@@ -40,8 +40,6 @@ def test_config_defaults_describe_reference_node():
     assert config.snr_db == 10.0
     assert config.delta_f == 1e-3
     assert config.oscillator_mode == "per-antenna"
-    # nominal sample period for 15 kHz spacing and 128 subcarriers
-    assert config.effective_sample_time == pytest.approx(5.2083e-7, rel=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +48,7 @@ def test_config_defaults_describe_reference_node():
         dict(n_tx=0),
         dict(n_taps=200),
         dict(cp_length=128),
-        dict(modulation="qpsk"),
+        dict(pdp_decay=0.0),
         dict(oscillator_mode="odd"),
         dict(pdp_shape="gaussian"),
         dict(delta_f=-1e-3),
@@ -67,13 +65,6 @@ def test_config_rejects_bad_values(overrides):
 def test_config_warns_when_channel_outruns_prefix():
     with pytest.warns(UserWarning, match="prefix"):
         SimConfig(cp_length=8, n_taps=10)
-
-
-def test_config_warns_on_inconsistent_sample_time():
-    with pytest.warns(UserWarning, match="sample_time"):
-        SimConfig(sample_time=1e-6)
-    cfg = SimConfig(sample_time=5.2e-7)
-    assert cfg.effective_sample_time == 5.2e-7
 
 
 def test_config_fast_profile():
@@ -112,6 +103,20 @@ def test_config_from_file_rejects_unknown_key(tmp_path):
         SimConfig.from_file(path)
     path.write_text("just words\n")
     with pytest.raises(ValueError, match="key = value"):
+        SimConfig.from_file(path)
+    # keys of settings the simulator never read are unknown too
+    path.write_text("sample_time = 5e-7\n")
+    with pytest.raises(ValueError, match="unknown key 'sample_time'"):
+        SimConfig.from_file(path)
+
+
+def test_config_from_file_names_line_and_key_of_bad_value(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# trials\nn_tx = 4\nn_trials = 1e3\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:3: n_trials needs int, got '1e3'"):
+        SimConfig.from_file(path)
+    path.write_text("inr_db = loud\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:1: inr_db needs float"):
         SimConfig.from_file(path)
 
 

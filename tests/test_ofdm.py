@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdsic.ofdm import (
-    OfdmFrame,
-    demodulate,
-    dft_matrix,
-    gen_bpsk_symbols,
-    modulate,
-)
+from fdsic.ofdm import demodulate, dft_matrix, gen_bpsk_symbols, modulate
 
 
 def test_dft_matrix_columns_orthogonal():
@@ -101,11 +95,3 @@ def test_demodulate_rejects_short_input():
     with pytest.raises(ValueError):
         demodulate(np.ones(4, dtype=np.complex128), 4)
 
-
-def test_frame_build_consistency():
-    rng = np.random.default_rng(17)
-    symbols = gen_bpsk_symbols(32, 1.0, rng)
-    frame = OfdmFrame.build(symbols, 8, 1.0)
-    assert frame.time_samples.size == 40
-    assert_allclose(frame.freq_symbols, symbols)
-    assert_allclose(demodulate(frame.time_samples, 8), symbols, atol=1e-12)

@@ -32,8 +32,6 @@ def _unit_covariance(seed, delta_f, n_tx):
         pn=pn_covariance_table(delta_f, N),
         pdp=pdp / pdp.sum(),
         n_tx=n_tx,
-        noise_power=1.0,
-        soi_power=1.0,
     )
     return si_covariance(stats), symbols
 
