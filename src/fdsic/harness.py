@@ -2,10 +2,12 @@
 deterministic CSV / JSON emission.
 
 Powers are normalized to a unit per-subcarrier noise floor.  The INR setting
-fixes the total SI channel power, the SNR setting fixes the SOI power, and
-every trial draws fresh symbols, channels, phase traces, SOI and noise from
-a stream derived only from (master_seed, trial_index), so sweep points are
-paired and any (config, seed, trial) triple reproduces bit-identical output.
+fixes the total SI channel power and the SNR setting fixes the SOI power.
+Each trial draws one realization at unit scale (symbols, channels, phase
+walks, SOI and noise) from a stream derived only from
+(master_seed, trial_index), and every sweep point of that trial only
+rescales it.  Sweep points are therefore paired, and any
+(config, seed, trial) triple reproduces bit-identical output.
 """
 
 import csv
@@ -37,6 +39,7 @@ from .estimator import (
 )
 from .impairments import (
     PnCovarianceTable,
+    gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
     pn_covariance_table,
@@ -45,8 +48,11 @@ from .impairments import (
 from .ofdm import gen_bpsk_symbols
 
 OSCILLATOR_MODES = ("per-antenna", "shared")
-SWEEP_VARIABLES = ("inr", "snr", "delta_f")
 _SWEEP_FIELDS = {"inr": "inr_db", "snr": "snr_db", "delta_f": "delta_f"}
+SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
+# Per-subcarrier receiver noise power: every other power is set relative
+# to it.
+NOISE_POWER = 1.0
 CSV_COLUMNS = (
     "sweep_var",
     "value",
@@ -135,37 +141,6 @@ class SimConfig:
         return cls(**values)
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Derived power levels: unit noise, SOI from SNR, per-antenna channel
-    power from INR."""
-
-    noise_power: float
-    soi_power: float
-    channel_power: float
-
-
-def derive_powers(config: SimConfig) -> PowerAllocation:
-    """Back-solve the additive power levels from the configured ratios.
-
-    The noise floor is the reference (noise_power = 1); the per-antenna
-    channel power is chosen so that the mean SI power over one symbol hits
-    the configured INR.
-    """
-    noise_power = 1.0
-    soi_power = float(10.0 ** (config.snr_db / 10.0))
-    channel_power = float(
-        10.0 ** (config.inr_db / 10.0)
-        * noise_power
-        / (config.symbol_power * config.n_tx)
-    )
-    return PowerAllocation(
-        noise_power=noise_power,
-        soi_power=soi_power,
-        channel_power=channel_power,
-    )
-
-
 def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
     """Tap power profile with the requested shape, summing to total_power."""
     if config.pdp_shape == "exponential":
@@ -177,29 +152,37 @@ def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Per-sweep-point precomputation shared by all trials."""
+    """Per-sweep-point precomputation shared by all trials.
+
+    channel_power is the per-antenna channel power that makes the mean SI
+    power over one symbol hit the configured INR above the unit noise
+    floor; soi_power follows from the SNR.
+    """
 
     config: SimConfig
-    powers: PowerAllocation
-    pdp: np.ndarray
+    channel_power: float
+    soi_power: float
     pn: PnCovarianceTable
     si_power: float
     noise_floor: float
 
     @classmethod
     def from_config(cls, config: SimConfig) -> "Scenario":
-        powers = derive_powers(config)
-        pdp = pdp_profile(config, powers.channel_power)
-        pn = pn_covariance_table(config.delta_f, config.n_subcarriers)
+        channel_power = float(
+            10.0 ** (config.inr_db / 10.0)
+            * NOISE_POWER
+            / (config.symbol_power * config.n_tx)
+        )
+        pdp = pdp_profile(config, channel_power)
         return cls(
             config=config,
-            powers=powers,
-            pdp=pdp,
-            pn=pn,
+            channel_power=channel_power,
+            soi_power=float(10.0 ** (config.snr_db / 10.0)),
+            pn=pn_covariance_table(config.delta_f, config.n_subcarriers),
             si_power=si_power(
                 config.symbol_power, pdp, config.n_tx, config.n_subcarriers
             ),
-            noise_floor=config.n_subcarriers * powers.noise_power,
+            noise_floor=config.n_subcarriers * NOISE_POWER,
         )
 
 
@@ -210,70 +193,87 @@ class TrialResult:
 
 
 def _run_trial(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    spectra: dict[tuple, SiSpectrum],
-) -> TrialResult:
-    cfg = scenario.config
-    n = cfg.n_subcarriers
-    symbols = gen_bpsk_symbols(n, cfg.symbol_power, rng)
-    channels = gen_si_channel(cfg.n_tx, cfg.n_taps, scenario.pdp, rng)
-    n_osc = cfg.n_tx if cfg.oscillator_mode == "per-antenna" else 1
-    variance = scenario.pn.increment_variance
-    tx_phases = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
-    rx_phases = gen_wiener_phase(n, variance, rng)
-    received = synthesize_received(
-        symbols,
-        channels,
-        tx_phases,
-        rx_phases,
-        scenario.powers.soi_power,
-        scenario.powers.noise_power,
-        rng,
-    )
+    scenarios: Sequence[Scenario], trial_index: int, variable: str
+) -> list[TrialResult]:
+    """One trial at every sweep point, all points on one realization.
 
-    # The SI covariance is channel_power * A0, where A0 depends on the symbols,
-    # the oscillator statistics and the delay profile shape but not on INR or
-    # SNR, so sweep points sharing those share one decomposition.  It does not
-    # depend on the oscillator mode either: the channels are independent and
-    # zero-mean, so only same-antenna terms survive the expectation.
-    key = (
-        symbols.tobytes(),
-        cfg.delta_f,
-        cfg.n_tx,
-        cfg.n_taps,
-        cfg.pdp_shape,
-        cfg.pdp_decay,
+    The scenarios differ only in the swept field.  The trial's stream
+    default_rng([master_seed, trial_index]) is drawn once at unit scale:
+    symbols, unit-power channel taps, one unit-variance Wiener walk per
+    transmit oscillator plus one for the receiver, the SOI, then the noise.
+    Each point only rescales that realization: the channel power scales the
+    SI, the SOI power scales the SOI, and the phase-noise bandwidth scales
+    the walks.  The SI vector and the SI covariance decomposition are built
+    once per distinct delta_f.
+    """
+    cfg = scenarios[0].config
+    n = cfg.n_subcarriers
+    rng = np.random.default_rng([cfg.master_seed, trial_index])
+    unit_pdp = pdp_profile(cfg, 1.0)
+    symbols = gen_bpsk_symbols(n, cfg.symbol_power, rng)
+    taps = gen_si_channel(cfg.n_tx, cfg.n_taps, unit_pdp, rng)
+    n_osc = cfg.n_tx if cfg.oscillator_mode == "per-antenna" else 1
+    walks = np.stack(
+        [gen_wiener_phase(n, 1.0, rng) for _ in range(n_osc + 1)]
     )
-    spectrum = spectra.get(key)
-    if spectrum is None:
-        stats = EstimatorStatistics(
-            symbols=symbols,
-            pn=scenario.pn,
-            pdp=pdp_profile(cfg, 1.0),
-            n_tx=cfg.n_tx,
-        )
-        spectrum = si_spectrum(si_covariance(stats), symbols, cfg.n_taps)
-        spectra[key] = spectrum
-    scale = scenario.powers.channel_power
-    noise_power = scenario.powers.noise_power
-    soi_power = scenario.powers.soi_power
+    soi = gen_awgn(n, 1.0, rng)
+    noise = gen_awgn(n, NOISE_POWER, rng)
+
+    # Unit channel power SI and its covariance A0 for each delta_f.  A0 does
+    # not depend on the oscillator mode: the channels are independent and
+    # zero-mean, so only same-antenna terms survive the expectation.
+    by_delta_f: dict[float, tuple[np.ndarray, SiSpectrum]] = {}
+    results = []
+    for scenario in scenarios:
+        point = scenario.config
+        try:
+            if point.delta_f not in by_delta_f:
+                phases = np.sqrt(scenario.pn.increment_variance) * walks
+                stats = EstimatorStatistics(
+                    symbols=symbols, pn=scenario.pn, pdp=unit_pdp, n_tx=cfg.n_tx
+                )
+                by_delta_f[point.delta_f] = (
+                    synthesize_received(
+                        symbols, taps, phases[:-1], phases[-1]
+                    ),
+                    si_spectrum(si_covariance(stats), symbols, cfg.n_taps),
+                )
+            si, spectrum = by_delta_f[point.delta_f]
+            results.append(
+                _run_point(scenario, symbols, si, soi, noise, spectrum)
+            )
+        except Exception as exc:
+            value = getattr(point, _SWEEP_FIELDS[variable])
+            raise type(exc)(
+                f"trial {trial_index} at {variable}={value!r} failed: {exc}"
+            ) from exc
+    return results
+
+
+def _run_point(
+    scenario: Scenario,
+    symbols: np.ndarray,
+    unit_si: np.ndarray,
+    unit_soi: np.ndarray,
+    noise: np.ndarray,
+    spectrum: SiSpectrum,
+) -> TrialResult:
+    scale = scenario.channel_power
+    soi_power = scenario.soi_power
+    soi = np.sqrt(soi_power) * unit_soi
+    received = np.sqrt(scale) * unit_si + soi + noise
 
     # The optimal method subtracts the weighted estimate directly; the LS
     # baseline reconstructs from its tap estimate.
-    weights = spectral_weights(spectrum, scale, noise_power, soi_power)
-    residual_opt = (
-        cancel(received.total, weights.estimate(received.total)) - received.soi
-    )
+    weights = spectral_weights(spectrum, scale, NOISE_POWER, soi_power)
+    residual_opt = cancel(received, weights.estimate(received)) - soi
     opt_report = _report(
         "optimal", residual_opt, weights.residual_power, scenario
     )
 
-    taps_ls = ls_estimate(received.total, symbols, cfg.n_taps)
-    residual_ls = (
-        cancel(received.total, reconstruct_si(symbols, taps_ls)) - received.soi
-    )
-    theo_ls = ls_residual_power(spectrum, scale, noise_power, soi_power)
+    taps_ls = ls_estimate(received, symbols, scenario.config.n_taps)
+    residual_ls = cancel(received, reconstruct_si(symbols, taps_ls)) - soi
+    theo_ls = ls_residual_power(spectrum, scale, NOISE_POWER, soi_power)
     ls_report = _report("ls", residual_ls, theo_ls, scenario)
     return TrialResult(optimal=opt_report, ls=ls_report)
 
@@ -301,26 +301,7 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial: both methods on the identical realization."""
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
-    scenario = Scenario.from_config(config)
-    return _run_trial_checked(scenario, trial_index, {}, "inr")
-
-
-def _run_trial_checked(
-    scenario: Scenario,
-    trial_index: int,
-    spectra: dict[tuple, SiSpectrum],
-    variable: str,
-) -> TrialResult:
-    rng = np.random.default_rng(
-        [scenario.config.master_seed, trial_index]
-    )
-    try:
-        return _run_trial(scenario, rng, spectra)
-    except Exception as exc:
-        value = getattr(scenario.config, _SWEEP_FIELDS[variable])
-        raise type(exc)(
-            f"trial {trial_index} at {variable}={value!r} failed: {exc}"
-        ) from exc
+    return _run_trial([Scenario.from_config(config)], trial_index, "inr")[0]
 
 
 @dataclass(frozen=True)
@@ -342,11 +323,10 @@ def sweep(
 ) -> list[SweepRecord]:
     """Monte Carlo sweep of one scenario variable.
 
-    Every sweep point runs config.n_trials trials whose random streams
-    depend only on (master_seed, trial_index), so points are paired.  Trials
-    run trial-major, each one visiting every point in turn, so the points
-    of one trial share its SI covariance decomposition.  Records come back
-    sorted by (value, method).
+    Every sweep point runs config.n_trials trials.  Trial t draws one
+    realization from a stream that depends only on (master_seed, t), and
+    every point rescales that same realization, so points are paired.
+    Records come back sorted by (value, method).
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -357,17 +337,14 @@ def sweep(
         Scenario.from_config(replace(config, **{field: float(value)}))
         for value in values
     ]
-    results: list[list[TrialResult]] = [[] for _ in scenarios]
-    for trial in range(config.n_trials):
-        spectra: dict[tuple, SiSpectrum] = {}
-        for scenario, point_results in zip(scenarios, results):
-            point_results.append(
-                _run_trial_checked(scenario, trial, spectra, variable)
-            )
+    trials = [
+        _run_trial(scenarios, trial, variable)
+        for trial in range(config.n_trials)
+    ]
     records = []
-    for value, scenario, point_results in zip(values, scenarios, results):
+    for point, (value, scenario) in enumerate(zip(values, scenarios)):
         for method in ("ls", "optimal"):
-            reports = [getattr(result, method) for result in point_results]
+            reports = [getattr(trial[point], method) for trial in trials]
             records.append(_aggregate(variable, value, method, reports, scenario))
     records.sort(key=lambda record: (record.value, record.method))
     return records

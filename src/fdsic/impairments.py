@@ -1,6 +1,6 @@
 """Impairment models: Wiener oscillator phase noise, its subcarrier-domain
-mixing statistics, the self-interference multipath channel, and synthesis of
-one received OFDM symbol.
+mixing statistics, the self-interference multipath channel, white Gaussian
+draws, and synthesis of the SI part of one received OFDM symbol.
 
 Signal model for one symbol with N subcarriers: every transmit chain s leaks
 through an L-tap channel h_s, and the transmit plus receive oscillator pair
@@ -16,6 +16,7 @@ phase error, the rest is inter-carrier interference.
 """
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -106,26 +107,11 @@ def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable
     )
 
 
-@dataclass(frozen=True)
-class SiChannelSet:
-    """Per-antenna self-interference channel taps and their power profile."""
-
-    taps: np.ndarray
-    pdp: np.ndarray
-
-    @property
-    def n_tx(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[1]
-
-
 def gen_si_channel(
     n_tx: int, n_taps: int, pdp: np.ndarray, rng: np.random.Generator
-) -> SiChannelSet:
-    """Independent circular complex Gaussian taps, tap l has variance pdp[l]."""
+) -> np.ndarray:
+    """Independent circular complex Gaussian taps, shape (n_tx, n_taps); tap
+    l has variance pdp[l]."""
     pdp = np.asarray(pdp, dtype=np.float64)
     if n_tx < 1 or n_taps < 1:
         raise ValueError("n_tx and n_taps must be positive")
@@ -134,11 +120,10 @@ def gen_si_channel(
     if np.any(pdp < 0.0):
         raise ValueError("pdp entries must be non-negative")
     scale = np.sqrt(pdp / 2.0)
-    taps = scale[None, :] * (
+    return scale[None, :] * (
         rng.standard_normal((n_tx, n_taps))
         + 1j * rng.standard_normal((n_tx, n_taps))
     )
-    return SiChannelSet(taps=taps, pdp=pdp)
 
 
 def gen_awgn(n: int, power: float, rng: np.random.Generator) -> np.ndarray:
@@ -153,41 +138,30 @@ def gen_awgn(n: int, power: float, rng: np.random.Generator) -> np.ndarray:
     return scale * (re + 1j * im)
 
 
-@dataclass(frozen=True)
-class ReceivedSymbol:
-    """One received symbol and its additive parts, all in the subcarrier domain."""
-
-    total: np.ndarray
-    si: np.ndarray
-    soi: np.ndarray
-    noise: np.ndarray
-
-
 def synthesize_received(
     freq_symbols: np.ndarray,
-    channels: SiChannelSet,
-    tx_phases: list[np.ndarray],
+    taps: np.ndarray,
+    tx_phases: Sequence[np.ndarray],
     rx_phases: np.ndarray,
-    soi_power: float,
-    noise_power: float,
-    rng: np.random.Generator,
-) -> ReceivedSymbol:
-    """Synthesize one received symbol from the model above.
+) -> np.ndarray:
+    """Noiseless SI part of one received symbol, in the subcarrier domain.
 
-    tx_phases holds one phase trace per transmit antenna, or a single trace
-    that is shared by all antennas (shared-oscillator mode).  Trace lengths
-    must equal the symbol body length.  The signal of interest and the receiver noise are
-    drawn white circular Gaussian in the subcarrier domain, in that order.
+    taps has one row of channel taps per transmit antenna.  tx_phases holds
+    one phase trace per transmit antenna, or a single trace that is shared
+    by all antennas (shared-oscillator mode).  Trace lengths must equal the
+    symbol body length.  The SI is linear in the taps, so scaling them by c
+    scales the result by c.
     """
     symbols = np.asarray(freq_symbols, dtype=np.complex128)
     n = symbols.size
+    n_tx, n_taps = np.shape(taps)
     if n == 0:
         raise ValueError("freq_symbols must be non-empty")
-    if channels.n_taps > n:
+    if n_taps > n:
         raise ValueError("channel longer than the symbol body")
-    if len(tx_phases) not in (1, channels.n_tx):
+    if len(tx_phases) not in (1, n_tx):
         raise ValueError(
-            f"need 1 or {channels.n_tx} transmit traces, got {len(tx_phases)}"
+            f"need 1 or {n_tx} transmit traces, got {len(tx_phases)}"
         )
     for phases in (*tx_phases, rx_phases):
         if np.shape(phases) != (n,):
@@ -196,9 +170,6 @@ def synthesize_received(
     rotation = np.exp(1j * (np.stack(tx_phases) + rx_phases))
     # Per-antenna circular channel output, then the oscillator rotation at the
     # receive instants; broadcasting covers the shared-trace case.
-    response = np.fft.fft(channels.taps, n=n, axis=1)
+    response = np.fft.fft(taps, n=n, axis=1)
     waveform = np.fft.ifft(symbols[None, :] * response, axis=1)
-    si = np.fft.fft((rotation * waveform).sum(axis=0))
-    soi = gen_awgn(n, soi_power, rng)
-    noise = gen_awgn(n, noise_power, rng)
-    return ReceivedSymbol(total=si + soi + noise, si=si, soi=soi, noise=noise)
+    return np.fft.fft((rotation * waveform).sum(axis=0))

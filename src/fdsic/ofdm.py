@@ -1,4 +1,4 @@
-"""OFDM primitives: partial DFT matrices, BPSK symbol draws, CP add/strip.
+"""OFDM primitives: partial DFT matrices, BPSK symbol draws, cyclic-prefix add.
 
 Transform convention used throughout the package: the forward transform is
 the plain unnormalized sum over time samples, the inverse carries the 1/N
@@ -49,10 +49,3 @@ def modulate(freq_symbols: np.ndarray, cp_length: int) -> np.ndarray:
         return body
     return np.concatenate([body[-cp_length:], body])
 
-
-def demodulate(time_samples: np.ndarray, cp_length: int) -> np.ndarray:
-    """Strip the cyclic prefix and apply the forward transform."""
-    samples = np.asarray(time_samples, dtype=np.complex128)
-    if cp_length < 0 or samples.size - cp_length < 1:
-        raise ValueError("time_samples too short for the given cp_length")
-    return np.fft.fft(samples[cp_length:])

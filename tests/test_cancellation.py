@@ -15,6 +15,7 @@ from fdsic.cancellation import (
 )
 from fdsic.estimator import EstimatorStatistics, si_covariance
 from fdsic.impairments import (
+    gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
     phase_increment_variance,
@@ -106,13 +107,16 @@ def test_expected_residual_matches_monte_carlo():
     total = 0.0
     trials = 4000
     for _ in range(trials):
-        channels = gen_si_channel(n_tx, n_taps, pdp, rng)
+        taps = gen_si_channel(n_tx, n_taps, pdp, rng)
         traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
-        received = synthesize_received(
-            symbols, channels, traces, rx, 2.0, 1.0, rng
+        soi = gen_awgn(n, 2.0, rng)
+        received = (
+            synthesize_received(symbols, taps, traces, rx)
+            + soi
+            + gen_awgn(n, 1.0, rng)
         )
-        residual = cancel(received.total, weights @ received.total) - received.soi
+        residual = cancel(received, weights @ received) - soi
         total += np.vdot(residual, residual).real
     assert total / trials == pytest.approx(predicted, rel=0.08)
 

@@ -263,13 +263,11 @@ def test_ls_estimate_recovers_clean_channel():
     rng = np.random.default_rng(60)
     n, n_taps = 32, 4
     symbols = gen_bpsk_symbols(n, 1.0, rng)
-    channels = gen_si_channel(1, n_taps, np.ones(n_taps), rng)
+    channel = gen_si_channel(1, n_taps, np.ones(n_taps), rng)
     quiet = gen_wiener_phase(n, 0.0, rng)
-    received = synthesize_received(
-        symbols, channels, [quiet], quiet, 0.0, 0.0, rng
-    )
-    taps = ls_estimate(received.total, symbols, n_taps)
-    assert_allclose(taps, channels.taps[0], atol=1e-10)
+    received = synthesize_received(symbols, channel, [quiet], quiet)
+    taps = ls_estimate(received, symbols, n_taps)
+    assert_allclose(taps, channel[0], atol=1e-10)
 
 
 def test_ls_estimate_matches_lstsq():

@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from fdsic import harness
 from fdsic.estimator import SingularMatrixError
 from fdsic.harness import (
+    NOISE_POWER,
     Scenario,
     SimConfig,
     SweepRecord,
-    derive_powers,
     emit_csv,
     pdp_profile,
     read_csv,
@@ -121,11 +122,11 @@ def test_config_from_file_names_line_and_key_of_bad_value(tmp_path):
 
 
 def test_derive_powers_reference_point():
-    powers = derive_powers(SimConfig())
-    assert powers.noise_power == 1.0
-    assert powers.soi_power == pytest.approx(10.0)
+    scenario = Scenario.from_config(SimConfig())
+    assert NOISE_POWER == 1.0
+    assert scenario.soi_power == pytest.approx(10.0)
     # 10^4 total SI power split over 64 unit-power transmitters
-    assert powers.channel_power == pytest.approx(156.25)
+    assert scenario.channel_power == pytest.approx(156.25)
 
 
 def test_pdp_profile_shapes():
@@ -212,6 +213,38 @@ def test_sweep_pairs_trials_across_points():
         _assert_cells_match_run_trial(records, config, "delta_f", value)
 
 
+@pytest.mark.parametrize("mode", ["per-antenna", "shared"])
+def test_sweep_draws_one_realization_per_trial(monkeypatch, mode):
+    # INR points rescale one synthesis and one covariance per trial; each
+    # delta_f point needs its own.  The walks are drawn once per trial.
+    calls = {}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in ("synthesize_received", "si_covariance", "gen_wiener_phase"):
+        counted(name)
+    config = SimConfig(**SMALL, oscillator_mode=mode)
+    n_osc = config.n_tx if mode == "per-antenna" else 1
+    for variable, values, per_trial in (
+        ("inr", [20.0, 30.0, 40.0], 1),
+        ("delta_f", [1e-4, 1e-2], 2),
+    ):
+        calls.clear()
+        sweep(config, variable, values)
+        assert calls == {
+            "synthesize_received": per_trial * config.n_trials,
+            "si_covariance": per_trial * config.n_trials,
+            "gen_wiener_phase": (n_osc + 1) * config.n_trials,
+        }
+
+
 def _assert_cells_match_run_trial(records, config, field, value):
     point = dataclasses.replace(config, **{field: value})
     trials = [run_trial(point, t) for t in range(config.n_trials)]
@@ -231,8 +264,12 @@ def _assert_cells_match_run_trial(records, config, field, value):
         dict(delta_f=0.1),
         dict(n_tx=1),
         dict(oscillator_mode="shared"),
+        dict(n_subcarriers=1024),
     ],
-    ids=["inr110", "no-phase-noise", "delta-f-0.1", "one-tx", "shared-osc"],
+    ids=[
+        "inr110", "no-phase-noise", "delta-f-0.1", "one-tx", "shared-osc",
+        "n1024",
+    ],
 )
 def test_sweep_edge_configs_track_theory(overrides):
     # extreme but legal settings of the reference node run, and the

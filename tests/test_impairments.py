@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fdsic.impairments import (
@@ -77,9 +78,16 @@ def test_ici_frequency_offset_appears_at_negative_index():
     assert_allclose(delta, expected, atol=1e-12)
 
 
-def test_ici_coefficients_conserve_energy():
-    rng = np.random.default_rng(23)
-    trace = gen_wiener_phase(64, 1e-2, rng)
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=512),
+    variance=st.floats(min_value=0.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ici_coefficients_conserve_energy(n, variance, seed):
+    # Parseval: sum_m |delta_m|^2 = 1 for every trace length and increment
+    # variance
+    trace = gen_wiener_phase(n, variance, np.random.default_rng(seed))
     delta = ici_coefficients(trace)
     assert np.sum(np.abs(delta) ** 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -142,11 +150,10 @@ def test_pn_table_matches_monte_carlo():
 def test_si_channel_tap_powers_follow_profile():
     rng = np.random.default_rng(27)
     pdp = np.array([1.0, 0.5, 0.25])
-    channels = gen_si_channel(20_000, 3, pdp, rng)
-    assert channels.n_tx == 20_000
-    assert channels.n_taps == 3
-    assert_allclose((np.abs(channels.taps) ** 2).mean(axis=0), pdp, rtol=0.05)
-    assert np.max(np.abs(channels.taps.mean(axis=0))) < 0.05
+    taps = gen_si_channel(20_000, 3, pdp, rng)
+    assert taps.shape == (20_000, 3)
+    assert_allclose((np.abs(taps) ** 2).mean(axis=0), pdp, rtol=0.05)
+    assert np.max(np.abs(taps.mean(axis=0))) < 0.05
 
 
 def test_si_channel_validation():
@@ -172,26 +179,33 @@ def test_synthesize_without_phase_noise_is_plain_channel_product():
     n, n_taps, n_tx = 32, 4, 3
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    channels = gen_si_channel(n_tx, n_taps, pdp, rng)
+    taps = gen_si_channel(n_tx, n_taps, pdp, rng)
     quiet = [gen_wiener_phase(n, 0.0, rng) for _ in range(n_tx)]
     rx = gen_wiener_phase(n, 0.0, rng)
-    received = synthesize_received(symbols, channels, quiet, rx, 0.0, 0.0, rng)
-    response = np.fft.fft(channels.taps, n=n, axis=1).sum(axis=0)
-    assert_allclose(received.si, symbols * response, atol=1e-12)
-    assert_allclose(received.soi, 0.0)
-    assert_allclose(received.noise, 0.0)
+    si = synthesize_received(symbols, taps, quiet, rx)
+    response = np.fft.fft(taps, n=n, axis=1).sum(axis=0)
+    assert_allclose(si, symbols * response, atol=1e-12)
 
 
 def test_synthesize_total_is_sum_of_parts():
+    # the SI is the sum of the per-antenna parts and linear in the taps,
+    # which is what lets a sweep point rescale a unit-power realization
     rng = np.random.default_rng(30)
     n = 16
     symbols = gen_bpsk_symbols(n, 1.0, rng)
-    channels = gen_si_channel(2, 2, np.ones(2), rng)
+    taps = gen_si_channel(2, 2, np.ones(2), rng)
     traces = [gen_wiener_phase(n, 1e-4, rng) for _ in range(2)]
     rx = gen_wiener_phase(n, 1e-4, rng)
-    received = synthesize_received(symbols, channels, traces, rx, 2.0, 1.0, rng)
+    total = synthesize_received(symbols, taps, traces, rx)
+    parts = [
+        synthesize_received(symbols, taps[[s]], [traces[s]], rx)
+        for s in range(2)
+    ]
+    assert_allclose(total, parts[0] + parts[1], atol=1e-12)
     assert_allclose(
-        received.total, received.si + received.soi + received.noise
+        synthesize_received(symbols, 3.0 * taps, traces, rx),
+        3.0 * total,
+        atol=1e-12,
     )
 
 
@@ -205,13 +219,11 @@ def test_synthesize_mean_si_power():
     total = 0.0
     trials = 3000
     for _ in range(trials):
-        channels = gen_si_channel(n_tx, n_taps, pdp, rng)
+        taps = gen_si_channel(n_tx, n_taps, pdp, rng)
         traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
-        received = synthesize_received(
-            symbols, channels, traces, rx, 0.0, 0.0, rng
-        )
-        total += np.vdot(received.si, received.si).real
+        si = synthesize_received(symbols, taps, traces, rx)
+        total += np.vdot(si, si).real
     expected = n * n_tx * pdp.sum()
     assert total / trials == pytest.approx(expected, rel=0.08)
 
@@ -220,31 +232,25 @@ def test_synthesize_shared_trace_matches_replicated_traces():
     rng = np.random.default_rng(32)
     n, n_tx = 16, 4
     symbols = gen_bpsk_symbols(n, 1.0, rng)
-    channels = gen_si_channel(n_tx, 2, np.ones(2), rng)
+    taps = gen_si_channel(n_tx, 2, np.ones(2), rng)
     shared = gen_wiener_phase(n, 1e-3, rng)
     rx = gen_wiener_phase(n, 1e-3, rng)
-    one = synthesize_received(symbols, channels, [shared], rx, 0.0, 0.0, rng)
-    many = synthesize_received(
-        symbols, channels, [shared] * n_tx, rx, 0.0, 0.0, rng
-    )
-    assert_allclose(one.si, many.si, atol=1e-12)
+    one = synthesize_received(symbols, taps, [shared], rx)
+    many = synthesize_received(symbols, taps, [shared] * n_tx, rx)
+    assert_allclose(one, many, atol=1e-12)
 
 
 def test_synthesize_validation():
     rng = np.random.default_rng(33)
     n = 16
     symbols = gen_bpsk_symbols(n, 1.0, rng)
-    channels = gen_si_channel(3, 2, np.ones(2), rng)
+    taps = gen_si_channel(3, 2, np.ones(2), rng)
     trace = gen_wiener_phase(n, 1e-3, rng)
     short = gen_wiener_phase(n - 1, 1e-3, rng)
     with pytest.raises(ValueError, match="transmit traces"):
-        synthesize_received(
-            symbols, channels, [trace, trace], trace, 0.0, 0.0, rng
-        )
+        synthesize_received(symbols, taps, [trace, trace], trace)
     with pytest.raises(ValueError, match="length"):
-        synthesize_received(symbols, channels, [short], trace, 0.0, 0.0, rng)
+        synthesize_received(symbols, taps, [short], trace)
     long_channel = gen_si_channel(1, n + 1, np.ones(n + 1), rng)
     with pytest.raises(ValueError, match="longer"):
-        synthesize_received(
-            symbols, long_channel, [trace], trace, 0.0, 0.0, rng
-        )
+        synthesize_received(symbols, long_channel, [trace], trace)

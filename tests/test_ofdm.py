@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdsic.ofdm import demodulate, dft_matrix, gen_bpsk_symbols, modulate
+from fdsic.ofdm import dft_matrix, gen_bpsk_symbols, modulate
 
 
 def test_dft_matrix_columns_orthogonal():
@@ -63,7 +63,10 @@ def test_modulate_prepends_cyclic_prefix():
 def test_modulate_demodulate_roundtrip():
     rng = np.random.default_rng(15)
     symbols = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert_allclose(demodulate(modulate(symbols, 16), 16), symbols, atol=1e-12)
+    # stripping the prefix leaves the inverse transform of the symbols
+    samples = modulate(symbols, 16)
+    assert_allclose(samples[16:], np.fft.ifft(symbols), atol=1e-12)
+    assert_allclose(np.fft.fft(samples[16:]), symbols, atol=1e-12)
 
 
 def test_modulate_single_tone():
@@ -89,9 +92,3 @@ def test_modulate_energy_scaling():
 def test_modulate_rejects_bad_prefix(cp):
     with pytest.raises(ValueError):
         modulate(np.ones(32, dtype=np.complex128), cp)
-
-
-def test_demodulate_rejects_short_input():
-    with pytest.raises(ValueError):
-        demodulate(np.ones(4, dtype=np.complex128), 4)
-

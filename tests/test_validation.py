@@ -53,7 +53,7 @@ def test_time_domain_reference_needs_full_prefix():
     rng = np.random.default_rng(81)
     n = 16
     symbols = gen_bpsk_symbols(n, 1.0, rng)
-    channels = gen_si_channel(1, 6, np.ones(6), rng)
+    taps = gen_si_channel(1, 6, np.ones(6), rng)
     trace = gen_wiener_phase(n, 1e-3, rng)
     with pytest.raises(ValueError, match="prefix"):
-        time_domain_si_reference(symbols, channels, [trace], trace, 4)
+        time_domain_si_reference(symbols, taps, [trace], trace, 4)
