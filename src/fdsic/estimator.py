@@ -6,22 +6,31 @@ and is judged by the expected residual power
     E_r(V) = N*noise + tr{A} + tr{V C conj(V).T} - 2 Re tr{V B},
 
 where A is the conditional SI covariance for the known transmit symbols,
-B = A + noise*I and C = B + soi*I.  Its minimizer is V = conj(B).T @ inv(C).
+B = A + noise*I and C = B + soi*I.  Its minimizer is
+V = conj(B).T @ inv(C) = I - soi * inv(C).
 
 The simulator reaches it through one spectral engine: A scales with the
-channel power s, A = s * A0, so one eigendecomposition A0 = U diag(lam0) U^H
-serves every noise, SOI and channel power level.  With lam = s * lam0 the
-optimal weights are V = U diag((lam + noise) / (lam + noise + soi)) U^H and
-both the optimal and the least-squares expected residuals come in closed
-form.  The conventional least-squares channel estimator is included as the
-baseline.  The dense Cholesky and real-embedded solves that the engine is
-checked against live in fdsic.validation.
+channel power s, A = s * A0, so one Householder tridiagonalization
+A0 = Q T Q^H, with T real tridiagonal, serves every noise, SOI and channel
+power level.  The eigenvalues lam0 of T give both the optimal and the
+least-squares expected residuals in closed form, and the SI estimate is
+V y = y - soi * Q inv(s*T + (noise + soi)*I) Q^H y: two reflector
+applications and one real tridiagonal solve per operating point.  The
+conventional least-squares channel estimator is included as the baseline.
+The dense Cholesky and real-embedded solves that the engine is checked
+against live in fdsic.validation.
+
+Every BLAS and LAPACK call here goes through scipy.linalg.  The numpy and
+scipy wheels each bundle their own multithreaded OpenBLAS, and alternating
+between the two thread pools on every trial costs more than the small
+matrix products themselves.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .impairments import PnCovarianceTable
 from .ofdm import dft_matrix
@@ -79,9 +88,11 @@ def si_covariance(stats: EstimatorStatistics) -> np.ndarray:
     waveform = np.fft.ifft(symbols)
     taps = np.arange(stats.pdp.size)
     shifted = waveform[(np.arange(n)[None, :] - taps[:, None]) % n]
-    sample_cov = np.einsum(
-        "l,ln,lm->nm", stats.pdp, shifted, shifted.conj()
-    )
+    # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the transpose of the
+    # Fortran-ordered product shifted^H (pdp * shifted)
+    sample_cov = blas.zgemm(
+        1.0, shifted, stats.pdp[:, None] * shifted, trans_a=2
+    ).T
     weighted = stats.pn.kernel * sample_cov * stats.n_tx
     cov = np.fft.ifft(np.fft.fft(weighted, axis=0), axis=1) * n
     scale = max(float(np.max(np.abs(cov))), np.finfo(np.float64).tiny)
@@ -108,13 +119,24 @@ def _constant_modulus_power(symbols: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SiSpectrum:
-    """Eigendecomposition A0 = U diag(eigenvalues) U^H of the SI covariance at
-    unit channel power, and the SI power per unit channel power that the
-    least-squares reconstruction leaves behind, tr{(I - P) A0}, with P the
-    projector onto the span of the known symbols."""
+    """Tridiagonal form A0 = Q T Q^H of the SI covariance at unit channel
+    power, the eigenvalues of T (and of A0) in ascending order, and the SI
+    power per unit channel power that the least-squares reconstruction
+    leaves behind, tr{(I - P) A0}, with P the projector onto the span of the
+    known symbols.
+
+    T has the real diagonal `diagonal` and off-diagonal `off_diagonal`.
+    Q = diag(1, Q1) with Q1 the product of the N - 1 Householder reflectors
+    that LAPACK's zhetrd packs below the subdiagonal, kept in the QR layout
+    zunmqr applies (`reflectors`, `tau`).  At N = 1, T is a single entry,
+    Q = I and there are no reflectors.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
     ls_leakage: float
     n_taps: int
 
@@ -122,8 +144,9 @@ class SiSpectrum:
 def si_spectrum(
     si_cov: np.ndarray, symbols: np.ndarray, n_taps: int
 ) -> SiSpectrum:
-    """Decompose a unit-channel-power SI covariance once, for every operating
-    point that shares its symbols, oscillator statistics and delay profile.
+    """Tridiagonalize a unit-channel-power SI covariance once, for every
+    operating point that shares its symbols, oscillator statistics and delay
+    profile.
 
     The LS projector P = Bb (Bb^H Bb)^-1 Bb^H onto the columns b_l of the
     N x L basis Bb = diag(symbols) F_L has Gram N*p*I for constant-modulus
@@ -137,29 +160,72 @@ def si_spectrum(
         raise ValueError("si_cov must be N x N for N symbols")
     power = _constant_modulus_power(symbols)
     basis = symbols[:, None] * dft_matrix(n, n_taps)
-    captured = np.vdot(basis, si_cov @ basis).real / (n * power)
-    eigenvalues, eigenvectors = np.linalg.eigh(si_cov)
+    product = blas.zgemm(1.0, si_cov, basis)
+    captured = float((basis.conj() * product).real.sum()) / (n * power)
+    lwork, _ = lapack.zhetrd_lwork(n, lower=1)
+    packed, diagonal, off_diagonal, tau, _ = lapack.zhetrd(
+        si_cov, lower=1, lwork=int(lwork.real)
+    )
+    if n == 1:
+        # scipy's tridiagonal wrappers reject an empty off-diagonal
+        off_diagonal = np.zeros(1)
+    eigenvalues, info = lapack.dsterf(diagonal, off_diagonal)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf did not converge (info={info})")
     return SiSpectrum(
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
+        diagonal=diagonal,
+        off_diagonal=off_diagonal,
+        reflectors=np.asfortranarray(packed[1:, :-1]),
+        tau=tau,
         ls_leakage=float(np.trace(si_cov).real - captured),
         n_taps=n_taps,
     )
 
 
+def _apply_q(
+    spectrum: SiSpectrum, vector: np.ndarray, trans: str
+) -> np.ndarray:
+    """Q @ vector for trans "N", Q^H @ vector for trans "C"; Q leaves the
+    first entry alone."""
+    out = vector.copy()
+    if spectrum.tau.size:
+        applied, _, _ = lapack.zunmqr(
+            "L", trans, spectrum.reflectors, spectrum.tau, vector[1:, None], 1
+        )
+        out[1:] = applied[:, 0]
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralWeights:
-    """Optimal weights V = U diag(gains) U^H at one operating point and their
-    expected residual power."""
+    """Optimal weights V = I - soi * inv(C) at one operating point, held as
+    the tridiagonal C' = scale*T + (noise + soi)*I of C = Q C' Q^H, with the
+    eigenvalue gains of V and its expected residual power."""
 
-    eigenvectors: np.ndarray
+    spectrum: SiSpectrum
+    received_diagonal: np.ndarray
+    received_off_diagonal: np.ndarray
+    soi_power: float
     gains: np.ndarray
     residual_power: float
 
     def estimate(self, received: np.ndarray) -> np.ndarray:
         """The SI estimate V @ received, in O(N^2)."""
-        u = self.eigenvectors
-        return u @ (self.gains * (u.conj().T @ received))
+        received = np.asarray(received, dtype=np.complex128)
+        rotated = _apply_q(self.spectrum, received, "C")
+        # C' is real, so it solves the real and imaginary parts together
+        _, _, solved, info = lapack.dptsv(
+            self.received_diagonal,
+            self.received_off_diagonal,
+            np.column_stack([rotated.real, rotated.imag]),
+        )
+        if info != 0:
+            raise SingularMatrixError(
+                "received covariance is not positive definite"
+            )
+        back = _apply_q(self.spectrum, solved[:, 0] + 1j * solved[:, 1], "N")
+        return received - self.soi_power * back
 
 
 def spectral_weights(
@@ -171,14 +237,19 @@ def spectral_weights(
     (lam + noise) / (lam + noise + soi) and adds the non-negative term
     (lam + noise) * soi / (lam + noise + soi) to the expected residual
     power.  Their sum equals N*noise + tr{A} + sum_k f_k of the Cholesky
-    route without the cancellation between its large terms.
+    route without the cancellation between its large terms.  The estimate
+    itself never forms the eigenvectors: it solves with the shifted
+    tridiagonal scale*T + (noise + soi)*I.
     """
     si_noise = scale * spectrum.eigenvalues + noise_power
     received = si_noise + soi_power
     if not received.min() > 0.0:
         raise SingularMatrixError("received covariance is not positive definite")
     return SpectralWeights(
-        eigenvectors=spectrum.eigenvectors,
+        spectrum=spectrum,
+        received_diagonal=scale * spectrum.diagonal + (noise_power + soi_power),
+        received_off_diagonal=scale * spectrum.off_diagonal,
+        soi_power=soi_power,
         gains=si_noise / received,
         residual_power=float(np.sum(si_noise * soi_power / received)),
     )

@@ -152,17 +152,18 @@ def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Per-sweep-point precomputation shared by all trials.
+    """Per-sweep-point power bookkeeping shared by all trials.
 
     channel_power is the per-antenna channel power that makes the mean SI
     power over one symbol hit the configured INR above the unit noise
-    floor; soi_power follows from the SNR.
+    floor; soi_power follows from the SNR.  The phase-noise table depends
+    only on delta_f and N, so it is built once per distinct delta_f of a
+    sweep (see _pn_tables), not per point.
     """
 
     config: SimConfig
     channel_power: float
     soi_power: float
-    pn: PnCovarianceTable
     si_power: float
     noise_floor: float
 
@@ -178,12 +179,25 @@ class Scenario:
             config=config,
             channel_power=channel_power,
             soi_power=float(10.0 ** (config.snr_db / 10.0)),
-            pn=pn_covariance_table(config.delta_f, config.n_subcarriers),
             si_power=si_power(
                 config.symbol_power, pdp, config.n_tx, config.n_subcarriers
             ),
             noise_floor=config.n_subcarriers * NOISE_POWER,
         )
+
+
+def _pn_tables(
+    scenarios: Sequence[Scenario],
+) -> dict[float, PnCovarianceTable]:
+    """One phase-noise covariance table per distinct delta_f."""
+    tables = {}
+    for scenario in scenarios:
+        point = scenario.config
+        if point.delta_f not in tables:
+            tables[point.delta_f] = pn_covariance_table(
+                point.delta_f, point.n_subcarriers
+            )
+    return tables
 
 
 @dataclass(frozen=True)
@@ -193,11 +207,15 @@ class TrialResult:
 
 
 def _run_trial(
-    scenarios: Sequence[Scenario], trial_index: int, variable: str
+    scenarios: Sequence[Scenario],
+    trial_index: int,
+    variable: str,
+    tables: dict[float, PnCovarianceTable],
 ) -> list[TrialResult]:
     """One trial at every sweep point, all points on one realization.
 
-    The scenarios differ only in the swept field.  The trial's stream
+    The scenarios differ only in the swept field; tables maps each of their
+    delta_f values to its phase-noise table.  The trial's stream
     default_rng([master_seed, trial_index]) is drawn once at unit scale:
     symbols, unit-power channel taps, one unit-variance Wiener walk per
     transmit oscillator plus one for the receiver, the SOI, then the noise.
@@ -228,9 +246,10 @@ def _run_trial(
         point = scenario.config
         try:
             if point.delta_f not in by_delta_f:
-                phases = np.sqrt(scenario.pn.increment_variance) * walks
+                pn = tables[point.delta_f]
+                phases = np.sqrt(pn.increment_variance) * walks
                 stats = EstimatorStatistics(
-                    symbols=symbols, pn=scenario.pn, pdp=unit_pdp, n_tx=cfg.n_tx
+                    symbols=symbols, pn=pn, pdp=unit_pdp, n_tx=cfg.n_tx
                 )
                 by_delta_f[point.delta_f] = (
                     synthesize_received(
@@ -284,7 +303,7 @@ def _report(
     theoretical: float,
     scenario: Scenario,
 ) -> CancellationReport:
-    empirical = float(np.vdot(residual, residual).real)
+    empirical = float(np.sum(residual.real**2 + residual.imag**2))
     return CancellationReport(
         method=method,
         residual_power_empirical=empirical,
@@ -301,7 +320,8 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial: both methods on the identical realization."""
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
-    return _run_trial([Scenario.from_config(config)], trial_index, "inr")[0]
+    scenarios = [Scenario.from_config(config)]
+    return _run_trial(scenarios, trial_index, "inr", _pn_tables(scenarios))[0]
 
 
 @dataclass(frozen=True)
@@ -337,8 +357,9 @@ def sweep(
         Scenario.from_config(replace(config, **{field: float(value)}))
         for value in values
     ]
+    tables = _pn_tables(scenarios)
     trials = [
-        _run_trial(scenarios, trial, variable)
+        _run_trial(scenarios, trial, variable, tables)
         for trial in range(config.n_trials)
     ]
     records = []

@@ -5,7 +5,9 @@ These back the `fdsic validate` command and the heavier regression tests:
 the phase-noise mixing covariance against simulated traces, the SI covariance
 against the sample covariance of synthesized symbols, the real-embedded
 quadratic programs against the complex normal equations, and the
-subcarrier-domain synthesis against a sample-domain FIR reference.
+subcarrier-domain synthesis against a sample-domain FIR reference.  A second
+sample-domain reference applies the transmit phase before the channel, in
+its physical order, and measures the error of the model's ordering.
 
 The module also holds the dense oracles the spectral engine of
 fdsic.estimator is tested against: the Cholesky solve of the normal
@@ -353,6 +355,41 @@ def time_domain_si_reference(
         body = convolved[cp_length : cp_length + n]
         window += np.exp(1j * (phases + rx_phases)) * body
     return np.fft.fft(window)
+
+
+def exact_order_si_reference(
+    symbols: np.ndarray,
+    taps: np.ndarray,
+    tx_phases: list[np.ndarray],
+    rx_phases: np.ndarray,
+    cp_length: int,
+) -> np.ndarray:
+    """Sample-domain SI with every oscillator where it physically acts.
+
+    Each transmit oscillator rotates the CP-prefixed samples before they
+    enter that antenna's FIR, and the receive oscillator rotates the receive
+    window.  tx_phases holds one trace of N + cp_length samples per antenna,
+    or one shared trace, aligned with the prefixed stream; rx_phases covers
+    the N window samples.  synthesize_received and time_domain_si_reference
+    instead rotate the channel output by tx_phases[cp_length:], the transmit
+    phase at the receive instant rather than at the instant each tap's
+    sample left the antenna.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    n = symbols.size
+    n_tx, n_taps = taps.shape
+    if n_taps > cp_length + 1:
+        raise ValueError("channel must fit inside the cyclic prefix")
+    prefixed = modulate(symbols, cp_length)
+    window = np.zeros(n, dtype=np.complex128)
+    n_osc = len(tx_phases)
+    for antenna in range(n_tx):
+        phases = tx_phases[antenna if n_osc > 1 else 0]
+        if np.shape(phases) != prefixed.shape:
+            raise ValueError("transmit traces must cover the prefixed symbol")
+        rotated = np.exp(1j * phases) * prefixed
+        window += np.convolve(rotated, taps[antenna])[cp_length : cp_length + n]
+    return np.fft.fft(np.exp(1j * rx_phases) * window)
 
 
 def check_model_equivalence(

@@ -16,7 +16,7 @@ from fdsic.estimator import (
     si_spectrum,
     spectral_weights,
 )
-from fdsic.harness import OSCILLATOR_MODES, Scenario, SimConfig
+from fdsic.harness import OSCILLATOR_MODES
 from fdsic.impairments import (
     gen_si_channel,
     gen_wiener_phase,
@@ -353,25 +353,27 @@ def test_optimal_weights_rejects_indefinite_received():
             route(zeros, zeros)
 
 
+def _engine_weights(solution, n):
+    """The engine's V, column by column, from its estimate of each unit
+    vector."""
+    return np.column_stack([solution.estimate(col) for col in np.eye(n)])
+
+
 @pytest.mark.parametrize("mode", OSCILLATOR_MODES)
 @pytest.mark.parametrize("n_tx", [1, 8])
 @pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])
 @pytest.mark.parametrize("inr_db", [20.0, 50.0])
 def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
-    # one decomposition at unit channel power, scaled to the operating point,
-    # against the dense route on the covariance built at that point
+    # one tridiagonalization at unit channel power, scaled to the operating
+    # point, against the dense route on the covariance built at that point
     rng = np.random.default_rng(66)
     n, n_taps, noise, soi = 32, 4, 1.0, 10.0
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
     unit_pdp /= unit_pdp.sum()
     scale = 10.0 ** (inr_db / 10.0) * noise / n_tx
-    # the table the harness builds for this oscillator mode
-    config = SimConfig(
-        n_tx=n_tx, n_subcarriers=n, cp_length=n_taps, n_taps=n_taps,
-        delta_f=delta_f, oscillator_mode=mode,
-    )
-    table = Scenario.from_config(config).pn
+    # one table serves both oscillator modes
+    table = pn_covariance_table(delta_f, n)
 
     def covariance(pdp):
         return si_covariance(EstimatorStatistics(symbols, table, pdp, n_tx))
@@ -379,8 +381,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     cov = covariance(scale * unit_pdp)
     spectrum = si_spectrum(covariance(unit_pdp), symbols, n_taps)
     solution = spectral_weights(spectrum, scale, noise, soi)
-    u = spectrum.eigenvectors
-    weights = (u * solution.gains) @ u.conj().T
+    weights = _engine_weights(solution, n)
     oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
     assert np.linalg.norm(weights - oracle) <= 1e-9 * np.linalg.norm(oracle)
     assert solution.residual_power == pytest.approx(
@@ -392,10 +393,45 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     assert ls_residual_power(spectrum, scale, noise, soi) == pytest.approx(
         ls_oracle, rel=1e-9
     )
-    received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert_allclose(
-        solution.estimate(received), weights @ received, rtol=1e-12, atol=1e-12
+    # a received symbol drawn in this oscillator mode
+    n_osc = n_tx if mode == "per-antenna" else 1
+    variance = table.increment_variance
+    taps = gen_si_channel(n_tx, n_taps, scale * unit_pdp, rng)
+    tx = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
+    received = synthesize_received(
+        symbols, taps, tx, gen_wiener_phase(n, variance, rng)
+    ) + np.sqrt(soi + noise) * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ) / np.sqrt(2.0)
+    expected = oracle @ received
+    assert np.linalg.norm(solution.estimate(received) - expected) <= (
+        1e-9 * np.linalg.norm(expected)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spectral_engine_at_one_and_two_subcarriers(n):
+    # N = 1 has no Householder reflector and an empty off-diagonal, N = 2
+    # one reflector and a 2 x 2 tridiagonal
+    rng = np.random.default_rng(67)
+    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    noise, soi, scale = 1.0, 10.0, 300.0
+    for delta_f in (0.0, 0.1):
+        unit = si_covariance(_stats(symbols, np.ones(1), 4, delta_f))
+        spectrum = si_spectrum(unit, symbols, 1)
+        assert spectrum.tau.size == n - 1
+        solution = spectral_weights(spectrum, scale, noise, soi)
+        oracle, _ = optimal_weights(*_loaded(scale * unit, noise, soi))
+        assert_allclose(
+            _engine_weights(solution, n), oracle, rtol=1e-12, atol=1e-12
+        )
+        assert_allclose(
+            spectrum.eigenvalues, np.linalg.eigvalsh(unit), atol=1e-12 * n
+        )
+        assert solution.residual_power == pytest.approx(
+            expected_residual_power(scale * unit, oracle, noise, soi),
+            rel=1e-12,
+        )
 
 
 def test_spectral_weights_reject_indefinite_received():

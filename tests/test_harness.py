@@ -245,6 +245,66 @@ def test_sweep_draws_one_realization_per_trial(monkeypatch, mode):
         }
 
 
+def test_sweep_builds_one_pn_table_per_delta_f(monkeypatch):
+    # the table depends only on delta_f and N: an INR sweep shares one, a
+    # delta_f sweep needs one per value, and none outlives the sweep call
+    calls = []
+    original = harness.pn_covariance_table
+
+    def counted(delta_f, n_subcarriers):
+        calls.append(delta_f)
+        return original(delta_f, n_subcarriers)
+
+    monkeypatch.setattr(harness, "pn_covariance_table", counted)
+    config = SimConfig(**SMALL)
+    for variable, values, expected in (
+        ("inr", [20.0, 30.0, 40.0], [config.delta_f]),
+        ("delta_f", [1e-4, 1e-2], [1e-4, 1e-2]),
+    ):
+        calls.clear()
+        sweep(config, variable, values)
+        assert calls == expected
+
+
+def test_sweep_runs_at_one_subcarrier():
+    # N = 1: a 1 x 1 covariance, no Householder reflector, one tap
+    config = SimConfig(
+        n_tx=2, n_subcarriers=1, cp_length=0, n_taps=1, n_trials=5,
+        master_seed=7,
+    )
+    for variable, values in (("inr", [20.0, 40.0]), ("delta_f", [0.0, 0.1])):
+        records = sweep(config, variable, values)
+        assert len(records) == 4
+        for record in records:
+            assert np.isfinite(record.g_empirical_db)
+            assert record.residual_power_mean > 0.0
+            if record.method == "optimal":
+                assert np.isfinite(record.g_theoretical_db)
+
+
+def test_sweep_calls_no_numpy_linear_algebra(monkeypatch):
+    # every BLAS and LAPACK call of a trial goes through scipy.linalg; the
+    # numpy wheel bundles a second OpenBLAS whose thread pool would compete
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy {name} called during a sweep")
+
+        return call
+
+    for name in dir(np.linalg):
+        obj = getattr(np.linalg, name)
+        if name.startswith("_") or isinstance(obj, type) or not callable(obj):
+            continue
+        monkeypatch.setattr(np.linalg, name, forbidden(f"linalg.{name}"))
+    # numpy's own BLAS entry points; einsum can route through tensordot
+    for name in ("dot", "vdot", "inner", "tensordot", "einsum"):
+        monkeypatch.setattr(np, name, forbidden(name))
+    config = SimConfig(**SMALL)
+    sweep(config, "inr", [20.0, 50.0])
+    sweep(config, "delta_f", [0.0, 0.1])
+    run_trial(config, 0)
+
+
 def _assert_cells_match_run_trial(records, config, field, value):
     point = dataclasses.replace(config, **{field: value})
     trials = [run_trial(point, t) for t in range(config.n_trials)]

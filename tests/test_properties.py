@@ -22,14 +22,14 @@ N, N_TAPS = 16, 4
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def _unit_covariance(seed, delta_f, n_tx):
+def _unit_covariance(seed, delta_f, n_tx, n=N):
     """One trial's SI covariance at unit channel power, with its symbols."""
     rng = np.random.default_rng(seed)
-    symbols = gen_bpsk_symbols(N, 1.0, rng)
-    pdp = rng.uniform(0.1, 1.0, N_TAPS)
+    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    pdp = rng.uniform(0.1, 1.0, min(N_TAPS, n))
     stats = EstimatorStatistics(
         symbols=symbols,
-        pn=pn_covariance_table(delta_f, N),
+        pn=pn_covariance_table(delta_f, n),
         pdp=pdp / pdp.sum(),
         n_tx=n_tx,
     )
@@ -43,10 +43,27 @@ trials = st.builds(
     n_tx=st.integers(1, 8),
 )
 levels_db = st.floats(-10.0, 60.0)
+sized_trials = st.builds(
+    _unit_covariance,
+    seed=st.integers(0, 2**32 - 1),
+    delta_f=st.just(0.0) | st.floats(1e-6, 0.1),
+    n_tx=st.integers(1, 8),
+    n=st.integers(1, 48),
+)
 
 
 def _power(db):
     return 10.0 ** (db / 10.0)
+
+
+@PROPERTY
+@given(trial=sized_trials)
+def test_tridiagonal_eigenvalues_match_dense_solver(trial):
+    cov, symbols = trial
+    eigenvalues = si_spectrum(cov, symbols, 1).eigenvalues
+    dense = np.linalg.eigvalsh(cov)
+    tolerance = 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(eigenvalues - dense)) <= tolerance
 
 
 @PROPERTY
