@@ -78,9 +78,10 @@ def si_covariance(stats: EstimatorStatistics) -> np.ndarray:
     Evaluated in the sample domain: the circular symbol waveform is
     correlated tap by tap against the delay profile, weighted entrywise by
     the oscillator phase correlation kernel, and transformed back.  This is
-    algebraically identical to the direct fourfold sum of gamma against the
-    symbol outer product and the profile spectrum, but costs
-    O(L*N^2 + N^2 log N).  Channels are independent across antennas, so the
+    algebraically identical to the direct fourfold sum of the mixing
+    covariance (fdsic.validation.mixing_covariance) against the symbol outer
+    product and the profile spectrum, but costs O(L*N^2 + N^2 log N).
+    Channels are independent across antennas, so the
     result scales linearly with n_tx in both oscillator modes.
     """
     symbols = stats.symbols

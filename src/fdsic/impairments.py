@@ -67,12 +67,13 @@ class PnCovarianceTable:
     """Second-order statistics of the mixing coefficients of one oscillator
     pair (transmit plus receive).
 
-    gamma[a, b] = E[delta_a * conj(delta_b)] on circular offsets, and kernel
-    holds the matching sample-domain phase correlation
+    kernel holds the sample-domain phase correlation
     E[exp(j*(phi(n1) - phi(n2)))] = exp(-combined_variance * |n1 - n2| / 2).
+    Its two-sided transform is the subcarrier mixing covariance
+    E[delta_a * conj(delta_b)], which fdsic.validation.mixing_covariance
+    builds for the checks; the SI covariance needs only the kernel.
     """
 
-    gamma: np.ndarray
     kernel: np.ndarray = field(repr=False)
     n_subcarriers: int
     increment_variance: float
@@ -84,23 +85,21 @@ class PnCovarianceTable:
 
 
 def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable:
-    """Closed-form mixing covariance for independent Wiener oscillator pairs.
+    """Closed-form phase statistics of independent Wiener oscillator pairs.
 
     The phase difference phi(n1) - phi(n2) of the combined transmit+receive
     process is Gaussian with variance combined_variance * |n1 - n2|, so its
-    characteristic function is the decaying exponential kernel; gamma is the
-    kernel's two-sided transform.  The table describes a single
-    transmit/receive pair, so it serves both oscillator modes: whether the
-    antennas share one transmit oscillator changes only the draws, not the
-    SI covariance, because the channels are independent and zero-mean.
+    characteristic function is the decaying exponential kernel.  The table
+    describes a single transmit/receive pair, so it serves both oscillator
+    modes: whether the antennas share one transmit oscillator changes only
+    the draws, not the SI covariance, because the channels are independent
+    and zero-mean.
     """
     sigma2 = phase_increment_variance(delta_f, n_subcarriers)
     combined = 2.0 * sigma2
     lags = np.arange(n_subcarriers)
     kernel = np.exp(-combined * np.abs(lags[:, None] - lags[None, :]) / 2.0)
-    gamma = np.fft.ifft(np.fft.fft(kernel, axis=1), axis=0) / n_subcarriers
     return PnCovarianceTable(
-        gamma=gamma,
         kernel=kernel,
         n_subcarriers=n_subcarriers,
         increment_variance=sigma2,

@@ -13,13 +13,21 @@ The module also holds the dense oracles the spectral engine of
 fdsic.estimator is tested against: the Cholesky solve of the normal
 equations, the real-embedded quadratic programs, the direct evaluation of
 the expected residual power, and the least-squares projector built from a
-general Gram solve.
+general Gram solve.  The closed-form subcarrier mixing covariance, which the
+simulator never needs, is built here from the phase correlation kernel.
+
+Both Monte Carlo oracles reduce their samples to a second moment through one
+BLAS-3 Hermitian rank-k update (zherk) rather than an elementwise sum over
+the sample axis.  Their random draws are part of the contract: the same
+seed draws the same numbers in the same order and shapes, so the reported
+worst errors change only in the last digits when the arithmetic around the
+draws changes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 
 from .estimator import EstimatorStatistics, SingularMatrixError, si_covariance
 from .impairments import (
@@ -175,6 +183,37 @@ def ls_weight_matrix(symbols: np.ndarray, n_taps: int) -> np.ndarray:
         raise SingularMatrixError("LS normal equations are singular") from exc
 
 
+def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
+    """Closed-form mixing covariance gamma[a, b] = E[delta_a conj(delta_b)]
+    of one oscillator pair, on circular offsets: the two-sided transform of
+    the sample-domain phase correlation kernel that pn_covariance_table
+    holds.  gamma is Hermitian with unit trace, and a perfect oscillator
+    (kernel of ones) gives a single spike at (0, 0)."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    n = kernel.shape[0]
+    return np.fft.ifft(np.fft.fft(kernel, axis=1), axis=0) / n
+
+
+def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
+    """Sample second moment sum_t r_t conj(r_t).T / T of the T rows of rows.
+
+    One BLAS-3 rank-T update (zherk) forms the upper triangle, which is
+    mirrored, so the result is exactly Hermitian.  rows.T of a C-ordered
+    array is the Fortran-ordered operand zherk reads, so neither a copy nor
+    a conjugate of the T x n samples is made.
+    """
+    upper = blas.zherk(1.0 / rows.shape[0], rows.T)
+    return np.triu(upper) + np.triu(upper, 1).conj().T
+
+
+def _unit_rotation(phases: np.ndarray) -> np.ndarray:
+    """exp(j*phases), written as cos and sin into one complex array."""
+    rotation = np.empty(phases.shape, dtype=np.complex128)
+    np.cos(phases, out=rotation.real)
+    np.sin(phases, out=rotation.imag)
+    return rotation
+
+
 def simulate_mixing_covariance(
     delta_f: float,
     n_subcarriers: int,
@@ -182,15 +221,22 @@ def simulate_mixing_covariance(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Monte Carlo E[delta_a conj(delta_b)] from independent transmit and
-    receive Wiener traces, by direct transform of the rotation samples."""
+    receive Wiener traces, by direct transform of the rotation samples.
+
+    Every trace is transformed on its own with np.fft.ifft, so the oracle
+    checks the closed form's transform convention, and the traces enter only
+    through their sample Gram.  The rng draws (two blocks of
+    n_traces x (n_subcarriers - 1) normals) are part of the oracle's
+    contract: a given rng state always yields the same traces.
+    """
     sigma = np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
     phases = np.zeros((n_traces, n_subcarriers))
     # Two independent oscillators per trace, summed.
     for _ in range(2):
         steps = sigma * rng.standard_normal((n_traces, n_subcarriers - 1))
         phases[:, 1:] += np.cumsum(steps, axis=1)
-    coeffs = np.fft.ifft(np.exp(1j * phases), axis=1)
-    return np.einsum("ta,tb->ab", coeffs, coeffs.conj()) / n_traces
+    coeffs = np.fft.ifft(_unit_rotation(phases), axis=1)
+    return _hermitian_gram(coeffs)
 
 
 def check_pn_covariance(
@@ -204,7 +250,7 @@ def check_pn_covariance(
     rng = np.random.default_rng(seed)
     table = pn_covariance_table(delta_f, n_subcarriers)
     estimate = simulate_mixing_covariance(delta_f, n_subcarriers, n_traces, rng)
-    worst = float(np.max(np.abs(estimate - table.gamma)))
+    worst = float(np.max(np.abs(estimate - mixing_covariance(table.kernel))))
     return CheckResult(
         name="pn-covariance",
         passed=worst <= tolerance,
@@ -225,7 +271,11 @@ def simulate_si_covariance(
     """Sample covariance of synthesized SI vectors for fixed symbols.
 
     Vectorized mirror of synthesize_received: fresh channels and
-    per-antenna oscillator pairs each trial.
+    per-antenna oscillator pairs each trial.  The rotated waveforms are
+    summed over antennas, transformed, and enter only through their sample
+    Gram.  The rng draws (taps, then two blocks of oscillator steps) keep
+    their order, shapes and count: a given rng state always yields the same
+    channels and traces.
     """
     n = symbols.size
     n_taps = pdp.size
@@ -239,10 +289,13 @@ def simulate_si_covariance(
     for _ in range(2):
         steps = sigma * rng.standard_normal((n_trials, n_tx, n - 1))
         phases[:, :, 1:] += np.cumsum(steps, axis=2)
-    response = np.fft.fft(taps, n=n, axis=2)
-    waveform = np.fft.ifft(symbols[None, None, :] * response, axis=2)
-    si = np.fft.fft((np.exp(1j * phases) * waveform).sum(axis=1), axis=1)
-    return np.einsum("ta,tb->ab", si, si.conj()) / n_trials
+    spectrum = np.fft.fft(taps, n=n, axis=2)
+    spectrum *= symbols
+    waveform = np.fft.ifft(spectrum, axis=2)
+    # Freed before the rotation is allocated; the two would set the peak.
+    del spectrum
+    waveform *= _unit_rotation(phases)
+    return _hermitian_gram(np.fft.fft(waveform.sum(axis=1), axis=1))
 
 
 def check_si_covariance(

@@ -27,6 +27,7 @@ from fdsic.ofdm import dft_matrix, gen_bpsk_symbols
 from fdsic.validation import (
     expected_residual_power,
     ls_weight_matrix,
+    mixing_covariance,
     optimal_weights,
     real_embedding,
     real_qp_blocks,
@@ -84,7 +85,8 @@ def test_si_covariance_matches_direct_sum():
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = _stats(symbols, pdp, n_tx, 1e-3)
-    oracle = _covariance_by_direct_sum(symbols, stats.pn.gamma, pdp, n_tx)
+    gamma = mixing_covariance(stats.pn.kernel)
+    oracle = _covariance_by_direct_sum(symbols, gamma, pdp, n_tx)
     cov = si_covariance(stats)
     assert np.max(np.abs(cov - oracle)) < 1e-10 * np.max(np.abs(oracle))
 
