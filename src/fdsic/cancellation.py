@@ -13,12 +13,16 @@ import numpy as np
 
 
 def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndarray:
-    """SI reconstruction diag(symbols) F h for an L-tap channel estimate."""
+    """SI reconstruction diag(symbols) F h for an L-tap channel estimate h,
+    or for each column of an (L, P) block of estimates."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     channel_estimate = np.asarray(channel_estimate, dtype=np.complex128)
-    if channel_estimate.ndim != 1 or not 1 <= channel_estimate.size <= symbols.size:
+    if channel_estimate.ndim not in (1, 2) or not (
+        1 <= channel_estimate.shape[0] <= symbols.size
+    ):
         raise ValueError("channel estimate must have between 1 and N taps")
-    return symbols * np.fft.fft(channel_estimate, n=symbols.size)
+    per_row = symbols.reshape((symbols.size,) + (1,) * (channel_estimate.ndim - 1))
+    return per_row * np.fft.fft(channel_estimate, n=symbols.size, axis=0)
 
 
 def cancel(received: np.ndarray, si_estimate: np.ndarray) -> np.ndarray:

@@ -14,11 +14,17 @@ channel power s, A = s * A0, so one Householder tridiagonalization
 A0 = Q T Q^H, with T real tridiagonal, serves every noise, SOI and channel
 power level.  The eigenvalues lam0 of T give both the optimal and the
 least-squares expected residuals in closed form, and the SI estimate is
-V y = y - soi * Q inv(s*T + (noise + soi)*I) Q^H y: two reflector
-applications and one real tridiagonal solve per operating point.  The
-conventional least-squares channel estimator is included as the baseline.
-The dense Cholesky and real-embedded solves that the engine is checked
-against live in fdsic.validation.
+V y = y - soi * Q inv(s*T + (noise + soi)*I) Q^H y.  The engine takes one
+operating point or a block of P of them that share A0: the received
+vectors form the columns of an N x P block, two reflector applications
+transform every column at once, and one real tridiagonal solve (dptsv)
+serves all P points, their shifted tridiagonals stacked along one diagonal
+with zero coupling between them.  The simulator runs every sweep point of
+a trial that shares a phase-noise bandwidth as one such block.  The
+conventional least-squares channel estimator is included as the baseline,
+on a vector or on each column of a block.  The dense Cholesky and
+real-embedded solves that the engine is checked against live in
+fdsic.validation.
 
 Every BLAS and LAPACK call here goes through scipy.linalg.  The numpy and
 scipy wheels each bundle their own multithreaded OpenBLAS, and alternating
@@ -26,8 +32,9 @@ between the two thread pools on every trial costs more than the small
 matrix products themselves.
 """
 
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -39,19 +46,35 @@ logger = logging.getLogger(__name__)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A covariance that must be positive definite failed to factor."""
+    """A covariance that must be positive definite failed to factor.
+
+    point is the index of the failing operating point within a block of
+    points, or None when the failure is not tied to one point.
+    """
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 @dataclass(frozen=True)
 class EstimatorStatistics:
-    """Everything the canceller knows ahead of one symbol that shapes the SI
-    covariance: the transmit symbols, the oscillator statistics, the channel
-    power profile and the number of transmit antennas."""
+    """What the canceller knows ahead of one symbol that shapes the SI
+    covariance, apart from the oscillator statistics: the transmit symbols,
+    the channel power profile and the number of transmit antennas.
+
+    sample_covariance is derived from them on construction: the
+    delay-profile-weighted sample covariance
+    S(n1, n2) = sum_l pdp[l] w(n1 - l) conj(w(n2 - l)) of the circular
+    symbol waveform w = ifft(symbols).  It does not depend on the
+    oscillators, so one instance serves every phase-noise bandwidth (see
+    si_covariance).
+    """
 
     symbols: np.ndarray
-    pn: PnCovarianceTable
     pdp: np.ndarray
     n_tx: int
+    sample_covariance: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         symbols = np.asarray(self.symbols, dtype=np.complex128)
@@ -60,8 +83,6 @@ class EstimatorStatistics:
         object.__setattr__(self, "pdp", pdp)
         if symbols.ndim != 1 or symbols.size == 0:
             raise ValueError("symbols must be a non-empty vector")
-        if symbols.size != self.pn.n_subcarriers:
-            raise ValueError("symbols and covariance table disagree on N")
         if np.any(np.abs(symbols) == 0.0):
             raise ValueError("symbols must have no zero entries")
         if pdp.ndim != 1 or pdp.size == 0 or pdp.size > symbols.size:
@@ -70,31 +91,39 @@ class EstimatorStatistics:
             raise ValueError("pdp entries must be non-negative")
         if self.n_tx < 1:
             raise ValueError("n_tx must be positive")
+        n = symbols.size
+        waveform = np.fft.ifft(symbols)
+        taps = np.arange(pdp.size)
+        shifted = waveform[(np.arange(n)[None, :] - taps[:, None]) % n]
+        # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the transpose of
+        # the Fortran-ordered product shifted^H (pdp * shifted)
+        sample_covariance = blas.zgemm(
+            1.0, shifted, pdp[:, None] * shifted, trans_a=2
+        ).T
+        object.__setattr__(self, "sample_covariance", sample_covariance)
 
 
-def si_covariance(stats: EstimatorStatistics) -> np.ndarray:
-    """Conditional covariance of the received SI vector given the symbols.
+def si_covariance(
+    stats: EstimatorStatistics, pn: PnCovarianceTable
+) -> np.ndarray:
+    """Conditional covariance of the received SI vector given the symbols,
+    for the oscillator statistics pn.
 
-    Evaluated in the sample domain: the circular symbol waveform is
-    correlated tap by tap against the delay profile, weighted entrywise by
-    the oscillator phase correlation kernel, and transformed back.  This is
-    algebraically identical to the direct fourfold sum of the mixing
-    covariance (fdsic.validation.mixing_covariance) against the symbol outer
-    product and the profile spectrum, but costs O(L*N^2 + N^2 log N).
-    Channels are independent across antennas, so the
-    result scales linearly with n_tx in both oscillator modes.
+    Evaluated in the sample domain: the symbols' sample covariance
+    (stats.sample_covariance, the circular waveform correlated tap by tap
+    against the delay profile) is weighted entrywise by the oscillator phase
+    correlation kernel and transformed back.  This is algebraically
+    identical to the direct fourfold sum of the mixing covariance
+    (fdsic.validation.mixing_covariance) against the symbol outer product
+    and the profile spectrum, but costs O(N^2 log N) per oscillator quality
+    on top of the O(L*N^2) sample covariance.  Channels are independent
+    across antennas, so the result scales linearly with n_tx in both
+    oscillator modes.
     """
-    symbols = stats.symbols
-    n = symbols.size
-    waveform = np.fft.ifft(symbols)
-    taps = np.arange(stats.pdp.size)
-    shifted = waveform[(np.arange(n)[None, :] - taps[:, None]) % n]
-    # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the transpose of the
-    # Fortran-ordered product shifted^H (pdp * shifted)
-    sample_cov = blas.zgemm(
-        1.0, shifted, stats.pdp[:, None] * shifted, trans_a=2
-    ).T
-    weighted = stats.pn.kernel * sample_cov * stats.n_tx
+    n = stats.symbols.size
+    if n != pn.n_subcarriers:
+        raise ValueError("symbols and covariance table disagree on N")
+    weighted = pn.kernel * stats.sample_covariance * stats.n_tx
     cov = np.fft.ifft(np.fft.fft(weighted, axis=0), axis=1) * n
     scale = max(float(np.max(np.abs(cov))), np.finfo(np.float64).tiny)
     drift = float(np.max(np.abs(cov - cov.conj().T))) / scale
@@ -110,12 +139,24 @@ def _constant_modulus_power(symbols: np.ndarray) -> float:
     which is what makes the matched filter exact least squares.
     """
     power = np.abs(symbols) ** 2
-    if power.min() == 0.0:
+    low, high = power.min(), power.max()
+    if low == 0.0:
         raise SingularMatrixError("LS normal equations are singular")
-    mean = float(power.mean())
-    if float(np.max(np.abs(power - mean))) > 1e-12 * mean:
+    mean = float(power.sum()) / power.size
+    if max(high - mean, mean - low) > 1e-12 * mean:
         raise ValueError("LS needs constant-modulus symbols")
     return mean
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_constants(n: int, n_taps: int) -> tuple[np.ndarray, int]:
+    """The partial DFT basis F_L and zhetrd's workspace size for an N x N
+    covariance: constants of a sweep, computed once per shape.  The basis is
+    shared, so it is read-only."""
+    dft = dft_matrix(n, n_taps)
+    dft.flags.writeable = False
+    lwork, _ = lapack.zhetrd_lwork(n, lower=1)
+    return dft, int(lwork.real)
 
 
 @dataclass(frozen=True)
@@ -126,11 +167,12 @@ class SiSpectrum:
     leaves behind, tr{(I - P) A0}, with P the projector onto the span of the
     known symbols.
 
-    T has the real diagonal `diagonal` and off-diagonal `off_diagonal`.
-    Q = diag(1, Q1) with Q1 the product of the N - 1 Householder reflectors
-    that LAPACK's zhetrd packs below the subdiagonal, kept in the QR layout
-    zunmqr applies (`reflectors`, `tau`).  At N = 1, T is a single entry,
-    Q = I and there are no reflectors.
+    T has the real diagonal `diagonal` and the N - 1 entries of its
+    off-diagonal `off_diagonal`.  Q = diag(1, Q1) with Q1 the product of the
+    N - 1 Householder reflectors that LAPACK's zhetrd packs below the
+    subdiagonal, kept in the QR layout zunmqr applies (`reflectors`,
+    `tau`).  At N = 1, T is a single entry, Q = I and there are no
+    reflectors.
     """
 
     eigenvalues: np.ndarray
@@ -160,17 +202,18 @@ def si_spectrum(
     if si_cov.shape != (n, n):
         raise ValueError("si_cov must be N x N for N symbols")
     power = _constant_modulus_power(symbols)
-    basis = symbols[:, None] * dft_matrix(n, n_taps)
+    dft, lwork = _shape_constants(n, n_taps)
+    basis = symbols[:, None] * dft
     product = blas.zgemm(1.0, si_cov, basis)
     captured = float((basis.conj() * product).real.sum()) / (n * power)
-    lwork, _ = lapack.zhetrd_lwork(n, lower=1)
     packed, diagonal, off_diagonal, tau, _ = lapack.zhetrd(
-        si_cov, lower=1, lwork=int(lwork.real)
+        si_cov, lower=1, lwork=lwork
     )
-    if n == 1:
-        # scipy's tridiagonal wrappers reject an empty off-diagonal
-        off_diagonal = np.zeros(1)
-    eigenvalues, info = lapack.dsterf(diagonal, off_diagonal)
+    off_diagonal = off_diagonal[: n - 1]
+    # scipy's tridiagonal wrappers reject an empty off-diagonal at N = 1
+    eigenvalues, info = lapack.dsterf(
+        diagonal, off_diagonal if n > 1 else np.zeros(1)
+    )
     if info != 0:
         raise np.linalg.LinAlgError(f"dsterf did not converge (info={info})")
     return SiSpectrum(
@@ -185,54 +228,79 @@ def si_spectrum(
 
 
 def _apply_q(
-    spectrum: SiSpectrum, vector: np.ndarray, trans: str
+    spectrum: SiSpectrum, block: np.ndarray, trans: str
 ) -> np.ndarray:
-    """Q @ vector for trans "N", Q^H @ vector for trans "C"; Q leaves the
-    first entry alone."""
-    out = vector.copy()
+    """Q @ block for trans "N", Q^H @ block for trans "C", on a vector or on
+    every column of a matrix at once; Q leaves the first row alone."""
+    out = block.copy()
     if spectrum.tau.size:
+        tail = block[1:].reshape(block.shape[0] - 1, -1)
         applied, _, _ = lapack.zunmqr(
-            "L", trans, spectrum.reflectors, spectrum.tau, vector[1:, None], 1
+            "L", trans, spectrum.reflectors, spectrum.tau, tail, tail.shape[1]
         )
-        out[1:] = applied[:, 0]
+        out[1:] = applied.reshape(block[1:].shape)
     return out
 
 
 @dataclass(frozen=True)
 class SpectralWeights:
-    """Optimal weights V = I - soi * inv(C) at one operating point, held as
-    the tridiagonal C' = scale*T + (noise + soi)*I of C = Q C' Q^H, with the
-    eigenvalue gains of V and its expected residual power."""
+    """Optimal weights V = I - soi * inv(C) at one operating point, or at
+    each point of a block of P points that share the spectrum.
+
+    Each point's C is held as the tridiagonal C' = scale*T + (noise + soi)*I
+    of C = Q C' Q^H.  A block stacks the P tridiagonals along one diagonal of
+    length P*N with zero off-diagonal entries between them, so each factors
+    exactly as it would alone.  soi_power is a scalar or a length-P vector,
+    gains (the eigenvalue gains of V) have shape (N,) or (P, N), and the
+    expected residual power is a scalar or a length-P vector.
+    """
 
     spectrum: SiSpectrum
     received_diagonal: np.ndarray
     received_off_diagonal: np.ndarray
-    soi_power: float
+    soi_power: np.ndarray
     gains: np.ndarray
-    residual_power: float
+    residual_power: float | np.ndarray
 
     def estimate(self, received: np.ndarray) -> np.ndarray:
-        """The SI estimate V @ received, in O(N^2)."""
+        """The SI estimate V @ received, in O(N^2) per point.
+
+        received is the (N,) received vector at one operating point, or the
+        (N, P) block whose column p is received at point p.  A point whose
+        received covariance fails to factor raises SingularMatrixError with
+        that point's index.
+        """
         received = np.asarray(received, dtype=np.complex128)
+        n = self.spectrum.eigenvalues.size
+        shape = (n,) + self.soi_power.shape
+        if received.shape != shape:
+            raise ValueError(f"received must have shape {shape}")
         rotated = _apply_q(self.spectrum, received, "C")
-        # C' is real, so it solves the real and imaginary parts together
+        # one point after the other, as the stacked tridiagonals are; C' is
+        # real, so it solves the real and imaginary parts together
+        stacked = rotated.T.ravel()
         _, _, solved, info = lapack.dptsv(
             self.received_diagonal,
             self.received_off_diagonal,
-            np.column_stack([rotated.real, rotated.imag]),
+            np.column_stack([stacked.real, stacked.imag]),
         )
-        if info != 0:
+        if info > 0:
             raise SingularMatrixError(
-                "received covariance is not positive definite"
+                "received covariance is not positive definite",
+                point=(info - 1) // n,
             )
-        back = _apply_q(self.spectrum, solved[:, 0] + 1j * solved[:, 1], "N")
-        return received - self.soi_power * back
+        back = (solved[:, 0] + 1j * solved[:, 1]).reshape(shape[::-1]).T
+        return received - self.soi_power * _apply_q(self.spectrum, back, "N")
 
 
 def spectral_weights(
-    spectrum: SiSpectrum, scale: float, noise_power: float, soi_power: float
+    spectrum: SiSpectrum,
+    scale: float | np.ndarray,
+    noise_power: float,
+    soi_power: float | np.ndarray,
 ) -> SpectralWeights:
-    """Optimal weights for the SI covariance scale * A0.
+    """Optimal weights for the SI covariance scale * A0, at one operating
+    point or, with a length-P scale and/or soi_power, at P points.
 
     Each eigenvalue lam of the scaled covariance gets the gain
     (lam + noise) / (lam + noise + soi) and adds the non-negative term
@@ -240,26 +308,49 @@ def spectral_weights(
     power.  Their sum equals N*noise + tr{A} + sum_k f_k of the Cholesky
     route without the cancellation between its large terms.  The estimate
     itself never forms the eigenvectors: it solves with the shifted
-    tridiagonal scale*T + (noise + soi)*I.
+    tridiagonal scale*T + (noise + soi)*I.  A point whose received
+    covariance is not positive definite raises SingularMatrixError with
+    that point's index.
     """
-    si_noise = scale * spectrum.eigenvalues + noise_power
-    received = si_noise + soi_power
+    scale, soi_power = np.broadcast_arrays(
+        np.asarray(scale, dtype=np.float64),
+        np.asarray(soi_power, dtype=np.float64),
+    )
+    if scale.ndim > 1:
+        raise ValueError("scale and soi_power must be scalars or vectors")
+    si_noise = scale[..., None] * spectrum.eigenvalues + noise_power
+    received = si_noise + soi_power[..., None]
     if not received.min() > 0.0:
-        raise SingularMatrixError("received covariance is not positive definite")
+        failed = np.flatnonzero(~(received.min(axis=-1) > 0.0))
+        raise SingularMatrixError(
+            "received covariance is not positive definite", point=int(failed[0])
+        )
+    diagonal = scale[..., None] * spectrum.diagonal + (
+        noise_power + soi_power[..., None]
+    )
+    # each point's off-diagonal, then a zero that decouples the next point
+    coupling = np.zeros(diagonal.shape)
+    coupling[..., :-1] = scale[..., None] * spectrum.off_diagonal
+    coupling = coupling.ravel()
     return SpectralWeights(
         spectrum=spectrum,
-        received_diagonal=scale * spectrum.diagonal + (noise_power + soi_power),
-        received_off_diagonal=scale * spectrum.off_diagonal,
+        received_diagonal=diagonal.ravel(),
+        # scipy's dptsv wants N*P - 1 entries, and a non-empty vector at 1
+        received_off_diagonal=coupling[: max(coupling.size - 1, 1)],
         soi_power=soi_power,
         gains=si_noise / received,
-        residual_power=float(np.sum(si_noise * soi_power / received)),
+        residual_power=(si_noise * soi_power[..., None] / received).sum(axis=-1),
     )
 
 
 def ls_residual_power(
-    spectrum: SiSpectrum, scale: float, noise_power: float, soi_power: float
-) -> float:
-    """Expected residual power of least squares plus reconstruction.
+    spectrum: SiSpectrum,
+    scale: float | np.ndarray,
+    noise_power: float,
+    soi_power: float | np.ndarray,
+) -> float | np.ndarray:
+    """Expected residual power of least squares plus reconstruction, at one
+    operating point or, with a length-P scale and/or soi_power, at P points.
 
     The LS weights are the Hermitian idempotent projector P of rank L, so
     the residual functional collapses to
@@ -268,29 +359,32 @@ def ls_residual_power(
     n = spectrum.eigenvalues.size
     value = (
         (n - spectrum.n_taps) * noise_power
-        + spectrum.n_taps * soi_power
-        + scale * spectrum.ls_leakage
+        + spectrum.n_taps * np.asarray(soi_power, dtype=np.float64)
+        + np.asarray(scale, dtype=np.float64) * spectrum.ls_leakage
     )
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)
 
 
 def ls_estimate(
     received: np.ndarray, symbols: np.ndarray, n_taps: int
 ) -> np.ndarray:
-    """Least-squares tap estimate from one received symbol.
+    """Least-squares tap estimate from one received symbol, or from each
+    column of an (N, P) block of received vectors.
 
     Solves min_h || received - diag(symbols) F h ||^2.  For constant-modulus
     symbols the normal equations are N*p*I h = F^H diag(conj(symbols))
     received, so the estimate is the matched filter
-    ifft(received / symbols)[:n_taps].  Zero symbols raise
-    SingularMatrixError; symbols of unequal modulus raise ValueError.
+    ifft(received / symbols)[:n_taps], of shape (n_taps,) or (n_taps, P).
+    Zero symbols raise SingularMatrixError; symbols of unequal modulus raise
+    ValueError.
     """
     received = np.asarray(received, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
     n = symbols.size
-    if received.size != n:
+    if received.ndim not in (1, 2) or received.shape[0] != n:
         raise ValueError("received and symbols sizes disagree")
     if not 1 <= n_taps <= n:
         raise ValueError(f"n_taps={n_taps} out of range")
     _constant_modulus_power(symbols)
-    return np.fft.ifft(received / symbols)[:n_taps]
+    per_row = symbols.reshape((n,) + (1,) * (received.ndim - 1))
+    return np.fft.ifft(received / per_row, axis=0)[:n_taps]

@@ -39,6 +39,7 @@ from .estimator import (
 )
 from .impairments import (
     PnCovarianceTable,
+    channel_outputs,
     gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
@@ -211,23 +212,26 @@ def _run_trial(
     trial_index: int,
     variable: str,
     tables: dict[float, PnCovarianceTable],
+    unit_pdp: np.ndarray,
 ) -> list[TrialResult]:
     """One trial at every sweep point, all points on one realization.
 
     The scenarios differ only in the swept field; tables maps each of their
-    delta_f values to its phase-noise table.  The trial's stream
+    delta_f values to its phase-noise table, and unit_pdp is the delay
+    profile at unit channel power.  The trial's stream
     default_rng([master_seed, trial_index]) is drawn once at unit scale:
     symbols, unit-power channel taps, one unit-variance Wiener walk per
     transmit oscillator plus one for the receiver, the SOI, then the noise.
     Each point only rescales that realization: the channel power scales the
     SI, the SOI power scales the SOI, and the phase-noise bandwidth scales
-    the walks.  The SI vector and the SI covariance decomposition are built
-    once per distinct delta_f.
+    the walks.  The channel outputs and the symbols' sample covariance are
+    built once per trial, the SI vector and the SI covariance decomposition
+    once per distinct delta_f, and the points that share a delta_f run
+    through both cancellers as one block.
     """
     cfg = scenarios[0].config
     n = cfg.n_subcarriers
     rng = np.random.default_rng([cfg.master_seed, trial_index])
-    unit_pdp = pdp_profile(cfg, 1.0)
     symbols = gen_bpsk_symbols(n, cfg.symbol_power, rng)
     taps = gen_si_channel(cfg.n_tx, cfg.n_taps, unit_pdp, rng)
     n_osc = cfg.n_tx if cfg.oscillator_mode == "per-antenna" else 1
@@ -237,77 +241,95 @@ def _run_trial(
     soi = gen_awgn(n, 1.0, rng)
     noise = gen_awgn(n, NOISE_POWER, rng)
 
-    # Unit channel power SI and its covariance A0 for each delta_f.  A0 does
-    # not depend on the oscillator mode: the channels are independent and
-    # zero-mean, so only same-antenna terms survive the expectation.
-    by_delta_f: dict[float, tuple[np.ndarray, SiSpectrum]] = {}
-    results = []
-    for scenario in scenarios:
-        point = scenario.config
-        try:
-            if point.delta_f not in by_delta_f:
-                pn = tables[point.delta_f]
-                phases = np.sqrt(pn.increment_variance) * walks
-                stats = EstimatorStatistics(
-                    symbols=symbols, pn=pn, pdp=unit_pdp, n_tx=cfg.n_tx
-                )
-                by_delta_f[point.delta_f] = (
-                    synthesize_received(
-                        symbols, taps, phases[:-1], phases[-1]
-                    ),
-                    si_spectrum(si_covariance(stats), symbols, cfg.n_taps),
-                )
-            si, spectrum = by_delta_f[point.delta_f]
-            results.append(
-                _run_point(scenario, symbols, si, soi, noise, spectrum)
+    groups: dict[float, list[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        groups.setdefault(scenario.config.delta_f, []).append(index)
+    results: list[TrialResult] = [None] * len(scenarios)
+    # a failure before the first block names the first point
+    group = next(iter(groups.values()))
+    try:
+        outputs = channel_outputs(symbols, taps)
+        # A0 does not depend on the oscillator mode: the channels are
+        # independent and zero-mean, so only same-antenna terms survive the
+        # expectation.
+        stats = EstimatorStatistics(symbols=symbols, pdp=unit_pdp, n_tx=cfg.n_tx)
+        for delta_f, group in groups.items():
+            pn = tables[delta_f]
+            phases = np.sqrt(pn.increment_variance) * walks
+            si = synthesize_received(outputs, phases[:-1], phases[-1])
+            spectrum = si_spectrum(si_covariance(stats, pn), symbols, cfg.n_taps)
+            block = _run_block(
+                [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )
-        except Exception as exc:
-            value = getattr(point, _SWEEP_FIELDS[variable])
-            raise type(exc)(
-                f"trial {trial_index} at {variable}={value!r} failed: {exc}"
-            ) from exc
+            for index, result in zip(group, block):
+                results[index] = result
+    except Exception as exc:
+        # a failure tied to one point of a block names that point
+        point = scenarios[group[getattr(exc, "point", None) or 0]].config
+        value = getattr(point, _SWEEP_FIELDS[variable])
+        raise type(exc)(
+            f"trial {trial_index} at {variable}={value!r} failed: {exc}"
+        ) from exc
     return results
 
 
-def _run_point(
-    scenario: Scenario,
+def _run_block(
+    points: Sequence[Scenario],
     symbols: np.ndarray,
     unit_si: np.ndarray,
     unit_soi: np.ndarray,
     noise: np.ndarray,
     spectrum: SiSpectrum,
-) -> TrialResult:
-    scale = scenario.channel_power
-    soi_power = scenario.soi_power
-    soi = np.sqrt(soi_power) * unit_soi
-    received = np.sqrt(scale) * unit_si + soi + noise
+) -> list[TrialResult]:
+    """Both cancellers at every point that shares the spectrum's delta_f.
+
+    Column p of the N x P received block is point p's received vector, so
+    each canceller and each residual power is one block operation.
+    """
+    scale = np.array([point.channel_power for point in points])
+    soi_power = np.array([point.soi_power for point in points])
+    soi = unit_soi[:, None] * np.sqrt(soi_power)
+    received = unit_si[:, None] * np.sqrt(scale) + soi + noise[:, None]
 
     # The optimal method subtracts the weighted estimate directly; the LS
     # baseline reconstructs from its tap estimate.
     weights = spectral_weights(spectrum, scale, NOISE_POWER, soi_power)
     residual_opt = cancel(received, weights.estimate(received)) - soi
-    opt_report = _report(
-        "optimal", residual_opt, weights.residual_power, scenario
-    )
-
-    taps_ls = ls_estimate(received, symbols, scenario.config.n_taps)
+    taps_ls = ls_estimate(received, symbols, spectrum.n_taps)
     residual_ls = cancel(received, reconstruct_si(symbols, taps_ls)) - soi
     theo_ls = ls_residual_power(spectrum, scale, NOISE_POWER, soi_power)
-    ls_report = _report("ls", residual_ls, theo_ls, scenario)
-    return TrialResult(optimal=opt_report, ls=ls_report)
+    columns = zip(
+        points,
+        _column_power(residual_opt),
+        weights.residual_power,
+        _column_power(residual_ls),
+        theo_ls,
+    )
+    return [
+        TrialResult(
+            optimal=_report("optimal", emp_opt, theo_opt, point),
+            ls=_report("ls", emp_ls, theo, point),
+        )
+        for point, emp_opt, theo_opt, emp_ls, theo in columns
+    ]
+
+
+def _column_power(block: np.ndarray) -> np.ndarray:
+    """Power sum_n |block[n, p]|^2 of each column."""
+    return (block.real**2 + block.imag**2).sum(axis=0)
 
 
 def _report(
     method: str,
-    residual: np.ndarray,
+    empirical: float,
     theoretical: float,
     scenario: Scenario,
 ) -> CancellationReport:
-    empirical = float(np.sum(residual.real**2 + residual.imag**2))
+    empirical = float(empirical)
     return CancellationReport(
         method=method,
         residual_power_empirical=empirical,
-        residual_power_theoretical=theoretical,
+        residual_power_theoretical=float(theoretical),
         si_power=scenario.si_power,
         noise_floor=scenario.noise_floor,
         ability_db=cancellation_ability(
@@ -321,7 +343,13 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     scenarios = [Scenario.from_config(config)]
-    return _run_trial(scenarios, trial_index, "inr", _pn_tables(scenarios))[0]
+    return _run_trial(
+        scenarios,
+        trial_index,
+        "inr",
+        _pn_tables(scenarios),
+        pdp_profile(config, 1.0),
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -358,8 +386,9 @@ def sweep(
         for value in values
     ]
     tables = _pn_tables(scenarios)
+    unit_pdp = pdp_profile(config, 1.0)
     trials = [
-        _run_trial(scenarios, trial, variable, tables)
+        _run_trial(scenarios, trial, variable, tables, unit_pdp)
         for trial in range(config.n_trials)
     ]
     records = []
@@ -384,15 +413,10 @@ def _aggregate(
     g_emp = cancellation_ability(
         scenario.si_power, scenario.noise_floor, resid_mean
     )
-    if method == "optimal":
-        theo_mean = float(
-            np.mean([r.residual_power_theoretical for r in reports])
-        )
-        g_theo = cancellation_ability(
-            scenario.si_power, scenario.noise_floor, theo_mean
-        )
-    else:
-        g_theo = None
+    theo_mean = float(np.mean([r.residual_power_theoretical for r in reports]))
+    g_theo = cancellation_ability(
+        scenario.si_power, scenario.noise_floor, theo_mean
+    )
     if len(reports) > 1:
         ci = float(1.96 * abilities.std(ddof=1) / np.sqrt(len(reports)))
     else:

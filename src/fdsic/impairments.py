@@ -137,27 +137,41 @@ def gen_awgn(n: int, power: float, rng: np.random.Generator) -> np.ndarray:
     return scale * (re + 1j * im)
 
 
+def channel_outputs(freq_symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per-antenna circular channel outputs (h_s (*) x)(n) of one symbol at
+    the receive sample instants, shape (n_tx, N), before any oscillator
+    rotation.
+
+    taps has one row of channel taps per transmit antenna.  The outputs do
+    not depend on the oscillators, so one set serves every phase-noise
+    bandwidth of a trial (see synthesize_received).  They are linear in the
+    taps, so scaling them by c scales the result by c.
+    """
+    symbols = np.asarray(freq_symbols, dtype=np.complex128)
+    n = symbols.size
+    _, n_taps = np.shape(taps)
+    if n == 0:
+        raise ValueError("freq_symbols must be non-empty")
+    if n_taps > n:
+        raise ValueError("channel longer than the symbol body")
+    response = np.fft.fft(taps, n=n, axis=1)
+    return np.fft.ifft(symbols[None, :] * response, axis=1)
+
+
 def synthesize_received(
-    freq_symbols: np.ndarray,
-    taps: np.ndarray,
+    outputs: np.ndarray,
     tx_phases: Sequence[np.ndarray],
     rx_phases: np.ndarray,
 ) -> np.ndarray:
     """Noiseless SI part of one received symbol, in the subcarrier domain.
 
-    taps has one row of channel taps per transmit antenna.  tx_phases holds
-    one phase trace per transmit antenna, or a single trace that is shared
-    by all antennas (shared-oscillator mode).  Trace lengths must equal the
-    symbol body length.  The SI is linear in the taps, so scaling them by c
-    scales the result by c.
+    outputs are the per-antenna channel outputs from channel_outputs, one
+    row per transmit antenna.  tx_phases holds one phase trace per transmit
+    antenna, or a single trace that is shared by all antennas
+    (shared-oscillator mode).  Trace lengths must equal the symbol body
+    length.
     """
-    symbols = np.asarray(freq_symbols, dtype=np.complex128)
-    n = symbols.size
-    n_tx, n_taps = np.shape(taps)
-    if n == 0:
-        raise ValueError("freq_symbols must be non-empty")
-    if n_taps > n:
-        raise ValueError("channel longer than the symbol body")
+    n_tx, n = np.shape(outputs)
     if len(tx_phases) not in (1, n_tx):
         raise ValueError(
             f"need 1 or {n_tx} transmit traces, got {len(tx_phases)}"
@@ -166,9 +180,7 @@ def synthesize_received(
         if np.shape(phases) != (n,):
             raise ValueError("phase trace length must equal the symbol body")
 
+    # The oscillator rotation at the receive instants; broadcasting covers
+    # the shared-trace case.
     rotation = np.exp(1j * (np.stack(tx_phases) + rx_phases))
-    # Per-antenna circular channel output, then the oscillator rotation at the
-    # receive instants; broadcasting covers the shared-trace case.
-    response = np.fft.fft(taps, n=n, axis=1)
-    waveform = np.fft.ifft(symbols[None, :] * response, axis=1)
-    return np.fft.fft((rotation * waveform).sum(axis=0))
+    return np.fft.fft((rotation * outputs).sum(axis=0))

@@ -31,6 +31,7 @@ from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 
 from .estimator import EstimatorStatistics, SingularMatrixError, si_covariance
 from .impairments import (
+    channel_outputs,
     gen_si_channel,
     gen_wiener_phase,
     phase_increment_variance,
@@ -312,13 +313,8 @@ def check_si_covariance(
     rng = np.random.default_rng(seed)
     symbols = gen_bpsk_symbols(n_subcarriers, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = EstimatorStatistics(
-        symbols=symbols,
-        pn=pn_covariance_table(delta_f, n_subcarriers),
-        pdp=pdp,
-        n_tx=n_tx,
-    )
-    analytic = si_covariance(stats)
+    stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
+    analytic = si_covariance(stats, pn_covariance_table(delta_f, n_subcarriers))
     estimate = simulate_si_covariance(
         symbols, pdp, n_tx, delta_f, n_trials, rng
     )
@@ -467,7 +463,9 @@ def check_model_equivalence(
             gen_wiener_phase(n_subcarriers, variance, rng) for _ in range(n_tx)
         ]
         rx_phases = gen_wiener_phase(n_subcarriers, variance, rng)
-        si = synthesize_received(symbols, taps, tx_phases, rx_phases)
+        si = synthesize_received(
+            channel_outputs(symbols, taps), tx_phases, rx_phases
+        )
         reference = time_domain_si_reference(
             symbols, taps, tx_phases, rx_phases, cp_length
         )

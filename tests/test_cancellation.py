@@ -15,6 +15,7 @@ from fdsic.cancellation import (
 )
 from fdsic.estimator import EstimatorStatistics, si_covariance
 from fdsic.impairments import (
+    channel_outputs,
     gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
@@ -71,13 +72,8 @@ def test_residual_splits_into_leakage_and_soi_distortion():
 def _small_covariance(rng, n=16, n_taps=2, n_tx=2, delta_f=1e-3):
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = EstimatorStatistics(
-        symbols=symbols,
-        pn=pn_covariance_table(delta_f, n),
-        pdp=pdp,
-        n_tx=n_tx,
-    )
-    return symbols, pdp, si_covariance(stats)
+    stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
+    return symbols, pdp, si_covariance(stats, pn_covariance_table(delta_f, n))
 
 
 def test_expected_residual_with_zero_weights():
@@ -112,7 +108,7 @@ def test_expected_residual_matches_monte_carlo():
         rx = gen_wiener_phase(n, variance, rng)
         soi = gen_awgn(n, 2.0, rng)
         received = (
-            synthesize_received(symbols, taps, traces, rx)
+            synthesize_received(channel_outputs(symbols, taps), traces, rx)
             + soi
             + gen_awgn(n, 1.0, rng)
         )
@@ -134,13 +130,8 @@ def test_optimal_weights_beat_fixed_competitors():
     n, n_taps = 32, 4
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = EstimatorStatistics(
-        symbols=symbols,
-        pn=pn_covariance_table(1e-3, n),
-        pdp=pdp,
-        n_tx=4,
-    )
-    cov = si_covariance(stats)
+    stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=4)
+    cov = si_covariance(stats, pn_covariance_table(1e-3, n))
     si_noise = cov + np.eye(n)
     best, _ = optimal_weights(si_noise + 3.0 * np.eye(n), si_noise)
     best_value = expected_residual_power(cov, best, 1.0, 3.0)

@@ -2,6 +2,8 @@
 quadratic programs and the least-squares baseline, each checked against an
 independent oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +20,7 @@ from fdsic.estimator import (
 )
 from fdsic.harness import OSCILLATOR_MODES
 from fdsic.impairments import (
+    channel_outputs,
     gen_si_channel,
     gen_wiener_phase,
     pn_covariance_table,
@@ -36,12 +39,10 @@ from fdsic.validation import (
 )
 
 
-def _stats(symbols, pdp, n_tx, delta_f):
-    return EstimatorStatistics(
-        symbols=symbols,
-        pn=pn_covariance_table(delta_f, symbols.size),
-        pdp=pdp,
-        n_tx=n_tx,
+def _covariance(symbols, pdp, n_tx, delta_f):
+    return si_covariance(
+        EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx),
+        pn_covariance_table(delta_f, symbols.size),
     )
 
 
@@ -84,10 +85,9 @@ def test_si_covariance_matches_direct_sum():
     n, n_taps, n_tx = 8, 3, 2
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = _stats(symbols, pdp, n_tx, 1e-3)
-    gamma = mixing_covariance(stats.pn.kernel)
+    gamma = mixing_covariance(pn_covariance_table(1e-3, n).kernel)
     oracle = _covariance_by_direct_sum(symbols, gamma, pdp, n_tx)
-    cov = si_covariance(stats)
+    cov = _covariance(symbols, pdp, n_tx, 1e-3)
     assert np.max(np.abs(cov - oracle)) < 1e-10 * np.max(np.abs(oracle))
 
 
@@ -96,7 +96,7 @@ def test_si_covariance_trace_equals_mean_si_power():
     n, n_taps, n_tx = 32, 5, 4
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    cov = si_covariance(_stats(symbols, pdp, n_tx, 1e-3))
+    cov = _covariance(symbols, pdp, n_tx, 1e-3)
     assert np.trace(cov).real == pytest.approx(n * n_tx * pdp.sum(), rel=1e-12)
 
 
@@ -106,7 +106,7 @@ def test_si_covariance_without_phase_noise():
     n, n_taps, n_tx = 16, 3, 2
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.array([0.5, 0.3, 0.2])
-    cov = si_covariance(_stats(symbols, pdp, n_tx, 0.0))
+    cov = _covariance(symbols, pdp, n_tx, 0.0)
     f = dft_matrix(n, n_taps)
     freq_corr = f @ np.diag(pdp) @ f.conj().T
     expected = n_tx * np.outer(symbols, symbols.conj()) * freq_corr
@@ -116,7 +116,7 @@ def test_si_covariance_without_phase_noise():
 def test_si_covariance_is_positive_semidefinite():
     rng = np.random.default_rng(44)
     symbols = gen_bpsk_symbols(24, 1.0, rng)
-    cov = si_covariance(_stats(symbols, np.ones(4), 3, 1e-2))
+    cov = _covariance(symbols, np.ones(4), 3, 1e-2)
     eigenvalues = np.linalg.eigvalsh(cov)
     assert eigenvalues.min() > -1e-10 * eigenvalues.max()
 
@@ -128,13 +128,13 @@ def test_estimator_statistics_validation():
     with pytest.raises(ValueError, match="zero"):
         bad = symbols.copy()
         bad[3] = 0.0
-        EstimatorStatistics(bad, table, np.ones(2), 1)
+        EstimatorStatistics(bad, np.ones(2), 1)
     with pytest.raises(ValueError, match="disagree"):
-        EstimatorStatistics(symbols[:8], table, np.ones(2), 1)
+        si_covariance(EstimatorStatistics(symbols[:8], np.ones(2), 1), table)
     with pytest.raises(ValueError, match="non-negative"):
-        EstimatorStatistics(symbols, table, np.array([1.0, -0.1]), 1)
+        EstimatorStatistics(symbols, np.array([1.0, -0.1]), 1)
     with pytest.raises(ValueError, match="n_tx"):
-        EstimatorStatistics(symbols, table, np.ones(2), 0)
+        EstimatorStatistics(symbols, np.ones(2), 0)
 
 
 def test_real_embedding_is_multiplicative():
@@ -199,7 +199,7 @@ def test_solve_qp_rejects_indefinite_matrix():
 def _random_covariance(rng, n=12, n_taps=3, n_tx=2, delta_f=1e-3):
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    return symbols, si_covariance(_stats(symbols, pdp, n_tx, delta_f))
+    return symbols, _covariance(symbols, pdp, n_tx, delta_f)
 
 
 def test_optimal_weights_match_inverse_oracle():
@@ -267,7 +267,8 @@ def test_ls_estimate_recovers_clean_channel():
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     channel = gen_si_channel(1, n_taps, np.ones(n_taps), rng)
     quiet = gen_wiener_phase(n, 0.0, rng)
-    received = synthesize_received(symbols, channel, [quiet], quiet)
+    outputs = channel_outputs(symbols, channel)
+    received = synthesize_received(outputs, [quiet], quiet)
     taps = ls_estimate(received, symbols, n_taps)
     assert_allclose(taps, channel[0], atol=1e-10)
 
@@ -378,7 +379,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     table = pn_covariance_table(delta_f, n)
 
     def covariance(pdp):
-        return si_covariance(EstimatorStatistics(symbols, table, pdp, n_tx))
+        return si_covariance(EstimatorStatistics(symbols, pdp, n_tx), table)
 
     cov = covariance(scale * unit_pdp)
     spectrum = si_spectrum(covariance(unit_pdp), symbols, n_taps)
@@ -401,7 +402,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     taps = gen_si_channel(n_tx, n_taps, scale * unit_pdp, rng)
     tx = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
     received = synthesize_received(
-        symbols, taps, tx, gen_wiener_phase(n, variance, rng)
+        channel_outputs(symbols, taps), tx, gen_wiener_phase(n, variance, rng)
     ) + np.sqrt(soi + noise) * (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ) / np.sqrt(2.0)
@@ -419,7 +420,7 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     noise, soi, scale = 1.0, 10.0, 300.0
     for delta_f in (0.0, 0.1):
-        unit = si_covariance(_stats(symbols, np.ones(1), 4, delta_f))
+        unit = _covariance(symbols, np.ones(1), 4, delta_f)
         spectrum = si_spectrum(unit, symbols, 1)
         assert spectrum.tau.size == n - 1
         solution = spectral_weights(spectrum, scale, noise, soi)
@@ -434,6 +435,67 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
             expected_residual_power(scale * unit, oracle, noise, soi),
             rel=1e-12,
         )
+
+
+@pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])
+def test_block_columns_match_single_points(delta_f):
+    # P operating points on one spectrum, as one block, give column by column
+    # what each point gives alone, and the dense Cholesky route's estimate
+    rng = np.random.default_rng(68)
+    n, n_taps, n_tx, noise = 32, 4, 8, 1.0
+    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
+    unit = _covariance(symbols, unit_pdp / unit_pdp.sum(), n_tx, delta_f)
+    spectrum = si_spectrum(unit, symbols, n_taps)
+    scale = 10.0 ** (np.array([20.0, 35.0, 50.0, 50.0]) / 10.0) / n_tx
+    soi = 10.0 ** (np.array([10.0, 0.0, 10.0, 20.0]) / 10.0)
+    received = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    block = spectral_weights(spectrum, scale, noise, soi)
+    estimate = block.estimate(received)
+    ls_taps = ls_estimate(received, symbols, n_taps)
+    ls_power = ls_residual_power(spectrum, scale, noise, soi)
+    for p in range(4):
+        single = spectral_weights(spectrum, scale[p], noise, soi[p])
+        alone = single.estimate(received[:, p])
+        assert np.linalg.norm(estimate[:, p] - alone) <= (
+            1e-12 * np.linalg.norm(alone)
+        )
+        oracle, _ = optimal_weights(*_loaded(scale[p] * unit, noise, soi[p]))
+        expected = oracle @ received[:, p]
+        assert np.linalg.norm(estimate[:, p] - expected) <= (
+            1e-9 * np.linalg.norm(expected)
+        )
+        assert_allclose(block.gains[p], single.gains, rtol=1e-12)
+        assert block.residual_power[p] == pytest.approx(
+            single.residual_power, rel=1e-12
+        )
+        assert ls_power[p] == pytest.approx(
+            ls_residual_power(spectrum, scale[p], noise, soi[p]), rel=1e-12
+        )
+        assert_allclose(
+            ls_taps[:, p],
+            ls_estimate(received[:, p], symbols, n_taps),
+            rtol=1e-12,
+        )
+    with pytest.raises(ValueError, match="shape"):
+        block.estimate(received[:, 0])
+
+
+def test_block_failure_names_the_failing_point():
+    symbols = np.ones(4, dtype=np.complex128)
+    spectrum = si_spectrum(-1.5 * np.eye(4), symbols, 2)
+    # min(lam) + noise + soi is > 0, = 0 and > 0 at the three points
+    with pytest.raises(SingularMatrixError) as caught:
+        spectral_weights(spectrum, 1.0, 1.0, np.array([0.6, 0.5, 0.6]))
+    assert caught.value.point == 1
+    # the stacked tridiagonal solve reports the block it failed in
+    weights = spectral_weights(spectrum, 1.0, 1.0, np.array([0.6, 0.7, 0.8]))
+    diagonal = weights.received_diagonal.copy()
+    diagonal[8:] = -1.0
+    broken = dataclasses.replace(weights, received_diagonal=diagonal)
+    with pytest.raises(SingularMatrixError) as caught:
+        broken.estimate(np.ones((4, 3), dtype=np.complex128))
+    assert caught.value.point == 2
 
 
 def test_spectral_weights_reject_indefinite_received():

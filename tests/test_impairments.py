@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fdsic.impairments import (
+    channel_outputs,
     gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
@@ -182,7 +183,7 @@ def test_synthesize_without_phase_noise_is_plain_channel_product():
     taps = gen_si_channel(n_tx, n_taps, pdp, rng)
     quiet = [gen_wiener_phase(n, 0.0, rng) for _ in range(n_tx)]
     rx = gen_wiener_phase(n, 0.0, rng)
-    si = synthesize_received(symbols, taps, quiet, rx)
+    si = synthesize_received(channel_outputs(symbols, taps), quiet, rx)
     response = np.fft.fft(taps, n=n, axis=1).sum(axis=0)
     assert_allclose(si, symbols * response, atol=1e-12)
 
@@ -196,14 +197,16 @@ def test_synthesize_total_is_sum_of_parts():
     taps = gen_si_channel(2, 2, np.ones(2), rng)
     traces = [gen_wiener_phase(n, 1e-4, rng) for _ in range(2)]
     rx = gen_wiener_phase(n, 1e-4, rng)
-    total = synthesize_received(symbols, taps, traces, rx)
+    total = synthesize_received(channel_outputs(symbols, taps), traces, rx)
     parts = [
-        synthesize_received(symbols, taps[[s]], [traces[s]], rx)
+        synthesize_received(
+            channel_outputs(symbols, taps[[s]]), [traces[s]], rx
+        )
         for s in range(2)
     ]
     assert_allclose(total, parts[0] + parts[1], atol=1e-12)
     assert_allclose(
-        synthesize_received(symbols, 3.0 * taps, traces, rx),
+        synthesize_received(channel_outputs(symbols, 3.0 * taps), traces, rx),
         3.0 * total,
         atol=1e-12,
     )
@@ -222,7 +225,7 @@ def test_synthesize_mean_si_power():
         taps = gen_si_channel(n_tx, n_taps, pdp, rng)
         traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
-        si = synthesize_received(symbols, taps, traces, rx)
+        si = synthesize_received(channel_outputs(symbols, taps), traces, rx)
         total += np.vdot(si, si).real
     expected = n * n_tx * pdp.sum()
     assert total / trials == pytest.approx(expected, rel=0.08)
@@ -235,8 +238,9 @@ def test_synthesize_shared_trace_matches_replicated_traces():
     taps = gen_si_channel(n_tx, 2, np.ones(2), rng)
     shared = gen_wiener_phase(n, 1e-3, rng)
     rx = gen_wiener_phase(n, 1e-3, rng)
-    one = synthesize_received(symbols, taps, [shared], rx)
-    many = synthesize_received(symbols, taps, [shared] * n_tx, rx)
+    outputs = channel_outputs(symbols, taps)
+    one = synthesize_received(outputs, [shared], rx)
+    many = synthesize_received(outputs, [shared] * n_tx, rx)
     assert_allclose(one, many, atol=1e-12)
 
 
@@ -247,10 +251,11 @@ def test_synthesize_validation():
     taps = gen_si_channel(3, 2, np.ones(2), rng)
     trace = gen_wiener_phase(n, 1e-3, rng)
     short = gen_wiener_phase(n - 1, 1e-3, rng)
+    outputs = channel_outputs(symbols, taps)
     with pytest.raises(ValueError, match="transmit traces"):
-        synthesize_received(symbols, taps, [trace, trace], trace)
+        synthesize_received(outputs, [trace, trace], trace)
     with pytest.raises(ValueError, match="length"):
-        synthesize_received(symbols, taps, [short], trace)
+        synthesize_received(outputs, [short], trace)
     long_channel = gen_si_channel(1, n + 1, np.ones(n + 1), rng)
     with pytest.raises(ValueError, match="longer"):
-        synthesize_received(symbols, long_channel, [trace], trace)
+        channel_outputs(symbols, long_channel)

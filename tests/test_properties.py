@@ -27,13 +27,8 @@ def _unit_covariance(seed, delta_f, n_tx, n=N):
     rng = np.random.default_rng(seed)
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = rng.uniform(0.1, 1.0, min(N_TAPS, n))
-    stats = EstimatorStatistics(
-        symbols=symbols,
-        pn=pn_covariance_table(delta_f, n),
-        pdp=pdp / pdp.sum(),
-        n_tx=n_tx,
-    )
-    return si_covariance(stats), symbols
+    stats = EstimatorStatistics(symbols=symbols, pdp=pdp / pdp.sum(), n_tx=n_tx)
+    return si_covariance(stats, pn_covariance_table(delta_f, n)), symbols
 
 
 trials = st.builds(

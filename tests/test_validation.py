@@ -11,6 +11,7 @@ from fdsic.estimator import (
     spectral_weights,
 )
 from fdsic.impairments import (
+    channel_outputs,
     gen_si_channel,
     gen_wiener_phase,
     phase_increment_variance,
@@ -106,7 +107,8 @@ def test_exact_order_matches_model_without_phase_noise():
     tx = [np.full(n + cp, 0.7)]
     rx = np.full(n, -0.2)
     exact = exact_order_si_reference(symbols, taps, tx, rx, cp)
-    model = synthesize_received(symbols, taps, [tx[0][cp:]], rx)
+    outputs = channel_outputs(symbols, taps)
+    model = synthesize_received(outputs, [tx[0][cp:]], rx)
     np.testing.assert_allclose(exact, model, rtol=1e-12, atol=1e-12)
 
 
@@ -134,12 +136,10 @@ def test_exact_order_samples_have_the_model_covariance():
         rx = gen_wiener_phase(n, variance, rng)
         exact_row[:] = exact_order_si_reference(symbols, taps, tx, rx, cp)
         model_row[:] = synthesize_received(
-            symbols, taps, [trace[cp:] for trace in tx], rx
+            channel_outputs(symbols, taps), [trace[cp:] for trace in tx], rx
         )
-    stats = EstimatorStatistics(
-        symbols, pn_covariance_table(delta_f, n), pdp, n_tx
-    )
-    analytic = si_covariance(stats)
+    stats = EstimatorStatistics(symbols, pdp, n_tx)
+    analytic = si_covariance(stats, pn_covariance_table(delta_f, n))
     scale = np.max(np.abs(analytic))
     exact_gram = _hermitian_gram(exact)
     assert np.max(np.abs(exact_gram - analytic)) <= 0.06 * scale
@@ -166,7 +166,7 @@ def _si_in_both_orders(rng, delta_f):
           for _ in range(NODE_TX)]
     rx = gen_wiener_phase(NODE_N, variance, rng)
     model = synthesize_received(
-        symbols, taps, [trace[NODE_CP:] for trace in tx], rx
+        channel_outputs(symbols, taps), [trace[NODE_CP:] for trace in tx], rx
     )
     return symbols, model, exact_order_si_reference(
         symbols, taps, tx, rx, NODE_CP
@@ -204,8 +204,8 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
     residual = {"model": 0.0, "exact": 0.0}
     for _ in range(200):
         symbols, model, exact = _si_in_both_orders(rng, delta_f)
-        stats = EstimatorStatistics(symbols, table, _node_pdp(), NODE_TX)
-        spectrum = si_spectrum(si_covariance(stats), symbols, NODE_L)
+        stats = EstimatorStatistics(symbols, _node_pdp(), NODE_TX)
+        spectrum = si_spectrum(si_covariance(stats, table), symbols, NODE_L)
         weights = spectral_weights(spectrum, scale, 1.0, soi)
         gains = weights.gains
         common = np.sum((1.0 - gains) ** 2) + soi * np.sum(gains**2)
