@@ -14,15 +14,22 @@ import numpy as np
 
 def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndarray:
     """SI reconstruction diag(symbols) F h for an L-tap channel estimate h,
-    or for each column of an (L, P) block of estimates."""
+    or for each column of an (L, P) block of estimates; (B, N) symbols of B
+    trials take the (B, L) or (B, L, P) stack of their estimates."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     channel_estimate = np.asarray(channel_estimate, dtype=np.complex128)
-    if channel_estimate.ndim not in (1, 2) or not (
-        1 <= channel_estimate.shape[0] <= symbols.size
+    axis = symbols.ndim - 1
+    n = symbols.shape[-1]
+    if (
+        channel_estimate.ndim not in (axis + 1, axis + 2)
+        or channel_estimate.shape[:axis] != symbols.shape[:axis]
+        or not 1 <= channel_estimate.shape[axis] <= n
     ):
         raise ValueError("channel estimate must have between 1 and N taps")
-    per_row = symbols.reshape((symbols.size,) + (1,) * (channel_estimate.ndim - 1))
-    return per_row * np.fft.fft(channel_estimate, n=symbols.size, axis=0)
+    per_row = symbols.reshape(
+        symbols.shape + (1,) * (channel_estimate.ndim - axis - 1)
+    )
+    return per_row * np.fft.fft(channel_estimate, n=n, axis=axis)
 
 
 def cancel(received: np.ndarray, si_estimate: np.ndarray) -> np.ndarray:
@@ -48,15 +55,29 @@ def si_power(
 
 
 def cancellation_ability(
-    si_power: float, noise_floor: float, residual_power: float
-) -> float:
+    si_power: float, noise_floor: float, residual_power: float | np.ndarray
+) -> float | np.ndarray:
     """Cancellation ability 10 log10((si_power + noise_floor) / residual) in
-    dB; +inf when the residual is not positive."""
+    dB; +inf when the residual is not positive.
+
+    An array of residual powers gives an array of abilities.  Each entry
+    goes through math.log10, as a scalar does: numpy's vectorized log10 may
+    differ from it in the last bit, and an array must give the bits of its
+    entries taken one at a time.
+    """
     if si_power < 0.0 or noise_floor < 0.0:
         raise ValueError("powers must be non-negative")
-    if residual_power <= 0.0:
-        return math.inf
-    return 10.0 * math.log10((si_power + noise_floor) / residual_power)
+    if np.ndim(residual_power) == 0:
+        if residual_power <= 0.0:
+            return math.inf
+        return 10.0 * math.log10((si_power + noise_floor) / residual_power)
+    residual = np.asarray(residual_power, dtype=np.float64)
+    ratio = np.full(residual.shape, math.inf)
+    np.divide(
+        si_power + noise_floor, residual, out=ratio, where=~(residual <= 0.0)
+    )
+    logs = np.fromiter(map(math.log10, ratio.ravel().tolist()), np.float64)
+    return 10.0 * logs.reshape(residual.shape)
 
 
 @dataclass(frozen=True)

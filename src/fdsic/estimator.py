@@ -20,9 +20,18 @@ vectors form the columns of an N x P block, two reflector applications
 transform every column at once, and one real tridiagonal solve (dptsv)
 serves all P points, their shifted tridiagonals stacked along one diagonal
 with zero coupling between them.  The simulator runs every sweep point of
-a trial that shares a phase-noise bandwidth as one such block.  The
-conventional least-squares channel estimator is included as the baseline,
-on a vector or on each column of a block.  The dense Cholesky and
+a trial that shares a phase-noise bandwidth as one such block.
+
+Every function also takes a leading trial axis.  A batch of B trials, each
+with its own symbols and covariance, runs its elementwise work, FFTs and
+tridiagonal solves as (B, ...) stacks, while the BLAS and LAPACK calls that
+factor or multiply one trial's matrices (zgemm, zhetrd, dsterf, zunmqr) run
+once per trial on that trial's operands alone, so a trial's results do not
+depend on the batch around it.  The simulator runs a chunk of trials as
+one batch.
+
+The conventional least-squares channel estimator is included as the
+baseline, on a vector or on each column of a block.  The dense Cholesky and
 real-embedded solves that the engine is checked against live in
 fdsic.validation.
 
@@ -49,12 +58,24 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A covariance that must be positive definite failed to factor.
 
     point is the index of the failing operating point within a block of
-    points, or None when the failure is not tied to one point.
+    points and trial its row in a batch of trials; either is None when the
+    failure is not tied to one.
     """
 
-    def __init__(self, message: str, point: int | None = None):
+    def __init__(
+        self, message: str, point: int | None = None, trial: int | None = None
+    ):
         super().__init__(message)
         self.point = point
+        self.trial = trial
+
+
+def _singular(
+    message: str, flat: int, batch: tuple, points: tuple
+) -> SingularMatrixError:
+    """The error for entry flat of a row-major (batch + points) array."""
+    trial, point = divmod(flat, int(np.prod(points, dtype=int)))
+    return SingularMatrixError(message, point=point, trial=trial if batch else None)
 
 
 @dataclass(frozen=True)
@@ -68,7 +89,8 @@ class EstimatorStatistics:
     S(n1, n2) = sum_l pdp[l] w(n1 - l) conj(w(n2 - l)) of the circular
     symbol waveform w = ifft(symbols).  It does not depend on the
     oscillators, so one instance serves every phase-noise bandwidth (see
-    si_covariance).
+    si_covariance).  symbols is one (N,) vector, or a (B, N) batch of
+    trials' symbols with a (B, N, N) stack of sample covariances.
     """
 
     symbols: np.ndarray
@@ -81,25 +103,30 @@ class EstimatorStatistics:
         pdp = np.asarray(self.pdp, dtype=np.float64)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "pdp", pdp)
-        if symbols.ndim != 1 or symbols.size == 0:
-            raise ValueError("symbols must be a non-empty vector")
+        if symbols.ndim not in (1, 2) or symbols.shape[-1] == 0:
+            raise ValueError(
+                "symbols must be a non-empty vector or a batch of them"
+            )
         if np.any(np.abs(symbols) == 0.0):
             raise ValueError("symbols must have no zero entries")
-        if pdp.ndim != 1 or pdp.size == 0 or pdp.size > symbols.size:
+        n = symbols.shape[-1]
+        if pdp.ndim != 1 or pdp.size == 0 or pdp.size > n:
             raise ValueError("pdp must be a vector no longer than symbols")
         if np.any(pdp < 0.0):
             raise ValueError("pdp entries must be non-negative")
         if self.n_tx < 1:
             raise ValueError("n_tx must be positive")
-        n = symbols.size
         waveform = np.fft.ifft(symbols)
         taps = np.arange(pdp.size)
-        shifted = waveform[(np.arange(n)[None, :] - taps[:, None]) % n]
-        # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the transpose of
-        # the Fortran-ordered product shifted^H (pdp * shifted)
-        sample_covariance = blas.zgemm(
-            1.0, shifted, pdp[:, None] * shifted, trans_a=2
-        ).T
+        shifted = waveform[..., (np.arange(n)[None, :] - taps[:, None]) % n]
+        weighted = pdp[:, None] * shifted
+        sample_covariance = np.empty(symbols.shape + (n,), dtype=np.complex128)
+        for trial in np.ndindex(symbols.shape[:-1]):
+            # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the transpose
+            # of the Fortran-ordered product shifted^H (pdp * shifted)
+            sample_covariance[trial] = blas.zgemm(
+                1.0, shifted[trial], weighted[trial], trans_a=2
+            ).T
         object.__setattr__(self, "sample_covariance", sample_covariance)
 
 
@@ -118,32 +145,36 @@ def si_covariance(
     and the profile spectrum, but costs O(N^2 log N) per oscillator quality
     on top of the O(L*N^2) sample covariance.  Channels are independent
     across antennas, so the result scales linearly with n_tx in both
-    oscillator modes.
+    oscillator modes.  A batch of B trials' statistics gives a (B, N, N)
+    stack, one covariance per trial.
     """
-    n = stats.symbols.size
+    n = stats.symbols.shape[-1]
     if n != pn.n_subcarriers:
         raise ValueError("symbols and covariance table disagree on N")
     weighted = pn.kernel * stats.sample_covariance * stats.n_tx
-    cov = np.fft.ifft(np.fft.fft(weighted, axis=0), axis=1) * n
-    scale = max(float(np.max(np.abs(cov))), np.finfo(np.float64).tiny)
-    drift = float(np.max(np.abs(cov - cov.conj().T))) / scale
+    cov = np.fft.ifft(np.fft.fft(weighted, axis=-2), axis=-1) * n
+    adjoint = cov.conj().swapaxes(-1, -2)
+    tiny = np.finfo(np.float64).tiny
+    scale = np.maximum(np.abs(cov).max(axis=(-2, -1)), tiny)
+    drift = float((np.abs(cov - adjoint).max(axis=(-2, -1)) / scale).max())
     if drift > 1e-10:
         logger.warning("SI covariance asymmetry %.3e before symmetrization", drift)
-    return 0.5 * (cov + cov.conj().T)
+    return 0.5 * (cov + adjoint)
 
 
-def _constant_modulus_power(symbols: np.ndarray) -> float:
-    """The common power p = |x_n|^2 of constant-modulus symbols.
+def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
+    """The common power p = |x_n|^2 of constant-modulus symbols, one per
+    vector of a (B, N) batch.
 
     For such symbols the LS Gram matrix of the basis diag(x) F_L is N*p*I,
     which is what makes the matched filter exact least squares.
     """
     power = np.abs(symbols) ** 2
-    low, high = power.min(), power.max()
-    if low == 0.0:
+    low, high = power.min(axis=-1), power.max(axis=-1)
+    if np.any(low == 0.0):
         raise SingularMatrixError("LS normal equations are singular")
-    mean = float(power.sum()) / power.size
-    if max(high - mean, mean - low) > 1e-12 * mean:
+    mean = power.sum(axis=-1) / power.shape[-1]
+    if np.any(np.maximum(high - mean, mean - low) > 1e-12 * mean):
         raise ValueError("LS needs constant-modulus symbols")
     return mean
 
@@ -172,7 +203,8 @@ class SiSpectrum:
     N - 1 Householder reflectors that LAPACK's zhetrd packs below the
     subdiagonal, kept in the QR layout zunmqr applies (`reflectors`,
     `tau`).  At N = 1, T is a single entry, Q = I and there are no
-    reflectors.
+    reflectors.  The spectrum of a batch of B trials carries a leading
+    trial axis on every array, and ls_leakage is then a length-B vector.
     """
 
     eigenvalues: np.ndarray
@@ -180,7 +212,7 @@ class SiSpectrum:
     off_diagonal: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
-    ls_leakage: float
+    ls_leakage: float | np.ndarray
     n_taps: int
 
 
@@ -194,35 +226,48 @@ def si_spectrum(
     The LS projector P = Bb (Bb^H Bb)^-1 Bb^H onto the columns b_l of the
     N x L basis Bb = diag(symbols) F_L has Gram N*p*I for constant-modulus
     symbols of power p, so tr{P A0} = Re sum_l b_l^H A0 b_l / (N*p) without
-    forming P.
+    forming P.  A (B, N, N) stack of covariances with (B, N) symbols gives
+    the spectra of B trials, one zgemm, zhetrd and dsterf per trial.
     """
     si_cov = np.asarray(si_cov, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
-    n = symbols.size
-    if si_cov.shape != (n, n):
+    n = symbols.shape[-1]
+    if si_cov.shape != symbols.shape + (n,):
         raise ValueError("si_cov must be N x N for N symbols")
+    batch = symbols.shape[:-1]
     power = _constant_modulus_power(symbols)
     dft, lwork = _shape_constants(n, n_taps)
-    basis = symbols[:, None] * dft
-    product = blas.zgemm(1.0, si_cov, basis)
-    captured = float((basis.conj() * product).real.sum()) / (n * power)
-    packed, diagonal, off_diagonal, tau, _ = lapack.zhetrd(
-        si_cov, lower=1, lwork=lwork
-    )
-    off_diagonal = off_diagonal[: n - 1]
-    # scipy's tridiagonal wrappers reject an empty off-diagonal at N = 1
-    eigenvalues, info = lapack.dsterf(
-        diagonal, off_diagonal if n > 1 else np.zeros(1)
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsterf did not converge (info={info})")
+    basis = symbols[..., :, None] * dft
+    product = np.empty(basis.shape, dtype=np.complex128)
+    diagonal = np.empty(batch + (n,))
+    eigenvalues = np.empty(batch + (n,))
+    off_diagonal = np.empty(batch + (n - 1,))
+    tau = np.empty(batch + (n - 1,), dtype=np.complex128)
+    # each trial's reflectors Fortran-ordered, as zunmqr takes them
+    reflectors = np.empty(batch + (n - 1, n - 1), dtype=np.complex128)
+    reflectors = reflectors.swapaxes(-1, -2)
+    for trial in np.ndindex(batch):
+        product[trial] = blas.zgemm(1.0, si_cov[trial], basis[trial])
+        packed, diagonal[trial], off, tau[trial], _ = lapack.zhetrd(
+            si_cov[trial], lower=1, lwork=lwork
+        )
+        off_diagonal[trial] = off[: n - 1]
+        reflectors[trial] = packed[1:, :-1]
+        # scipy's tridiagonal wrappers reject an empty off-diagonal at N = 1
+        eigenvalues[trial], info = lapack.dsterf(
+            diagonal[trial], off_diagonal[trial] if n > 1 else np.zeros(1)
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsterf did not converge (info={info})")
+    captured = (basis.conj() * product).real.sum(axis=(-2, -1)) / (n * power)
+    leakage = np.trace(si_cov, axis1=-2, axis2=-1).real - captured
     return SiSpectrum(
         eigenvalues=eigenvalues,
         diagonal=diagonal,
         off_diagonal=off_diagonal,
-        reflectors=np.asfortranarray(packed[1:, :-1]),
+        reflectors=reflectors,
         tau=tau,
-        ls_leakage=float(np.trace(si_cov).real - captured),
+        ls_leakage=leakage if batch else float(leakage),
         n_taps=n_taps,
     )
 
@@ -231,14 +276,18 @@ def _apply_q(
     spectrum: SiSpectrum, block: np.ndarray, trans: str
 ) -> np.ndarray:
     """Q @ block for trans "N", Q^H @ block for trans "C", on a vector or on
-    every column of a matrix at once; Q leaves the first row alone."""
+    every column of a matrix at once, with each trial's own Q for a batch;
+    Q leaves the first row alone."""
     out = block.copy()
-    if spectrum.tau.size:
-        tail = block[1:].reshape(block.shape[0] - 1, -1)
-        applied, _, _ = lapack.zunmqr(
-            "L", trans, spectrum.reflectors, spectrum.tau, tail, tail.shape[1]
-        )
-        out[1:] = applied.reshape(block[1:].shape)
+    if spectrum.tau.shape[-1]:
+        for trial in np.ndindex(spectrum.tau.shape[:-1]):
+            tail = block[trial][1:]
+            columns = tail.reshape(tail.shape[0], -1)
+            applied, _, _ = lapack.zunmqr(
+                "L", trans, spectrum.reflectors[trial], spectrum.tau[trial],
+                columns, columns.shape[1],
+            )
+            out[trial][1:] = applied.reshape(tail.shape)
     return out
 
 
@@ -250,9 +299,11 @@ class SpectralWeights:
     Each point's C is held as the tridiagonal C' = scale*T + (noise + soi)*I
     of C = Q C' Q^H.  A block stacks the P tridiagonals along one diagonal of
     length P*N with zero off-diagonal entries between them, so each factors
-    exactly as it would alone.  soi_power is a scalar or a length-P vector,
-    gains (the eigenvalue gains of V) have shape (N,) or (P, N), and the
-    expected residual power is a scalar or a length-P vector.
+    exactly as it would alone; a batch of B trials stacks all B*P of them,
+    trial after trial.  soi_power is a scalar or a length-P vector, gains
+    (the eigenvalue gains of V) have shape (N,) or (P, N), and the expected
+    residual power is a scalar or a length-P vector, each with the
+    spectrum's leading trial axis in front when it has one.
     """
 
     spectrum: SiSpectrum
@@ -266,30 +317,37 @@ class SpectralWeights:
         """The SI estimate V @ received, in O(N^2) per point.
 
         received is the (N,) received vector at one operating point, or the
-        (N, P) block whose column p is received at point p.  A point whose
+        (N, P) block whose column p is received at point p; for a batch of
+        B trials, the (B, N) or (B, N, P) stack of them.  A point whose
         received covariance fails to factor raises SingularMatrixError with
-        that point's index.
+        that point's index and, in a batch, its trial's row.
         """
         received = np.asarray(received, dtype=np.complex128)
-        n = self.spectrum.eigenvalues.size
-        shape = (n,) + self.soi_power.shape
+        batch = self.spectrum.eigenvalues.shape[:-1]
+        n = self.spectrum.eigenvalues.shape[-1]
+        shape = batch + (n,) + self.soi_power.shape
         if received.shape != shape:
             raise ValueError(f"received must have shape {shape}")
         rotated = _apply_q(self.spectrum, received, "C")
-        # one point after the other, as the stacked tridiagonals are; C' is
-        # real, so it solves the real and imaginary parts together
-        stacked = rotated.T.ravel()
+        # trial after trial and point after point, as the stacked
+        # tridiagonals are; C' is real, so it solves the real and imaginary
+        # parts together
+        stacked = np.moveaxis(rotated, len(batch), -1)
+        flat = stacked.ravel()
         _, _, solved, info = lapack.dptsv(
             self.received_diagonal,
             self.received_off_diagonal,
-            np.column_stack([stacked.real, stacked.imag]),
+            np.column_stack([flat.real, flat.imag]),
         )
         if info > 0:
-            raise SingularMatrixError(
+            raise _singular(
                 "received covariance is not positive definite",
-                point=(info - 1) // n,
+                (info - 1) // n, batch, self.soi_power.shape,
             )
-        back = (solved[:, 0] + 1j * solved[:, 1]).reshape(shape[::-1]).T
+        back = np.moveaxis(
+            (solved[:, 0] + 1j * solved[:, 1]).reshape(stacked.shape),
+            -1, len(batch),
+        )
         return received - self.soi_power * _apply_q(self.spectrum, back, "N")
 
 
@@ -308,9 +366,11 @@ def spectral_weights(
     power.  Their sum equals N*noise + tr{A} + sum_k f_k of the Cholesky
     route without the cancellation between its large terms.  The estimate
     itself never forms the eigenvectors: it solves with the shifted
-    tridiagonal scale*T + (noise + soi)*I.  A point whose received
+    tridiagonal scale*T + (noise + soi)*I.  The operating points are shared
+    by every trial of a batched spectrum.  A point whose received
     covariance is not positive definite raises SingularMatrixError with
-    that point's index.
+    that point's index and, for a batch, the row of the first trial where
+    it fails.
     """
     scale, soi_power = np.broadcast_arrays(
         np.asarray(scale, dtype=np.float64),
@@ -318,19 +378,27 @@ def spectral_weights(
     )
     if scale.ndim > 1:
         raise ValueError("scale and soi_power must be scalars or vectors")
-    si_noise = scale[..., None] * spectrum.eigenvalues + noise_power
+    batch = spectrum.eigenvalues.shape[:-1]
+    # (trial, point, eigenvalue) axes; either of the first two may be absent
+    per_point = batch + (1,) * scale.ndim + (-1,)
+    si_noise = (
+        scale[..., None] * spectrum.eigenvalues.reshape(per_point) + noise_power
+    )
     received = si_noise + soi_power[..., None]
     if not received.min() > 0.0:
         failed = np.flatnonzero(~(received.min(axis=-1) > 0.0))
-        raise SingularMatrixError(
-            "received covariance is not positive definite", point=int(failed[0])
+        raise _singular(
+            "received covariance is not positive definite",
+            int(failed[0]), batch, scale.shape,
         )
-    diagonal = scale[..., None] * spectrum.diagonal + (
+    diagonal = scale[..., None] * spectrum.diagonal.reshape(per_point) + (
         noise_power + soi_power[..., None]
     )
     # each point's off-diagonal, then a zero that decouples the next point
     coupling = np.zeros(diagonal.shape)
-    coupling[..., :-1] = scale[..., None] * spectrum.off_diagonal
+    coupling[..., :-1] = scale[..., None] * spectrum.off_diagonal.reshape(
+        per_point
+    )
     coupling = coupling.ravel()
     return SpectralWeights(
         spectrum=spectrum,
@@ -350,17 +418,25 @@ def ls_residual_power(
     soi_power: float | np.ndarray,
 ) -> float | np.ndarray:
     """Expected residual power of least squares plus reconstruction, at one
-    operating point or, with a length-P scale and/or soi_power, at P points.
+    operating point or, with a length-P scale and/or soi_power, at P points;
+    a batched spectrum puts its trial axis in front.
 
     The LS weights are the Hermitian idempotent projector P of rank L, so
     the residual functional collapses to
     (N - L)*noise + L*soi + scale * tr{(I - P) A0}.
     """
-    n = spectrum.eigenvalues.size
+    scale, soi_power = np.broadcast_arrays(
+        np.asarray(scale, dtype=np.float64),
+        np.asarray(soi_power, dtype=np.float64),
+    )
+    n = spectrum.eigenvalues.shape[-1]
+    leakage = np.reshape(
+        spectrum.ls_leakage, spectrum.eigenvalues.shape[:-1] + (1,) * scale.ndim
+    )
     value = (
         (n - spectrum.n_taps) * noise_power
-        + spectrum.n_taps * np.asarray(soi_power, dtype=np.float64)
-        + np.asarray(scale, dtype=np.float64) * spectrum.ls_leakage
+        + spectrum.n_taps * soi_power
+        + scale * leakage
     )
     return np.maximum(value, 0.0)
 
@@ -375,16 +451,21 @@ def ls_estimate(
     symbols the normal equations are N*p*I h = F^H diag(conj(symbols))
     received, so the estimate is the matched filter
     ifft(received / symbols)[:n_taps], of shape (n_taps,) or (n_taps, P).
-    Zero symbols raise SingularMatrixError; symbols of unequal modulus raise
-    ValueError.
+    With (B, N) symbols of B trials, received is the (B, N) or (B, N, P)
+    stack and the estimate gets the same leading trial axis.  Zero symbols
+    raise SingularMatrixError; symbols of unequal modulus raise ValueError.
     """
     received = np.asarray(received, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
-    n = symbols.size
-    if received.ndim not in (1, 2) or received.shape[0] != n:
+    axis = symbols.ndim - 1
+    if (
+        received.shape[: axis + 1] != symbols.shape
+        or received.ndim > symbols.ndim + 1
+    ):
         raise ValueError("received and symbols sizes disagree")
-    if not 1 <= n_taps <= n:
+    if not 1 <= n_taps <= symbols.shape[-1]:
         raise ValueError(f"n_taps={n_taps} out of range")
     _constant_modulus_power(symbols)
-    per_row = symbols.reshape((n,) + (1,) * (received.ndim - 1))
-    return np.fft.ifft(received / per_row, axis=0)[:n_taps]
+    per_row = symbols.reshape(symbols.shape + (1,) * (received.ndim - axis - 1))
+    estimate = np.fft.ifft(received / per_row, axis=axis)
+    return estimate[(slice(None),) * axis + (slice(n_taps),)]

@@ -6,13 +6,16 @@ fixes the total SI channel power and the SNR setting fixes the SOI power.
 Each trial draws one realization at unit scale (symbols, channels, phase
 walks, SOI and noise) from a stream derived only from
 (master_seed, trial_index), and every sweep point of that trial only
-rescales it.  Sweep points are therefore paired, and any
-(config, seed, trial) triple reproduces bit-identical output.
+rescales it.  A sweep runs its trials in memory-bounded chunks through the
+estimator as one batch; a trial's cells do not depend on the chunk it runs
+in.  Sweep points are therefore paired, and any (config, seed, trial)
+triple reproduces bit-identical output.
 """
 
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -54,6 +57,13 @@ SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 # Per-subcarrier receiver noise power: every other power is set relative
 # to it.
 NOISE_POWER = 1.0
+# Complex entries a chunk of trials may hold per N x N covariance stack
+# (B*N^2) or per channel-output stack (B*n_tx*N): 32 trials on the fast
+# profile, 2 on the reference node, 1 from N = 256 on.
+_CHUNK_ENTRIES = 2**15
+# The methods along the first axis of a sweep's residual array; its second
+# axis holds the empirical and the theoretical residual power.
+_METHODS = ("ls", "optimal")
 CSV_COLUMNS = (
     "sweep_var",
     "value",
@@ -85,6 +95,10 @@ class SimConfig:
     pdp_decay: float = 4.0
 
     def __post_init__(self):
+        for name in ("inr_db", "snr_db", "delta_f", "symbol_power", "pdp_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_tx < 1 or self.n_subcarriers < 1 or self.n_taps < 1:
             raise ValueError("n_tx, n_subcarriers and n_taps must be positive")
         if self.n_taps > self.n_subcarriers:
@@ -207,44 +221,67 @@ class TrialResult:
     ls: CancellationReport
 
 
+def _chunk_size(config: SimConfig) -> int:
+    """Trials per chunk: as many as keep the chunk's covariance and
+    channel-output stacks within _CHUNK_ENTRIES entries, at least one."""
+    n = config.n_subcarriers
+    per_trial = max(n * n, config.n_tx * n)
+    return max(1, min(config.n_trials, _CHUNK_ENTRIES // per_trial))
+
+
 def _run_trial(
+    config: SimConfig, trial_index: int, unit_pdp: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Trial trial_index's realization at unit scale.
+
+    The trial's stream default_rng([master_seed, trial_index]) is drawn
+    once, in a fixed order: symbols, unit-power channel taps (unit_pdp is
+    the delay profile at unit channel power), one unit-variance Wiener walk
+    per transmit oscillator plus one for the receiver, the SOI, then the
+    noise.  Returns (symbols, taps, walks, soi, noise), with the walks
+    listed transmitters first, receiver last.
+    """
+    n = config.n_subcarriers
+    rng = np.random.default_rng([config.master_seed, trial_index])
+    symbols = gen_bpsk_symbols(n, config.symbol_power, rng)
+    taps = gen_si_channel(config.n_tx, config.n_taps, unit_pdp, rng)
+    n_osc = config.n_tx if config.oscillator_mode == "per-antenna" else 1
+    walks = [gen_wiener_phase(n, 1.0, rng) for _ in range(n_osc + 1)]
+    soi = gen_awgn(n, 1.0, rng)
+    noise = gen_awgn(n, NOISE_POWER, rng)
+    return symbols, taps, walks, soi, noise
+
+
+def _run_chunk(
     scenarios: Sequence[Scenario],
-    trial_index: int,
+    trials: Sequence[int],
     variable: str,
     tables: dict[float, PnCovarianceTable],
     unit_pdp: np.ndarray,
-) -> list[TrialResult]:
-    """One trial at every sweep point, all points on one realization.
+) -> np.ndarray:
+    """A chunk of trials at every sweep point, as one batch.
 
     The scenarios differ only in the swept field; tables maps each of their
-    delta_f values to its phase-noise table, and unit_pdp is the delay
-    profile at unit channel power.  The trial's stream
-    default_rng([master_seed, trial_index]) is drawn once at unit scale:
-    symbols, unit-power channel taps, one unit-variance Wiener walk per
-    transmit oscillator plus one for the receiver, the SOI, then the noise.
-    Each point only rescales that realization: the channel power scales the
-    SI, the SOI power scales the SOI, and the phase-noise bandwidth scales
-    the walks.  The channel outputs and the symbols' sample covariance are
-    built once per trial, the SI vector and the SI covariance decomposition
-    once per distinct delta_f, and the points that share a delta_f run
-    through both cancellers as one block.
+    delta_f values to its phase-noise table.  Each trial draws its own
+    realization (_run_trial), and each point only rescales it: the channel
+    power scales the SI, the SOI power scales the SOI, and the phase-noise
+    bandwidth scales the walks.  The channel outputs and the symbols'
+    sample covariances are built once per chunk, the SI vectors and the SI
+    covariance decompositions once per distinct delta_f, and the points
+    that share a delta_f run through both cancellers as one block.
+
+    Returns residual powers of shape (2, 2, P, B): [m, 0] the empirical and
+    [m, 1] the theoretical residual of method _METHODS[m], at point p in
+    the chunk's trial b.  A failure names its trial and point.
     """
     cfg = scenarios[0].config
-    n = cfg.n_subcarriers
-    rng = np.random.default_rng([cfg.master_seed, trial_index])
-    symbols = gen_bpsk_symbols(n, cfg.symbol_power, rng)
-    taps = gen_si_channel(cfg.n_tx, cfg.n_taps, unit_pdp, rng)
-    n_osc = cfg.n_tx if cfg.oscillator_mode == "per-antenna" else 1
-    walks = np.stack(
-        [gen_wiener_phase(n, 1.0, rng) for _ in range(n_osc + 1)]
-    )
-    soi = gen_awgn(n, 1.0, rng)
-    noise = gen_awgn(n, NOISE_POWER, rng)
+    draws = [_run_trial(cfg, trial, unit_pdp) for trial in trials]
+    symbols, taps, walks, soi, noise = (np.array(part) for part in zip(*draws))
 
     groups: dict[float, list[int]] = {}
     for index, scenario in enumerate(scenarios):
         groups.setdefault(scenario.config.delta_f, []).append(index)
-    results: list[TrialResult] = [None] * len(scenarios)
+    residuals = np.empty((len(_METHODS), 2, len(scenarios), len(trials)))
     # a failure before the first block names the first point
     group = next(iter(groups.values()))
     try:
@@ -256,21 +293,20 @@ def _run_trial(
         for delta_f, group in groups.items():
             pn = tables[delta_f]
             phases = np.sqrt(pn.increment_variance) * walks
-            si = synthesize_received(outputs, phases[:-1], phases[-1])
+            si = synthesize_received(outputs, phases[:, :-1], phases[:, -1])
             spectrum = si_spectrum(si_covariance(stats, pn), symbols, cfg.n_taps)
-            block = _run_block(
+            residuals[:, :, group] = _run_block(
                 [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )
-            for index, result in zip(group, block):
-                results[index] = result
     except Exception as exc:
-        # a failure tied to one point of a block names that point
+        # a failure tied to one trial or point of a block names it
+        trial = trials[getattr(exc, "trial", None) or 0]
         point = scenarios[group[getattr(exc, "point", None) or 0]].config
         value = getattr(point, _SWEEP_FIELDS[variable])
         raise type(exc)(
-            f"trial {trial_index} at {variable}={value!r} failed: {exc}"
+            f"trial {trial} at {variable}={value!r} failed: {exc}"
         ) from exc
-    return results
+    return residuals
 
 
 def _run_block(
@@ -280,16 +316,19 @@ def _run_block(
     unit_soi: np.ndarray,
     noise: np.ndarray,
     spectrum: SiSpectrum,
-) -> list[TrialResult]:
-    """Both cancellers at every point that shares the spectrum's delta_f.
+) -> np.ndarray:
+    """Both cancellers at every point that shares the spectrum's delta_f,
+    in every trial of the chunk.
 
-    Column p of the N x P received block is point p's received vector, so
-    each canceller and each residual power is one block operation.
+    Column p of trial b's N x P received block is point p's received
+    vector, so each canceller and each residual power is one operation on
+    the (B, N, P) stack.  Returns the (2, 2, P, B) residual powers laid out
+    as _run_chunk returns them.
     """
     scale = np.array([point.channel_power for point in points])
     soi_power = np.array([point.soi_power for point in points])
-    soi = unit_soi[:, None] * np.sqrt(soi_power)
-    received = unit_si[:, None] * np.sqrt(scale) + soi + noise[:, None]
+    soi = unit_soi[:, :, None] * np.sqrt(soi_power)
+    received = unit_si[:, :, None] * np.sqrt(scale) + soi + noise[:, :, None]
 
     # The optimal method subtracts the weighted estimate directly; the LS
     # baseline reconstructs from its tap estimate.
@@ -298,25 +337,16 @@ def _run_block(
     taps_ls = ls_estimate(received, symbols, spectrum.n_taps)
     residual_ls = cancel(received, reconstruct_si(symbols, taps_ls)) - soi
     theo_ls = ls_residual_power(spectrum, scale, NOISE_POWER, soi_power)
-    columns = zip(
-        points,
-        _column_power(residual_opt),
-        weights.residual_power,
-        _column_power(residual_ls),
-        theo_ls,
-    )
-    return [
-        TrialResult(
-            optimal=_report("optimal", emp_opt, theo_opt, point),
-            ls=_report("ls", emp_ls, theo, point),
-        )
-        for point, emp_opt, theo_opt, emp_ls, theo in columns
-    ]
+    residuals = np.array([
+        [_column_power(residual_ls), theo_ls],
+        [_column_power(residual_opt), weights.residual_power],
+    ])
+    return residuals.swapaxes(-1, -2)
 
 
 def _column_power(block: np.ndarray) -> np.ndarray:
-    """Power sum_n |block[n, p]|^2 of each column."""
-    return (block.real**2 + block.imag**2).sum(axis=0)
+    """Power sum_n |block[..., n, p]|^2 of each column."""
+    return (block.real**2 + block.imag**2).sum(axis=-2)
 
 
 def _report(
@@ -342,14 +372,19 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial: both methods on the identical realization."""
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
-    scenarios = [Scenario.from_config(config)]
-    return _run_trial(
-        scenarios,
-        trial_index,
+    scenario = Scenario.from_config(config)
+    residuals = _run_chunk(
+        [scenario],
+        [trial_index],
         "inr",
-        _pn_tables(scenarios),
+        _pn_tables([scenario]),
         pdp_profile(config, 1.0),
-    )[0]
+    )[:, :, 0, 0]
+    reports = {
+        method: _report(method, *residuals[m], scenario)
+        for m, method in enumerate(_METHODS)
+    }
+    return TrialResult(**reports)
 
 
 @dataclass(frozen=True)
@@ -373,13 +408,19 @@ def sweep(
 
     Every sweep point runs config.n_trials trials.  Trial t draws one
     realization from a stream that depends only on (master_seed, t), and
-    every point rescales that same realization, so points are paired.
-    Records come back sorted by (value, method).
+    every point rescales that same realization, so points are paired.  The
+    trials run in chunks of _chunk_size(config).  Records come back sorted
+    by (value, method).  A repeated value raises ValueError.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
     if len(values) == 0:
         raise ValueError("values must be non-empty")
+    seen = set()
+    for value in map(float, values):
+        if value in seen:
+            raise ValueError(f"sweep value {value!r} appears more than once")
+        seen.add(value)
     field = _SWEEP_FIELDS[variable]
     scenarios = [
         Scenario.from_config(replace(config, **{field: float(value)}))
@@ -387,15 +428,18 @@ def sweep(
     ]
     tables = _pn_tables(scenarios)
     unit_pdp = pdp_profile(config, 1.0)
-    trials = [
-        _run_trial(scenarios, trial, variable, tables, unit_pdp)
-        for trial in range(config.n_trials)
+    chunk = _chunk_size(config)
+    residuals = np.empty((len(_METHODS), 2, len(scenarios), config.n_trials))
+    for start in range(0, config.n_trials, chunk):
+        stop = min(start + chunk, config.n_trials)
+        residuals[..., start:stop] = _run_chunk(
+            scenarios, range(start, stop), variable, tables, unit_pdp
+        )
+    records = [
+        _aggregate(variable, value, method, *residuals[m, :, point], scenario)
+        for point, (value, scenario) in enumerate(zip(values, scenarios))
+        for m, method in enumerate(_METHODS)
     ]
-    records = []
-    for point, (value, scenario) in enumerate(zip(values, scenarios)):
-        for method in ("ls", "optimal"):
-            reports = [getattr(trial[point], method) for trial in trials]
-            records.append(_aggregate(variable, value, method, reports, scenario))
     records.sort(key=lambda record: (record.value, record.method))
     return records
 
@@ -404,21 +448,24 @@ def _aggregate(
     variable: str,
     value: float,
     method: str,
-    reports: list[CancellationReport],
+    empirical: np.ndarray,
+    theoretical: np.ndarray,
     scenario: Scenario,
 ) -> SweepRecord:
-    empirical = np.array([r.residual_power_empirical for r in reports])
-    abilities = np.array([r.ability_db for r in reports])
+    """One (value, method) cell from its per-trial residual powers."""
     resid_mean = float(empirical.mean())
     g_emp = cancellation_ability(
         scenario.si_power, scenario.noise_floor, resid_mean
     )
-    theo_mean = float(np.mean([r.residual_power_theoretical for r in reports]))
     g_theo = cancellation_ability(
-        scenario.si_power, scenario.noise_floor, theo_mean
+        scenario.si_power, scenario.noise_floor, float(theoretical.mean())
     )
-    if len(reports) > 1:
-        ci = float(1.96 * abilities.std(ddof=1) / np.sqrt(len(reports)))
+    trials = empirical.size
+    if trials > 1:
+        abilities = cancellation_ability(
+            scenario.si_power, scenario.noise_floor, empirical
+        )
+        ci = float(1.96 * abilities.std(ddof=1) / np.sqrt(trials))
     else:
         ci = 0.0
     return SweepRecord(
@@ -428,7 +475,7 @@ def _aggregate(
         g_empirical_db=g_emp,
         g_theoretical_db=g_theo,
         residual_power_mean=resid_mean,
-        trials=len(reports),
+        trials=trials,
         ci_halfwidth_db=ci,
     )
 

@@ -145,17 +145,18 @@ def channel_outputs(freq_symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:
     taps has one row of channel taps per transmit antenna.  The outputs do
     not depend on the oscillators, so one set serves every phase-noise
     bandwidth of a trial (see synthesize_received).  They are linear in the
-    taps, so scaling them by c scales the result by c.
+    taps, so scaling them by c scales the result by c.  (B, N) symbols with
+    (B, n_tx, L) taps give the (B, n_tx, N) outputs of B trials.
     """
     symbols = np.asarray(freq_symbols, dtype=np.complex128)
-    n = symbols.size
-    _, n_taps = np.shape(taps)
+    n = symbols.shape[-1]
+    n_taps = np.shape(taps)[-1]
     if n == 0:
         raise ValueError("freq_symbols must be non-empty")
     if n_taps > n:
         raise ValueError("channel longer than the symbol body")
-    response = np.fft.fft(taps, n=n, axis=1)
-    return np.fft.ifft(symbols[None, :] * response, axis=1)
+    response = np.fft.fft(taps, n=n, axis=-1)
+    return np.fft.ifft(symbols[..., None, :] * response, axis=-1)
 
 
 def synthesize_received(
@@ -169,18 +170,25 @@ def synthesize_received(
     row per transmit antenna.  tx_phases holds one phase trace per transmit
     antenna, or a single trace that is shared by all antennas
     (shared-oscillator mode).  Trace lengths must equal the symbol body
-    length.
+    length.  For B trials, outputs is (B, n_tx, N), tx_phases (B, 1, N) or
+    (B, n_tx, N) and rx_phases (B, N), and the result is (B, N).
     """
-    n_tx, n = np.shape(outputs)
-    if len(tx_phases) not in (1, n_tx):
+    outputs = np.asarray(outputs)
+    tx_phases = np.asarray(tx_phases, dtype=np.float64)
+    rx_phases = np.asarray(rx_phases, dtype=np.float64)
+    *batch, n_tx, n = outputs.shape
+    if tx_phases.ndim != outputs.ndim or tx_phases.shape[-2] not in (1, n_tx):
         raise ValueError(
-            f"need 1 or {n_tx} transmit traces, got {len(tx_phases)}"
+            f"need 1 or {n_tx} transmit traces, got shape {tx_phases.shape}"
         )
-    for phases in (*tx_phases, rx_phases):
-        if np.shape(phases) != (n,):
-            raise ValueError("phase trace length must equal the symbol body")
+    if (
+        tx_phases.shape[:-2] != tuple(batch)
+        or tx_phases.shape[-1] != n
+        or rx_phases.shape != (*batch, n)
+    ):
+        raise ValueError("phase trace length must equal the symbol body")
 
     # The oscillator rotation at the receive instants; broadcasting covers
     # the shared-trace case.
-    rotation = np.exp(1j * (np.stack(tx_phases) + rx_phases))
-    return np.fft.fft((rotation * outputs).sum(axis=0))
+    rotation = np.exp(1j * (tx_phases + rx_phases[..., None, :]))
+    return np.fft.fft((rotation * outputs).sum(axis=-2))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -63,10 +64,19 @@ def test_config_defaults_describe_reference_node():
         dict(symbol_power=0.0),
         dict(n_trials=0),
         dict(master_seed=-1),
+        # non-finite values fail up front, not deep inside a trial
+        *(
+            pytest.param({name: value}, id=f"{name}-{value}")
+            for name in ("inr_db", "snr_db", "delta_f", "symbol_power", "pdp_decay")
+            for value in (math.nan, math.inf)
+        ),
+        pytest.param(dict(inr_db=-math.inf), id="inr_db-minus-inf"),
     ],
 )
 def test_config_rejects_bad_values(overrides):
-    with pytest.raises(ValueError):
+    # the message names the offending field
+    (name,) = overrides
+    with pytest.raises(ValueError, match=name):
         SimConfig(**overrides)
 
 
@@ -201,6 +211,37 @@ def test_failure_inside_a_block_names_its_point(monkeypatch):
         sweep(SimConfig(**SMALL), "snr", [0.0, 10.0, 20.0])
 
 
+def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
+    # all five trials run as one chunk, their B*P shifted tridiagonals in
+    # one solve; only trial 3's second point fails to factor
+    config = SimConfig(**{**SMALL, "n_trials": 5})
+    assert harness._chunk_size(config) == 5
+    original = harness.spectral_weights
+
+    def broken(spectrum, scale, noise_power, soi_power):
+        weights = original(spectrum, scale, noise_power, soi_power)
+        n = spectrum.eigenvalues.shape[-1]
+        weights.received_diagonal[(3 * scale.size + 1) * n] = -1.0
+        return weights
+
+    monkeypatch.setattr(harness, "spectral_weights", broken)
+    with pytest.raises(
+        SingularMatrixError, match="trial 3 at snr=10.0 failed: received"
+    ):
+        sweep(config, "snr", [0.0, 10.0, 20.0])
+
+    # the eigenvalue check before the solve names the trial too
+    def indefinite_trial(spectrum, scale, noise_power, soi_power):
+        spectrum.eigenvalues[3] = -1e12
+        return original(spectrum, scale, noise_power, soi_power)
+
+    monkeypatch.setattr(harness, "spectral_weights", indefinite_trial)
+    with pytest.raises(
+        SingularMatrixError, match="trial 3 at snr=0.0 failed: received"
+    ):
+        sweep(config, "snr", [0.0, 10.0, 20.0])
+
+
 def test_run_trial_ls_floor_without_phase_noise():
     # perfect oscillators: the LS residual is exactly the out-of-span noise
     # plus the SOI it forwards, (N - L) * noise + L * soi
@@ -247,19 +288,26 @@ def test_sweep_pairs_trials_across_points():
 def test_sweep_draws_one_realization_per_trial(monkeypatch, mode):
     # INR points rescale one synthesis and one covariance per trial; each
     # delta_f point needs its own.  The walks are drawn once per trial.
+    # Synthesis and covariance run once per chunk of trials, so each call
+    # counts the trials it covers: the leading axes of its (..., N) SI
+    # vectors or (..., N, N) covariances.
     calls = {}
 
-    def counted(name):
+    def counted(name, core_ndim):
         original = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            covered = int(np.prod(np.shape(result)[: np.ndim(result) - core_ndim]))
+            calls[name] = calls.get(name, 0) + covered
+            return result
 
         monkeypatch.setattr(harness, name, wrapper)
 
-    for name in ("synthesize_received", "si_covariance", "gen_wiener_phase"):
-        counted(name)
+    counted("synthesize_received", 1)
+    counted("si_covariance", 2)
+    # one walk per call
+    counted("gen_wiener_phase", 1)
     config = SimConfig(**SMALL, oscillator_mode=mode)
     n_osc = config.n_tx if mode == "per-antenna" else 1
     for variable, values, per_trial in (
@@ -273,6 +321,58 @@ def test_sweep_draws_one_realization_per_trial(monkeypatch, mode):
             "si_covariance": per_trial * config.n_trials,
             "gen_wiener_phase": (n_osc + 1) * config.n_trials,
         }
+
+
+@pytest.mark.parametrize("mode", ["per-antenna", "shared"])
+@pytest.mark.parametrize(
+    "variable, values",
+    [("inr", [20.0, 50.0]), ("snr", [0.0, 10.0, 20.0]), ("delta_f", [1e-4, 1e-2])],
+)
+def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, values):
+    # The determinism contract: trial t's cells are bit-identical whether it
+    # runs alone, first or last in a chunk, or in a chunk cut short by
+    # n_trials.  40 fast-profile trials run as chunks of 32 and 8.
+    config = dataclasses.replace(
+        SimConfig().fast(), n_trials=40, oscillator_mode=mode
+    )
+    assert harness._chunk_size(config) == 32
+    chunks = []
+    original = harness._run_chunk
+
+    def recorded(scenarios, trials, *args):
+        cells = original(scenarios, trials, *args)
+        chunks.append((list(trials), cells))
+        return cells
+
+    monkeypatch.setattr(harness, "_run_chunk", recorded)
+    records = sweep(config, variable, values)
+    assert [trials for trials, _ in chunks] == [list(range(32)), list(range(32, 40))]
+    swept = np.concatenate([cells for _, cells in chunks], axis=-1)
+
+    field = harness._SWEEP_FIELDS[variable]
+    scenarios = [
+        Scenario.from_config(dataclasses.replace(config, **{field: value}))
+        for value in values
+    ]
+    args = (variable, harness._pn_tables(scenarios), pdp_profile(config, 1.0))
+    for trial in (0, 1, 31, 32, 39):
+        alone = original(scenarios, [trial], *args)[..., 0]
+        first = original(scenarios, range(trial, trial + 4), *args)[..., 0]
+        last = original(scenarios, range(max(trial - 3, 0), trial + 1), *args)
+        for cells in (swept[..., trial], first, last[..., -1]):
+            np.testing.assert_array_equal(cells, alone)
+        if variable == "delta_f":
+            # every point is a block of its own, as in run_trial
+            for p, value in enumerate(values):
+                result = run_trial(scenarios[p].config, trial)
+                assert result.ls.residual_power_empirical == alone[0, 0, p]
+                assert result.optimal.residual_power_empirical == alone[1, 0, p]
+                assert result.optimal.residual_power_theoretical == alone[1, 1, p]
+    # the records aggregate exactly these cells
+    for record in records:
+        p = values.index(record.value)
+        m = harness._METHODS.index(record.method)
+        assert record.residual_power_mean == float(swept[m, 0, p].mean())
 
 
 def test_sweep_builds_one_pn_table_per_delta_f(monkeypatch):
@@ -426,6 +526,15 @@ def test_sweep_validation():
         sweep(config, "bandwidth", [1.0])
     with pytest.raises(ValueError):
         sweep(config, "inr", [])
+
+
+def test_sweep_rejects_repeated_values():
+    # a repeated value would write every (value, method) row twice
+    config = SimConfig(**SMALL)
+    with pytest.raises(ValueError, match="sweep value 20.0 appears more than once"):
+        sweep(config, "inr", [20.0, 30.0, 20])
+    with pytest.raises(ValueError, match="0.001"):
+        sweep(config, "delta_f", [1e-3, 1e-3])
 
 
 def test_single_trial_sweep_has_zero_interval():
