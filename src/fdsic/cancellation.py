@@ -55,29 +55,15 @@ def si_power(
 
 
 def cancellation_ability(
-    si_power: float, noise_floor: float, residual_power: float | np.ndarray
-) -> float | np.ndarray:
+    si_power: float, noise_floor: float, residual_power: float
+) -> float:
     """Cancellation ability 10 log10((si_power + noise_floor) / residual) in
-    dB; +inf when the residual is not positive.
-
-    An array of residual powers gives an array of abilities.  Each entry
-    goes through math.log10, as a scalar does: numpy's vectorized log10 may
-    differ from it in the last bit, and an array must give the bits of its
-    entries taken one at a time.
-    """
+    dB; +inf when the residual is not positive."""
     if si_power < 0.0 or noise_floor < 0.0:
         raise ValueError("powers must be non-negative")
-    if np.ndim(residual_power) == 0:
-        if residual_power <= 0.0:
-            return math.inf
-        return 10.0 * math.log10((si_power + noise_floor) / residual_power)
-    residual = np.asarray(residual_power, dtype=np.float64)
-    ratio = np.full(residual.shape, math.inf)
-    np.divide(
-        si_power + noise_floor, residual, out=ratio, where=~(residual <= 0.0)
-    )
-    logs = np.fromiter(map(math.log10, ratio.ravel().tolist()), np.float64)
-    return 10.0 * logs.reshape(residual.shape)
+    if residual_power <= 0.0:
+        return math.inf
+    return 10.0 * math.log10((si_power + noise_floor) / residual_power)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ logger = logging.getLogger(__name__)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A covariance that must be positive definite failed to factor.
+    """A covariance that must be positive definite failed to factor, or
+    its tridiagonal eigenvalue iteration did not converge.
 
     point is the index of the failing operating point within a block of
     points and trial its row in a batch of trials; either is None when the
@@ -172,7 +173,11 @@ def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
     power = np.abs(symbols) ** 2
     low, high = power.min(axis=-1), power.max(axis=-1)
     if np.any(low == 0.0):
-        raise SingularMatrixError("LS normal equations are singular")
+        # a batch names the first trial with a zero symbol
+        raise SingularMatrixError(
+            "LS normal equations are singular",
+            trial=int(np.argmax(low.ravel() == 0.0)) if low.ndim else None,
+        )
     mean = power.sum(axis=-1) / power.shape[-1]
     if np.any(np.maximum(high - mean, mean - low) > 1e-12 * mean):
         raise ValueError("LS needs constant-modulus symbols")
@@ -258,7 +263,10 @@ def si_spectrum(
             diagonal[trial], off_diagonal[trial] if n > 1 else np.zeros(1)
         )
         if info != 0:
-            raise np.linalg.LinAlgError(f"dsterf did not converge (info={info})")
+            raise SingularMatrixError(
+                f"dsterf did not converge (info={info})",
+                trial=int(np.ravel_multi_index(trial, batch)) if batch else None,
+            )
     captured = (basis.conj() * product).real.sum(axis=(-2, -1)) / (n * power)
     leakage = np.trace(si_cov, axis1=-2, axis2=-1).real - captured
     return SiSpectrum(

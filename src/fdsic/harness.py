@@ -272,7 +272,8 @@ def _run_chunk(
 
     Returns residual powers of shape (2, 2, P, B): [m, 0] the empirical and
     [m, 1] the theoretical residual of method _METHODS[m], at point p in
-    the chunk's trial b.  A failure names its trial and point.
+    the chunk's trial b.  A failure names its trial and point, or the
+    chunk's range of trials when no trial fails alone.
     """
     cfg = scenarios[0].config
     draws = [_run_trial(cfg, trial, unit_pdp) for trial in trials]
@@ -300,12 +301,19 @@ def _run_chunk(
             )
     except Exception as exc:
         # a failure tied to one trial or point of a block names it
-        trial = trials[getattr(exc, "trial", None) or 0]
+        row = getattr(exc, "trial", None)
+        if row is not None or len(trials) == 1:
+            which = f"trial {trials[row or 0]}"
+        else:
+            # Tied to no trial: a trial's numbers do not depend on its
+            # chunk, so the first trial that fails alone raises its own
+            # error; if none does, name the chunk's range.
+            for trial in trials:
+                _run_chunk(scenarios, [trial], variable, tables, unit_pdp)
+            which = f"trials {trials[0]}-{trials[-1]}"
         point = scenarios[group[getattr(exc, "point", None) or 0]].config
         value = getattr(point, _SWEEP_FIELDS[variable])
-        raise type(exc)(
-            f"trial {trial} at {variable}={value!r} failed: {exc}"
-        ) from exc
+        raise type(exc)(f"{which} at {variable}={value!r} failed: {exc}") from exc
     return residuals
 
 
@@ -462,8 +470,11 @@ def _aggregate(
     )
     trials = empirical.size
     if trials > 1:
-        abilities = cancellation_ability(
-            scenario.si_power, scenario.noise_floor, empirical
+        abilities = np.array(
+            [
+                cancellation_ability(scenario.si_power, scenario.noise_floor, r)
+                for r in empirical.tolist()
+            ]
         )
         ci = float(1.96 * abilities.std(ddof=1) / np.sqrt(trials))
     else:

@@ -159,17 +159,3 @@ def test_cancellation_ability_known_ratio():
     with pytest.raises(ValueError):
         cancellation_ability(-1.0, 0.0, 1.0)
 
-
-
-def test_cancellation_ability_of_an_array_matches_each_scalar():
-    # a sweep takes per-trial abilities from an array of residuals; every
-    # entry must carry the bits of the scalar call (numpy's vectorized
-    # log10 can differ from math.log10 in the last bit)
-    rng = np.random.default_rng(3)
-    residuals = np.exp(rng.uniform(-20.0, 20.0, (7, 50)))
-    residuals[0, :3] = (0.0, -1.0, np.nan)
-    abilities = cancellation_ability(990.0, 10.0, residuals)
-    assert abilities.shape == residuals.shape
-    expected = [cancellation_ability(990.0, 10.0, r) for r in residuals.ravel()]
-    np.testing.assert_array_equal(abilities.ravel(), expected)
-    assert abilities[0, 0] == abilities[0, 1] == math.inf

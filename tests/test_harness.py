@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fdsic import harness
+from fdsic import estimator, harness
 from fdsic.estimator import (
     EstimatorStatistics,
     SingularMatrixError,
@@ -240,6 +240,68 @@ def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
         SingularMatrixError, match="trial 3 at snr=0.0 failed: received"
     ):
         sweep(config, "snr", [0.0, 10.0, 20.0])
+
+
+def test_untagged_failures_in_a_chunk_name_their_trials(monkeypatch):
+    # the tridiagonal eigenvalue iteration runs trial by trial; when it
+    # fails at trial 3 of a 5-trial chunk, the message names trial 3
+    config = SimConfig(**{**SMALL, "n_trials": 5})
+    assert harness._chunk_size(config) == 5
+    calls = []
+    lapack = estimator.lapack
+
+    class FailingLapack:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        def dsterf(self, diagonal, off_diagonal):
+            calls.append(len(calls))
+            eigenvalues, info = lapack.dsterf(diagonal, off_diagonal)
+            return eigenvalues, 1 if len(calls) == 4 else info
+
+    monkeypatch.setattr(estimator, "lapack", FailingLapack())
+    with pytest.raises(
+        SingularMatrixError, match="trial 3 at snr=0.0 failed: dsterf"
+    ):
+        sweep(config, "snr", [0.0, 10.0])
+    assert len(calls) == 4
+    monkeypatch.setattr(estimator, "lapack", lapack)
+
+    # a failure that carries no trial is traced to the first trial that
+    # fails alone ...
+    marked = {}
+    draw = harness._run_trial
+    outputs = harness.channel_outputs
+
+    def marking_draw(cfg, trial, unit_pdp):
+        draws = draw(cfg, trial, unit_pdp)
+        if trial == 3:
+            marked["taps"] = draws[1]
+        return draws
+
+    def failing_outputs(symbols, taps):
+        if any(np.array_equal(row, marked["taps"]) for row in taps):
+            raise ValueError("synthetic failure")
+        return outputs(symbols, taps)
+
+    monkeypatch.setattr(harness, "_run_trial", marking_draw)
+    monkeypatch.setattr(harness, "channel_outputs", failing_outputs)
+    with pytest.raises(
+        ValueError, match="trial 3 at snr=0.0 failed: synthetic failure"
+    ):
+        sweep(config, "snr", [0.0, 10.0])
+
+    # ... and one that no trial raises alone names the chunk's range
+    def batch_only_failure(symbols, taps):
+        if len(taps) > 1:
+            raise ValueError("synthetic failure")
+        return outputs(symbols, taps)
+
+    monkeypatch.setattr(harness, "channel_outputs", batch_only_failure)
+    with pytest.raises(
+        ValueError, match="trials 0-4 at snr=0.0 failed: synthetic failure"
+    ):
+        sweep(config, "snr", [0.0, 10.0])
 
 
 def test_run_trial_ls_floor_without_phase_noise():
