@@ -104,7 +104,8 @@ def _print_records(records: list[SweepRecord]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "validate":
         results = run_all(fast=args.fast)
@@ -112,16 +113,21 @@ def main(argv: list[str] | None = None) -> int:
             print(result.line())
         return 0 if all(result.passed for result in results) else 1
 
-    config = _load_config(args)
-    if args.command == "single":
-        variable, values = "inr", [config.inr_db]
-    else:
-        variable, defaults = _SWEEP_COMMANDS[args.command]
-        if args.values:
-            values = [float(part) for part in args.values.split(",")]
+    # A setting, sweep value or config file the simulator rejects is a
+    # usage error: argparse reports it and exits with status 2.
+    try:
+        config = _load_config(args)
+        if args.command == "single":
+            variable, values = "inr", [config.inr_db]
         else:
-            values = defaults
-    records = sweep(config, variable, values)
+            variable, defaults = _SWEEP_COMMANDS[args.command]
+            if args.values:
+                values = [float(part) for part in args.values.split(",")]
+            else:
+                values = defaults
+        records = sweep(config, variable, values)
+    except ValueError as exc:
+        parser.error(str(exc))
     _print_records(records)
     out = args.out
     if out is None and args.command != "single":

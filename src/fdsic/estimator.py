@@ -9,13 +9,19 @@ where A is the conditional SI covariance for the known transmit symbols,
 B = A + noise*I and C = B + soi*I.  Its minimizer is
 V = conj(B).T @ inv(C) = I - soi * inv(C).
 
-The simulator reaches it through one spectral engine: A scales with the
-channel power s, A = s * A0, so one Householder tridiagonalization
-A0 = Q T Q^H, with T real tridiagonal, serves every noise, SOI and channel
-power level.  The eigenvalues lam0 of T give both the optimal and the
+The simulator reaches it through one spectral engine that works in the
+sample domain.  A scales with the channel power s, A = s * A0, and with the
+unitary DFT U = F / sqrt(N) the unit-power covariance is A0 = U A_t U^H,
+where A_t = N * n_tx * (K o S) is the entrywise product of the oscillator
+phase correlation kernel K and the symbols' sample covariance S
+(si_covariance).  One Householder tridiagonalization A_t = Q T Q^H, with T
+real tridiagonal, serves every noise, SOI and channel power level.  The
+eigenvalues lam0 of T are those of A0 and give both the optimal and the
 least-squares expected residuals in closed form, and the SI estimate is
-V y = y - soi * Q inv(s*T + (noise + soi)*I) Q^H y.  The engine takes one
-operating point or a block of P of them that share A0: the received
+V y = y - soi * U Q inv(s*T + (noise + soi)*I) Q^H U^H y, where U and U^H
+are one FFT and one inverse FFT.  The subcarrier-domain A0 is never formed
+on this path; fdsic.validation builds it for the oracles.  The engine takes
+one operating point or a block of P of them that share A0: the received
 vectors form the columns of an N x P block, two reflector applications
 transform every column at once, and one real tridiagonal solve (dptsv)
 serves all P points, their shifted tridiagonals stacked along one diagonal
@@ -25,15 +31,15 @@ a trial that shares a phase-noise bandwidth as one such block.
 Every function also takes a leading trial axis.  A batch of B trials, each
 with its own symbols and covariance, runs its elementwise work, FFTs and
 tridiagonal solves as (B, ...) stacks, while the BLAS and LAPACK calls that
-factor or multiply one trial's matrices (zgemm, zhetrd, dsterf, zunmqr) run
-once per trial on that trial's operands alone, so a trial's results do not
-depend on the batch around it.  The simulator runs a chunk of trials as
-one batch.
+factor or multiply one trial's matrices (zgemm, zhemm, zhetrd, dsterf,
+zunmqr) run once per trial on that trial's operands alone, so a trial's
+results do not depend on the batch around it.  The simulator runs a chunk
+of trials as one batch.
 
 The conventional least-squares channel estimator is included as the
-baseline, on a vector or on each column of a block.  The dense Cholesky and
-real-embedded solves that the engine is checked against live in
-fdsic.validation.
+baseline, on a vector or on each column of a block.  The subcarrier-domain
+covariance and the dense Cholesky and real-embedded solves that the engine
+is checked against live in fdsic.validation.
 
 Every BLAS and LAPACK call here goes through scipy.linalg.  The numpy and
 scipy wheels each bundle their own multithreaded OpenBLAS, and alternating
@@ -42,16 +48,12 @@ matrix products themselves.
 """
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from .impairments import PnCovarianceTable
-from .ofdm import dft_matrix
-
-logger = logging.getLogger(__name__)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -77,6 +79,22 @@ def _singular(
     """The error for entry flat of a row-major (batch + points) array."""
     trial, point = divmod(flat, int(np.prod(points, dtype=int)))
     return SingularMatrixError(message, point=point, trial=trial if batch else None)
+
+
+def _shifted_waveforms(symbols: np.ndarray, n_taps: int) -> np.ndarray:
+    """The circular symbol waveform w = ifft(symbols) delayed by each tap,
+    shifted[..., l, n] = w((n - l) mod N), as a C-ordered (..., L, N) array.
+
+    Row l is the time-domain image of column l of the LS basis
+    diag(symbols) F_L: U^H diag(x) F_L = sqrt(N) [w(n - l)] with the
+    unitary DFT U = F / sqrt(N).
+    """
+    n = symbols.shape[-1]
+    waveform = np.fft.ifft(symbols)
+    delays = (np.arange(n)[None, :] - np.arange(n_taps)[:, None]) % n
+    # the gather puts a batch's trial axis innermost; reductions over a
+    # trial's rows must not see the batch around it
+    return np.ascontiguousarray(waveform[..., delays])
 
 
 @dataclass(frozen=True)
@@ -117,9 +135,7 @@ class EstimatorStatistics:
             raise ValueError("pdp entries must be non-negative")
         if self.n_tx < 1:
             raise ValueError("n_tx must be positive")
-        waveform = np.fft.ifft(symbols)
-        taps = np.arange(pdp.size)
-        shifted = waveform[..., (np.arange(n)[None, :] - taps[:, None]) % n]
+        shifted = _shifted_waveforms(symbols, pdp.size)
         weighted = pdp[:, None] * shifted
         sample_covariance = np.empty(symbols.shape + (n,), dtype=np.complex128)
         for trial in np.ndindex(symbols.shape[:-1]):
@@ -134,33 +150,25 @@ class EstimatorStatistics:
 def si_covariance(
     stats: EstimatorStatistics, pn: PnCovarianceTable
 ) -> np.ndarray:
-    """Conditional covariance of the received SI vector given the symbols,
-    for the oscillator statistics pn.
+    """Conditional covariance of the received SI given the symbols, for the
+    oscillator statistics pn, in the sample domain.
 
-    Evaluated in the sample domain: the symbols' sample covariance
-    (stats.sample_covariance, the circular waveform correlated tap by tap
-    against the delay profile) is weighted entrywise by the oscillator phase
-    correlation kernel and transformed back.  This is algebraically
-    identical to the direct fourfold sum of the mixing covariance
-    (fdsic.validation.mixing_covariance) against the symbol outer product
-    and the profile spectrum, but costs O(N^2 log N) per oscillator quality
-    on top of the O(L*N^2) sample covariance.  Channels are independent
-    across antennas, so the result scales linearly with n_tx in both
-    oscillator modes.  A batch of B trials' statistics gives a (B, N, N)
-    stack, one covariance per trial.
+    Returns A_t = N * n_tx * (K o S): the symbols' sample covariance S
+    (stats.sample_covariance) weighted entrywise by the oscillator phase
+    correlation kernel K.  With the unitary DFT U = F / sqrt(N), the
+    subcarrier-domain covariance of the received SI vector is
+    A0 = U A_t U^H, so A_t has A0's eigenvalues and trace, and the spectral
+    engine works on A_t without transforming it.  The product costs O(N^2)
+    per oscillator quality on top of the O(L*N^2) sample covariance.
+    Channels are independent across antennas, so the result scales linearly
+    with n_tx in both oscillator modes.  A batch of B trials' statistics
+    gives a (B, N, N) stack, one covariance per trial.  Its lower triangle
+    defines the Hermitian matrix the engine reads.
     """
     n = stats.symbols.shape[-1]
     if n != pn.n_subcarriers:
         raise ValueError("symbols and covariance table disagree on N")
-    weighted = pn.kernel * stats.sample_covariance * stats.n_tx
-    cov = np.fft.ifft(np.fft.fft(weighted, axis=-2), axis=-1) * n
-    adjoint = cov.conj().swapaxes(-1, -2)
-    tiny = np.finfo(np.float64).tiny
-    scale = np.maximum(np.abs(cov).max(axis=(-2, -1)), tiny)
-    drift = float((np.abs(cov - adjoint).max(axis=(-2, -1)) / scale).max())
-    if drift > 1e-10:
-        logger.warning("SI covariance asymmetry %.3e before symmetrization", drift)
-    return 0.5 * (cov + adjoint)
+    return pn.kernel * stats.sample_covariance * (n * stats.n_tx)
 
 
 def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
@@ -185,30 +193,28 @@ def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _shape_constants(n: int, n_taps: int) -> tuple[np.ndarray, int]:
-    """The partial DFT basis F_L and zhetrd's workspace size for an N x N
-    covariance: constants of a sweep, computed once per shape.  The basis is
-    shared, so it is read-only."""
-    dft = dft_matrix(n, n_taps)
-    dft.flags.writeable = False
+def _hetrd_lwork(n: int) -> int:
+    """zhetrd's workspace size for an N x N covariance, a constant of a
+    sweep computed once per N."""
     lwork, _ = lapack.zhetrd_lwork(n, lower=1)
-    return dft, int(lwork.real)
+    return int(lwork.real)
 
 
 @dataclass(frozen=True)
 class SiSpectrum:
-    """Tridiagonal form A0 = Q T Q^H of the SI covariance at unit channel
-    power, the eigenvalues of T (and of A0) in ascending order, and the SI
-    power per unit channel power that the least-squares reconstruction
-    leaves behind, tr{(I - P) A0}, with P the projector onto the span of the
-    known symbols.
+    """Tridiagonal form A_t = Q T Q^H of the sample-domain SI covariance at
+    unit channel power, the eigenvalues of T (and of A_t and A0) in
+    ascending order, and the SI power per unit channel power that the
+    least-squares reconstruction leaves behind, tr{(I - P) A0}, with P the
+    projector onto the span of the known symbols.
 
     T has the real diagonal `diagonal` and the N - 1 entries of its
     off-diagonal `off_diagonal`.  Q = diag(1, Q1) with Q1 the product of the
     N - 1 Householder reflectors that LAPACK's zhetrd packs below the
     subdiagonal, kept in the QR layout zunmqr applies (`reflectors`,
-    `tau`).  At N = 1, T is a single entry, Q = I and there are no
-    reflectors.  The spectrum of a batch of B trials carries a leading
+    `tau`).  The subcarrier-domain covariance is A0 = (U Q) T (U Q)^H with
+    the unitary DFT U.  At N = 1, T is a single entry, Q = I and there are
+    no reflectors.  The spectrum of a batch of B trials carries a leading
     trial axis on every array, and ls_leakage is then a length-B vector.
     """
 
@@ -224,15 +230,18 @@ class SiSpectrum:
 def si_spectrum(
     si_cov: np.ndarray, symbols: np.ndarray, n_taps: int
 ) -> SiSpectrum:
-    """Tridiagonalize a unit-channel-power SI covariance once, for every
-    operating point that shares its symbols, oscillator statistics and delay
-    profile.
+    """Tridiagonalize a unit-channel-power sample-domain SI covariance A_t
+    (si_covariance) once, for every operating point that shares its
+    symbols, oscillator statistics and delay profile.
 
-    The LS projector P = Bb (Bb^H Bb)^-1 Bb^H onto the columns b_l of the
-    N x L basis Bb = diag(symbols) F_L has Gram N*p*I for constant-modulus
-    symbols of power p, so tr{P A0} = Re sum_l b_l^H A0 b_l / (N*p) without
-    forming P.  A (B, N, N) stack of covariances with (B, N) symbols gives
-    the spectra of B trials, one zgemm, zhetrd and dsterf per trial.
+    zhetrd reads only the lower triangle of A_t.  The LS projector
+    P = Bb (Bb^H Bb)^-1 Bb^H onto the columns b_l of the N x L basis
+    Bb = diag(symbols) F_L has Gram N*p*I for constant-modulus symbols of
+    power p, and U^H b_l = sqrt(N) w_l with w_l(n) = w(n - l) the delayed
+    symbol waveform, so tr{P A0} = Re sum_l w_l^H A_t w_l / p without
+    forming P or A0.  One zhemm on the same lower triangle forms A_t w_l.
+    A (B, N, N) stack of covariances with (B, N) symbols gives the spectra
+    of B trials, one zhemm, zhetrd and dsterf per trial.
     """
     si_cov = np.asarray(si_cov, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
@@ -241,9 +250,11 @@ def si_spectrum(
         raise ValueError("si_cov must be N x N for N symbols")
     batch = symbols.shape[:-1]
     power = _constant_modulus_power(symbols)
-    dft, lwork = _shape_constants(n, n_taps)
-    basis = symbols[..., :, None] * dft
-    product = np.empty(basis.shape, dtype=np.complex128)
+    lwork = _hetrd_lwork(n)
+    shifted = _shifted_waveforms(symbols, n_taps)
+    # A_t w_l as rows, C-ordered like shifted, so that the capture's
+    # reduction runs in the same order whatever the batch around a trial
+    product = np.empty(shifted.shape, dtype=np.complex128)
     diagonal = np.empty(batch + (n,))
     eigenvalues = np.empty(batch + (n,))
     off_diagonal = np.empty(batch + (n - 1,))
@@ -252,7 +263,10 @@ def si_spectrum(
     reflectors = np.empty(batch + (n - 1, n - 1), dtype=np.complex128)
     reflectors = reflectors.swapaxes(-1, -2)
     for trial in np.ndindex(batch):
-        product[trial] = blas.zgemm(1.0, si_cov[trial], basis[trial])
+        # shifted[trial].T is the Fortran-ordered N x L operand
+        product[trial] = blas.zhemm(
+            1.0, si_cov[trial], shifted[trial].T, lower=1
+        ).T
         packed, diagonal[trial], off, tau[trial], _ = lapack.zhetrd(
             si_cov[trial], lower=1, lwork=lwork
         )
@@ -267,7 +281,7 @@ def si_spectrum(
                 f"dsterf did not converge (info={info})",
                 trial=int(np.ravel_multi_index(trial, batch)) if batch else None,
             )
-    captured = (basis.conj() * product).real.sum(axis=(-2, -1)) / (n * power)
+    captured = (shifted.conj() * product).real.sum(axis=(-2, -1)) / power
     leakage = np.trace(si_cov, axis1=-2, axis2=-1).real - captured
     return SiSpectrum(
         eigenvalues=eigenvalues,
@@ -305,7 +319,9 @@ class SpectralWeights:
     each point of a block of P points that share the spectrum.
 
     Each point's C is held as the tridiagonal C' = scale*T + (noise + soi)*I
-    of C = Q C' Q^H.  A block stacks the P tridiagonals along one diagonal of
+    of C = (U Q) C' (U Q)^H, with U the unitary DFT that takes the sample
+    domain of the spectrum to the subcarrier domain of the received
+    vectors.  A block stacks the P tridiagonals along one diagonal of
     length P*N with zero off-diagonal entries between them, so each factors
     exactly as it would alone; a batch of B trials stacks all B*P of them,
     trial after trial.  soi_power is a scalar or a length-P vector, gains
@@ -322,7 +338,9 @@ class SpectralWeights:
     residual_power: float | np.ndarray
 
     def estimate(self, received: np.ndarray) -> np.ndarray:
-        """The SI estimate V @ received, in O(N^2) per point.
+        """The SI estimate V @ received, in O(N^2) per point: one inverse
+        FFT into the sample domain, the reflectors and the tridiagonal
+        solve there, and one FFT back, along the subcarrier axis.
 
         received is the (N,) received vector at one operating point, or the
         (N, P) block whose column p is received at point p; for a batch of
@@ -336,11 +354,14 @@ class SpectralWeights:
         shape = batch + (n,) + self.soi_power.shape
         if received.shape != shape:
             raise ValueError(f"received must have shape {shape}")
-        rotated = _apply_q(self.spectrum, received, "C")
+        # U^H received = sqrt(N) ifft(received) and U z = fft(z) / sqrt(N),
+        # so inv(C) received = fft(Q inv(C') Q^H ifft(received))
+        axis = len(batch)
+        rotated = _apply_q(self.spectrum, np.fft.ifft(received, axis=axis), "C")
         # trial after trial and point after point, as the stacked
         # tridiagonals are; C' is real, so it solves the real and imaginary
         # parts together
-        stacked = np.moveaxis(rotated, len(batch), -1)
+        stacked = np.moveaxis(rotated, axis, -1)
         flat = stacked.ravel()
         _, _, solved, info = lapack.dptsv(
             self.received_diagonal,
@@ -354,9 +375,10 @@ class SpectralWeights:
             )
         back = np.moveaxis(
             (solved[:, 0] + 1j * solved[:, 1]).reshape(stacked.shape),
-            -1, len(batch),
+            -1, axis,
         )
-        return received - self.soi_power * _apply_q(self.spectrum, back, "N")
+        solved_si = np.fft.fft(_apply_q(self.spectrum, back, "N"), axis=axis)
+        return received - self.soi_power * solved_si
 
 
 def spectral_weights(

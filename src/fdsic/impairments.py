@@ -159,6 +159,14 @@ def channel_outputs(freq_symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.fft.ifft(symbols[..., None, :] * response, axis=-1)
 
 
+def unit_rotation(phases: np.ndarray) -> np.ndarray:
+    """exp(j*phases), written as cos and sin into one complex array."""
+    rotation = np.empty(phases.shape, dtype=np.complex128)
+    np.cos(phases, out=rotation.real)
+    np.sin(phases, out=rotation.imag)
+    return rotation
+
+
 def synthesize_received(
     outputs: np.ndarray,
     tx_phases: Sequence[np.ndarray],
@@ -190,5 +198,5 @@ def synthesize_received(
 
     # The oscillator rotation at the receive instants; broadcasting covers
     # the shared-trace case.
-    rotation = np.exp(1j * (tx_phases + rx_phases[..., None, :]))
+    rotation = unit_rotation(tx_phases + rx_phases[..., None, :])
     return np.fft.fft((rotation * outputs).sum(axis=-2))

@@ -10,11 +10,12 @@ sample-domain reference applies the transmit phase before the channel, in
 its physical order, and measures the error of the model's ordering.
 
 The module also holds the dense oracles the spectral engine of
-fdsic.estimator is tested against: the Cholesky solve of the normal
-equations, the real-embedded quadratic programs, the direct evaluation of
-the expected residual power, and the least-squares projector built from a
-general Gram solve.  The closed-form subcarrier mixing covariance, which the
-simulator never needs, is built here from the phase correlation kernel.
+fdsic.estimator is tested against: the subcarrier-domain SI covariance, the
+Cholesky solve of the normal equations, the real-embedded quadratic
+programs, the direct evaluation of the expected residual power, and the
+least-squares projector built from a general Gram solve.  The closed-form
+subcarrier mixing covariance, which the simulator never needs, is built
+here from the phase correlation kernel.
 
 Both Monte Carlo oracles reduce their samples to a second moment through one
 BLAS-3 Hermitian rank-k update (zherk) rather than an elementwise sum over
@@ -29,14 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 
-from .estimator import EstimatorStatistics, SingularMatrixError, si_covariance
+from .estimator import EstimatorStatistics, SingularMatrixError
 from .impairments import (
+    PnCovarianceTable,
     channel_outputs,
     gen_si_channel,
     gen_wiener_phase,
     phase_increment_variance,
     pn_covariance_table,
     synthesize_received,
+    unit_rotation,
 )
 from .ofdm import dft_matrix, gen_bpsk_symbols, modulate
 
@@ -184,6 +187,28 @@ def ls_weight_matrix(symbols: np.ndarray, n_taps: int) -> np.ndarray:
         raise SingularMatrixError("LS normal equations are singular") from exc
 
 
+def subcarrier_si_covariance(
+    stats: EstimatorStatistics, pn: PnCovarianceTable
+) -> np.ndarray:
+    """Conditional covariance A0 of the received SI vector in the
+    subcarrier domain, the matrix the dense oracles take.
+
+    The sample covariance weighted by the phase correlation kernel is
+    carried to the subcarrier domain by a 2-D FFT and symmetrized.  This is
+    algebraically identical to the direct fourfold sum of the mixing
+    covariance against the symbol outer product and the profile spectrum,
+    and to U A_t U^H with A_t = fdsic.estimator.si_covariance and the
+    unitary DFT U, which the simulator's engine uses without forming A0.  A
+    batch of B trials' statistics gives a (B, N, N) stack.
+    """
+    n = stats.symbols.shape[-1]
+    if n != pn.n_subcarriers:
+        raise ValueError("symbols and covariance table disagree on N")
+    weighted = pn.kernel * stats.sample_covariance * stats.n_tx
+    cov = np.fft.ifft(np.fft.fft(weighted, axis=-2), axis=-1) * n
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
+
+
 def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
     """Closed-form mixing covariance gamma[a, b] = E[delta_a conj(delta_b)]
     of one oscillator pair, on circular offsets: the two-sided transform of
@@ -207,14 +232,6 @@ def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
     return np.triu(upper) + np.triu(upper, 1).conj().T
 
 
-def _unit_rotation(phases: np.ndarray) -> np.ndarray:
-    """exp(j*phases), written as cos and sin into one complex array."""
-    rotation = np.empty(phases.shape, dtype=np.complex128)
-    np.cos(phases, out=rotation.real)
-    np.sin(phases, out=rotation.imag)
-    return rotation
-
-
 def simulate_mixing_covariance(
     delta_f: float,
     n_subcarriers: int,
@@ -236,7 +253,7 @@ def simulate_mixing_covariance(
     for _ in range(2):
         steps = sigma * rng.standard_normal((n_traces, n_subcarriers - 1))
         phases[:, 1:] += np.cumsum(steps, axis=1)
-    coeffs = np.fft.ifft(_unit_rotation(phases), axis=1)
+    coeffs = np.fft.ifft(unit_rotation(phases), axis=1)
     return _hermitian_gram(coeffs)
 
 
@@ -295,7 +312,7 @@ def simulate_si_covariance(
     waveform = np.fft.ifft(spectrum, axis=2)
     # Freed before the rotation is allocated; the two would set the peak.
     del spectrum
-    waveform *= _unit_rotation(phases)
+    waveform *= unit_rotation(phases)
     return _hermitian_gram(np.fft.fft(waveform.sum(axis=1), axis=1))
 
 
@@ -314,7 +331,9 @@ def check_si_covariance(
     symbols = gen_bpsk_symbols(n_subcarriers, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
-    analytic = si_covariance(stats, pn_covariance_table(delta_f, n_subcarriers))
+    analytic = subcarrier_si_covariance(
+        stats, pn_covariance_table(delta_f, n_subcarriers)
+    )
     estimate = simulate_si_covariance(
         symbols, pdp, n_tx, delta_f, n_trials, rng
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fdsic.cli import main
-from fdsic.estimator import EstimatorStatistics, si_covariance
+from fdsic.estimator import EstimatorStatistics
 from fdsic.harness import SimConfig, sweep
 from fdsic.impairments import pn_covariance_table
 from fdsic.ofdm import gen_bpsk_symbols
@@ -24,6 +24,7 @@ from fdsic.validation import (
     expected_residual_power,
     ls_weight_matrix,
     optimal_weights,
+    subcarrier_si_covariance,
 )
 
 INR_VALUES = [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
@@ -187,7 +188,7 @@ def test_criterion_8_optimality_and_closed_form():
         symbols = gen_bpsk_symbols(n, 1.0, rng)
         pdp = rng.uniform(0.2, 1.0, n_taps)
         stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
-        cov = si_covariance(stats, pn_covariance_table(delta_f, n))
+        cov = subcarrier_si_covariance(stats, pn_covariance_table(delta_f, n))
         si_noise = cov + 1.0 * np.eye(n)
         weights, opt_values = optimal_weights(
             si_noise + soi_power * np.eye(n), si_noise

@@ -13,7 +13,7 @@ from fdsic.cancellation import (
     reconstruct_si,
     si_power,
 )
-from fdsic.estimator import EstimatorStatistics, si_covariance
+from fdsic.estimator import EstimatorStatistics
 from fdsic.impairments import (
     channel_outputs,
     gen_awgn,
@@ -28,6 +28,7 @@ from fdsic.validation import (
     expected_residual_power,
     ls_weight_matrix,
     optimal_weights,
+    subcarrier_si_covariance,
 )
 
 
@@ -73,7 +74,9 @@ def _small_covariance(rng, n=16, n_taps=2, n_tx=2, delta_f=1e-3):
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
-    return symbols, pdp, si_covariance(stats, pn_covariance_table(delta_f, n))
+    return symbols, pdp, subcarrier_si_covariance(
+        stats, pn_covariance_table(delta_f, n)
+    )
 
 
 def test_expected_residual_with_zero_weights():
@@ -131,7 +134,7 @@ def test_optimal_weights_beat_fixed_competitors():
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=4)
-    cov = si_covariance(stats, pn_covariance_table(1e-3, n))
+    cov = subcarrier_si_covariance(stats, pn_covariance_table(1e-3, n))
     si_noise = cov + np.eye(n)
     best, _ = optimal_weights(si_noise + 3.0 * np.eye(n), si_noise)
     best_value = expected_residual_power(cov, best, 1.0, 3.0)

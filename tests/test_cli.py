@@ -102,6 +102,38 @@ def test_validate_fast_smoke(capsys, monkeypatch):
     assert worst == pytest.approx(FAST_WORST_ERRORS, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["single", "--fast", "--delta-f", "nan"], "delta_f must be finite"),
+        (["sweep-inr", "--fast", "--values", "20,20"],
+         "sweep value 20.0 appears more than once"),
+        (["sweep-inr", "--fast", "--values", "20,abc"],
+         "could not convert string to float: 'abc'"),
+        (["sweep-inr", "--fast", "--trials", "0"], "n_trials must be positive"),
+    ],
+    ids=["delta-f-nan", "repeated-value", "non-numeric-value", "zero-trials"],
+)
+def test_rejected_input_is_a_usage_error(capsys, argv, message):
+    # argparse's usage error: status 2 and a message naming the setting or
+    # value, not a traceback
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert message in err
+
+
+def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "node.cfg"
+    cfg.write_text("n_tx = many\n")
+    with pytest.raises(SystemExit) as caught:
+        main(["single", "--config", str(cfg)])
+    assert caught.value.code == 2
+    assert "n_tx needs int, got 'many'" in capsys.readouterr().err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,6 +1,10 @@
 """Conditional SI covariance, the spectral engine, the per-subcarrier
 quadratic programs and the least-squares baseline, each checked against an
-independent oracle."""
+independent oracle.
+
+The engine takes the sample-domain covariance A_t (si_covariance); the
+dense oracles take the subcarrier-domain A0 = U A_t U^H that
+fdsic.validation.subcarrier_si_covariance builds."""
 
 import dataclasses
 
@@ -18,7 +22,8 @@ from fdsic.estimator import (
     si_spectrum,
     spectral_weights,
 )
-from fdsic.harness import OSCILLATOR_MODES
+from fdsic import harness
+from fdsic.harness import OSCILLATOR_MODES, SimConfig, pdp_profile, sweep
 from fdsic.impairments import (
     channel_outputs,
     gen_si_channel,
@@ -36,14 +41,25 @@ from fdsic.validation import (
     real_qp_blocks,
     real_qp_weights,
     solve_qp,
+    subcarrier_si_covariance,
 )
 
 
-def _covariance(symbols, pdp, n_tx, delta_f):
-    return si_covariance(
+def _statistics(symbols, pdp, n_tx, delta_f):
+    return (
         EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx),
-        pn_covariance_table(delta_f, symbols.size),
+        pn_covariance_table(delta_f, symbols.shape[-1]),
     )
+
+
+def _covariance(symbols, pdp, n_tx, delta_f):
+    """The subcarrier-domain A0 that the dense oracles take."""
+    return subcarrier_si_covariance(*_statistics(symbols, pdp, n_tx, delta_f))
+
+
+def _engine_covariance(symbols, pdp, n_tx, delta_f):
+    """The sample-domain A_t that the spectral engine takes."""
+    return si_covariance(*_statistics(symbols, pdp, n_tx, delta_f))
 
 
 def _loaded(cov, noise, soi):
@@ -96,7 +112,7 @@ def test_si_covariance_trace_equals_mean_si_power():
     n, n_taps, n_tx = 32, 5, 4
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    cov = _covariance(symbols, pdp, n_tx, 1e-3)
+    cov = _engine_covariance(symbols, pdp, n_tx, 1e-3)
     assert np.trace(cov).real == pytest.approx(n * n_tx * pdp.sum(), rel=1e-12)
 
 
@@ -116,7 +132,7 @@ def test_si_covariance_without_phase_noise():
 def test_si_covariance_is_positive_semidefinite():
     rng = np.random.default_rng(44)
     symbols = gen_bpsk_symbols(24, 1.0, rng)
-    cov = _covariance(symbols, np.ones(4), 3, 1e-2)
+    cov = _engine_covariance(symbols, np.ones(4), 3, 1e-2)
     eigenvalues = np.linalg.eigvalsh(cov)
     assert eigenvalues.min() > -1e-10 * eigenvalues.max()
 
@@ -378,11 +394,11 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     # one table serves both oscillator modes
     table = pn_covariance_table(delta_f, n)
 
-    def covariance(pdp):
-        return si_covariance(EstimatorStatistics(symbols, pdp, n_tx), table)
-
-    cov = covariance(scale * unit_pdp)
-    spectrum = si_spectrum(covariance(unit_pdp), symbols, n_taps)
+    stats = EstimatorStatistics(symbols, unit_pdp, n_tx)
+    cov = subcarrier_si_covariance(
+        EstimatorStatistics(symbols, scale * unit_pdp, n_tx), table
+    )
+    spectrum = si_spectrum(si_covariance(stats, table), symbols, n_taps)
     solution = spectral_weights(spectrum, scale, noise, soi)
     weights = _engine_weights(solution, n)
     oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
@@ -421,7 +437,9 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
     noise, soi, scale = 1.0, 10.0, 300.0
     for delta_f in (0.0, 0.1):
         unit = _covariance(symbols, np.ones(1), 4, delta_f)
-        spectrum = si_spectrum(unit, symbols, 1)
+        spectrum = si_spectrum(
+            _engine_covariance(symbols, np.ones(1), 4, delta_f), symbols, 1
+        )
         assert spectrum.tau.size == n - 1
         solution = spectral_weights(spectrum, scale, noise, soi)
         oracle, _ = optimal_weights(*_loaded(scale * unit, noise, soi))
@@ -445,8 +463,11 @@ def test_block_columns_match_single_points(delta_f):
     n, n_taps, n_tx, noise = 32, 4, 8, 1.0
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
-    unit = _covariance(symbols, unit_pdp / unit_pdp.sum(), n_tx, delta_f)
-    spectrum = si_spectrum(unit, symbols, n_taps)
+    unit_pdp /= unit_pdp.sum()
+    unit = _covariance(symbols, unit_pdp, n_tx, delta_f)
+    spectrum = si_spectrum(
+        _engine_covariance(symbols, unit_pdp, n_tx, delta_f), symbols, n_taps
+    )
     scale = 10.0 ** (np.array([20.0, 35.0, 50.0, 50.0]) / 10.0) / n_tx
     soi = 10.0 ** (np.array([10.0, 0.0, 10.0, 20.0]) / 10.0)
     received = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
@@ -506,3 +527,56 @@ def test_spectral_weights_reject_indefinite_received():
         with pytest.raises(SingularMatrixError):
             spectral_weights(spectrum, scale, 1.0, 0.5)
     spectral_weights(spectrum, 1.0, 1.0, 0.6)  # just above the boundary
+
+
+@pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])
+@pytest.mark.parametrize("mode", OSCILLATOR_MODES)
+def test_sweep_covariance_is_the_sample_domain_image_of_the_oracle(
+    monkeypatch, mode, delta_f
+):
+    # The covariance a sweep hands the spectral engine in either oscillator
+    # mode is A_t, whose unitary transform U A_t U^H is the subcarrier-domain
+    # A0 of the validation oracle.
+    config = SimConfig(
+        n_tx=3, n_subcarriers=16, cp_length=4, n_taps=4, n_trials=3,
+        master_seed=31, delta_f=delta_f, oscillator_mode=mode,
+    )
+    handed = []
+    original = harness.si_spectrum
+
+    def recorded(si_cov, symbols, n_taps):
+        handed.append((si_cov, symbols))
+        return original(si_cov, symbols, n_taps)
+
+    monkeypatch.setattr(harness, "si_spectrum", recorded)
+    sweep(config, "inr", [30.0, 40.0])
+    (si_cov, symbols), = handed
+    assert si_cov.shape == (3, 16, 16)
+    stats = EstimatorStatistics(symbols, pdp_profile(config, 1.0), config.n_tx)
+    oracle = subcarrier_si_covariance(stats, pn_covariance_table(delta_f, 16))
+    unitary = dft_matrix(16, 16) / np.sqrt(16)
+    for a_t, a_0 in zip(si_cov, oracle):
+        transformed = unitary @ a_t @ unitary.conj().T
+        scale = np.max(np.abs(a_0))
+        assert np.max(np.abs(transformed - a_0)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])
+def test_engine_spectrum_matches_the_subcarrier_domain_matrix(delta_f):
+    # Eigenvalues and LS leakage tr{(I - P) A0} taken from A_t, for a batch
+    # of three trials of symbol power 2, against the dense A0: eigvalsh and
+    # the general-Gram LS projector.
+    rng = np.random.default_rng(69)
+    n, n_taps, n_tx = 24, 4, 8
+    symbols = np.array([gen_bpsk_symbols(n, 2.0, rng) for _ in range(3)])
+    pdp = np.exp(-np.arange(n_taps) / 4.0)
+    stats, table = _statistics(symbols, pdp / pdp.sum(), n_tx, delta_f)
+    spectrum = si_spectrum(si_covariance(stats, table), symbols, n_taps)
+    oracle = subcarrier_si_covariance(stats, table)
+    for trial in range(3):
+        dense = np.linalg.eigvalsh(oracle[trial])
+        tolerance = 1e-12 * np.max(np.abs(dense))
+        assert np.max(np.abs(spectrum.eigenvalues[trial] - dense)) <= tolerance
+        remainder = np.eye(n) - ls_weight_matrix(symbols[trial], n_taps)
+        leakage = np.trace(remainder @ oracle[trial]).real
+        assert abs(spectrum.ls_leakage[trial] - leakage) <= tolerance

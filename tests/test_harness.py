@@ -497,6 +497,32 @@ def test_sweep_calls_no_numpy_linear_algebra(monkeypatch):
     run_trial(config, 0)
 
 
+def test_sweep_transforms_no_n_by_n_matrix(monkeypatch):
+    # the spectral engine runs on the sample-domain covariance, so no FFT of
+    # an INR or a delta_f sweep carries an N x N matrix to the subcarrier
+    # domain; only vectors and N x P blocks are transformed
+    config = SimConfig(**SMALL)
+    n = config.n_subcarriers
+
+    def guarded(name, transform):
+        def call(a, *args, **kwargs):
+            if np.ndim(a) >= 2 and np.shape(a)[-2:] == (n, n):
+                raise AssertionError(
+                    f"numpy.fft.{name} of an N x N matrix during a sweep"
+                )
+            return transform(a, *args, **kwargs)
+
+        return call
+
+    for name in dir(np.fft):
+        obj = getattr(np.fft, name)
+        if name.startswith("_") or isinstance(obj, type) or not callable(obj):
+            continue
+        monkeypatch.setattr(np.fft, name, guarded(name, obj))
+    sweep(config, "inr", [20.0, 50.0])
+    sweep(config, "delta_f", [0.0, 0.1])
+
+
 def _assert_cells_match_run_trial(records, config, field, value):
     point = dataclasses.replace(config, **{field: value})
     trials = [run_trial(point, t) for t in range(config.n_trials)]

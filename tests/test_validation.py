@@ -27,6 +27,7 @@ from fdsic.validation import (
     check_qp_oracle,
     check_si_covariance,
     exact_order_si_reference,
+    subcarrier_si_covariance,
     time_domain_si_reference,
 )
 
@@ -115,7 +116,7 @@ def test_exact_order_matches_model_without_phase_noise():
 def test_exact_order_samples_have_the_model_covariance():
     # Tap l sees the transmit phase at n - l on both samples of a lag, so the
     # physical order has the model's SI covariance exactly, not only to
-    # first order.  Against si_covariance the tolerance is the fast
+    # first order.  Against the model's covariance the tolerance is the fast
     # si-covariance check's; 20,000 draws measured 0.0099.  At 5,000 draws
     # that bound cannot see the receive oscillator dropped (0.023-0.052 on
     # seeds 1, 2, 88), so the model-order samples of the same draws serve as
@@ -139,7 +140,7 @@ def test_exact_order_samples_have_the_model_covariance():
             channel_outputs(symbols, taps), [trace[cp:] for trace in tx], rx
         )
     stats = EstimatorStatistics(symbols, pdp, n_tx)
-    analytic = si_covariance(stats, pn_covariance_table(delta_f, n))
+    analytic = subcarrier_si_covariance(stats, pn_covariance_table(delta_f, n))
     scale = np.max(np.abs(analytic))
     exact_gram = _hermitian_gram(exact)
     assert np.max(np.abs(exact_gram - analytic)) <= 0.06 * scale
