@@ -109,7 +109,8 @@ class EstimatorStatistics:
     symbol waveform w = ifft(symbols).  It does not depend on the
     oscillators, so one instance serves every phase-noise bandwidth (see
     si_covariance).  symbols is one (N,) vector, or a (B, N) batch of
-    trials' symbols with a (B, N, N) stack of sample covariances.
+    trials' symbols with a (B, N, N) stack of sample covariances.  Each
+    trial's N x N matrix is Fortran-ordered.
     """
 
     symbols: np.ndarray
@@ -137,13 +138,18 @@ class EstimatorStatistics:
             raise ValueError("n_tx must be positive")
         shifted = _shifted_waveforms(symbols, pdp.size)
         weighted = pdp[:, None] * shifted
-        sample_covariance = np.empty(symbols.shape + (n,), dtype=np.complex128)
+        # each trial's matrix Fortran-ordered, as the BLAS and LAPACK calls
+        # of si_spectrum read the kernel product built from it
+        sample_covariance = np.empty(
+            symbols.shape + (n,), dtype=np.complex128
+        ).swapaxes(-1, -2)
         for trial in np.ndindex(symbols.shape[:-1]):
-            # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the transpose
-            # of the Fortran-ordered product shifted^H (pdp * shifted)
+            # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the product
+            # (pdp * shifted)^T conj(shifted) of the Fortran-ordered N x L
+            # views of both
             sample_covariance[trial] = blas.zgemm(
-                1.0, shifted[trial], weighted[trial], trans_a=2
-            ).T
+                1.0, weighted[trial].T, shifted[trial].T, trans_b=2
+            )
         object.__setattr__(self, "sample_covariance", sample_covariance)
 
 
@@ -163,12 +169,16 @@ def si_covariance(
     Channels are independent across antennas, so the result scales linearly
     with n_tx in both oscillator modes.  A batch of B trials' statistics
     gives a (B, N, N) stack, one covariance per trial.  Its lower triangle
-    defines the Hermitian matrix the engine reads.
+    defines the Hermitian matrix the engine reads.  Each trial's matrix is
+    Fortran-ordered, like the sample covariance, so zhemm and zhetrd read
+    it without a transposing copy.
     """
     n = stats.symbols.shape[-1]
     if n != pn.n_subcarriers:
         raise ValueError("symbols and covariance table disagree on N")
-    return pn.kernel * stats.sample_covariance * (n * stats.n_tx)
+    # K depends on |n1 - n2| only, so K.T is K in the sample covariance's
+    # Fortran order, and the product keeps that order
+    return pn.kernel.T * stats.sample_covariance * (n * stats.n_tx)
 
 
 def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:

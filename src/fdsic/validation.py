@@ -17,12 +17,14 @@ least-squares projector built from a general Gram solve.  The closed-form
 subcarrier mixing covariance, which the simulator never needs, is built
 here from the phase correlation kernel.
 
-Both Monte Carlo oracles reduce their samples to a second moment through one
-BLAS-3 Hermitian rank-k update (zherk) rather than an elementwise sum over
-the sample axis.  Their random draws are part of the contract: the same
-seed draws the same numbers in the same order and shapes, so the reported
-worst errors change only in the last digits when the arithmetic around the
-draws changes.
+Both Monte Carlo oracles stream their samples through fixed-size blocks of
+rows: each block is drawn, rotated and transformed on its own and folded
+into one running BLAS-3 Hermitian rank-k update (zherk), so their memory is
+bounded by the full-size phase array (and the SI oracle's taps) rather than
+by a stack of full-size temporaries.  Their random draws are part of the
+contract: the same seed draws the same numbers in the same order and
+shapes, block after block, so the reported worst errors change only in the
+last digits when the arithmetic around the draws changes.
 """
 
 from dataclasses import dataclass
@@ -220,16 +222,75 @@ def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(kernel, axis=1), axis=0) / n
 
 
-def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
-    """Sample second moment sum_t r_t conj(r_t).T / T of the T rows of rows.
+# Rows per block of the Monte Carlo oracles: each block's temporaries hold
+# at most this many complex entries (2 MiB), unless one row alone is larger.
+_BLOCK_ENTRIES = 2**17
 
-    One BLAS-3 rank-T update (zherk) forms the upper triangle, which is
-    mirrored, so the result is exactly Hermitian.  rows.T of a C-ordered
-    array is the Fortran-ordered operand zherk reads, so neither a copy nor
-    a conjugate of the T x n samples is made.
+
+def _row_blocks(n_rows: int, row_entries: int):
+    """Consecutive slices that cover n_rows rows of row_entries entries
+    each, in blocks of at most _BLOCK_ENTRIES entries and at least one row."""
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _require_samples(count: int, name: str) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
+def _streamed_gram(blocks, n: int) -> np.ndarray:
+    """Sample second moment sum_t r_t conj(r_t).T / T of the T rows of a
+    sequence of (rows, n) blocks.
+
+    Each block is folded into one running upper triangle by a BLAS-3
+    rank-k update (zherk with beta = 1); the sum is divided by T and
+    mirrored once at the end, so the result is exactly Hermitian.  rows.T
+    of a C-ordered block is the Fortran-ordered operand zherk reads, so
+    neither a copy nor a conjugate of the samples is made.
     """
-    upper = blas.zherk(1.0 / rows.shape[0], rows.T)
-    return np.triu(upper) + np.triu(upper, 1).conj().T
+    # zherk never touches the strictly lower triangle, which stays zero
+    upper = np.zeros((n, n), dtype=np.complex128, order="F")
+    count = 0
+    for rows in blocks:
+        upper = blas.zherk(1.0, rows.T, beta=1.0, c=upper, overwrite_c=1)
+        count += rows.shape[0]
+    upper /= count
+    return upper + np.triu(upper, 1).conj().T
+
+
+def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
+    """Sample second moment of the rows of one (T, n) array: the
+    one-block case of _streamed_gram."""
+    return _streamed_gram((rows,), rows.shape[1])
+
+
+def _summed_wiener_phases(
+    shape: tuple[int, ...], sigma: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Phases of two independent Wiener oscillators summed, one trace along
+    the last axis of shape, each starting at zero with steps of standard
+    deviation sigma.
+
+    The steps are drawn as two (shape[0], ..., N - 1) arrays, first
+    oscillator first, but block by block along the leading axis:
+    standard_normal fills C order sequentially, so consecutive blocks
+    receive the numbers one full draw would, and scaling and summing each
+    block in place gives the phases of the full-size arithmetic bit for
+    bit.  Only the returned array exists at full size.
+    """
+    phases = np.zeros(shape)
+    row_entries = int(np.prod(shape[1:]))
+    for _ in range(2):
+        for rows in _row_blocks(shape[0], row_entries):
+            steps = rng.standard_normal(
+                (rows.stop - rows.start,) + shape[1:-1] + (shape[-1] - 1,)
+            )
+            steps *= sigma
+            np.cumsum(steps, axis=-1, out=steps)
+            phases[rows, ..., 1:] += steps
+    return phases
 
 
 def simulate_mixing_covariance(
@@ -243,18 +304,19 @@ def simulate_mixing_covariance(
 
     Every trace is transformed on its own with np.fft.ifft, so the oracle
     checks the closed form's transform convention, and the traces enter only
-    through their sample Gram.  The rng draws (two blocks of
-    n_traces x (n_subcarriers - 1) normals) are part of the oracle's
-    contract: a given rng state always yields the same traces.
+    through their sample Gram, which is streamed over blocks of traces.  The
+    rng draws (two blocks of n_traces x (n_subcarriers - 1) normals) are
+    part of the oracle's contract: a given rng state always yields the same
+    traces.
     """
+    _require_samples(n_traces, "n_traces")
     sigma = np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
-    phases = np.zeros((n_traces, n_subcarriers))
-    # Two independent oscillators per trace, summed.
-    for _ in range(2):
-        steps = sigma * rng.standard_normal((n_traces, n_subcarriers - 1))
-        phases[:, 1:] += np.cumsum(steps, axis=1)
-    coeffs = np.fft.ifft(unit_rotation(phases), axis=1)
-    return _hermitian_gram(coeffs)
+    phases = _summed_wiener_phases((n_traces, n_subcarriers), sigma, rng)
+    coeffs = (
+        np.fft.ifft(unit_rotation(phases[rows]), axis=1)
+        for rows in _row_blocks(n_traces, n_subcarriers)
+    )
+    return _streamed_gram(coeffs, n_subcarriers)
 
 
 def check_pn_covariance(
@@ -291,10 +353,11 @@ def simulate_si_covariance(
     Vectorized mirror of synthesize_received: fresh channels and
     per-antenna oscillator pairs each trial.  The rotated waveforms are
     summed over antennas, transformed, and enter only through their sample
-    Gram.  The rng draws (taps, then two blocks of oscillator steps) keep
-    their order, shapes and count: a given rng state always yields the same
-    channels and traces.
+    Gram, one block of trials at a time.  The rng draws (taps, then two
+    blocks of oscillator steps) keep their order, shapes and count: a given
+    rng state always yields the same channels and traces.
     """
+    _require_samples(n_trials, "n_trials")
     n = symbols.size
     n_taps = pdp.size
     sigma = np.sqrt(phase_increment_variance(delta_f, n))
@@ -303,17 +366,20 @@ def simulate_si_covariance(
         rng.standard_normal((n_trials, n_tx, n_taps))
         + 1j * rng.standard_normal((n_trials, n_tx, n_taps))
     )
-    phases = np.zeros((n_trials, n_tx, n))
-    for _ in range(2):
-        steps = sigma * rng.standard_normal((n_trials, n_tx, n - 1))
-        phases[:, :, 1:] += np.cumsum(steps, axis=2)
-    spectrum = np.fft.fft(taps, n=n, axis=2)
-    spectrum *= symbols
-    waveform = np.fft.ifft(spectrum, axis=2)
-    # Freed before the rotation is allocated; the two would set the peak.
-    del spectrum
-    waveform *= unit_rotation(phases)
-    return _hermitian_gram(np.fft.fft(waveform.sum(axis=1), axis=1))
+    phases = _summed_wiener_phases((n_trials, n_tx, n), sigma, rng)
+
+    def si_vectors(rows: slice) -> np.ndarray:
+        spectrum = np.fft.fft(taps[rows], n=n, axis=2)
+        spectrum *= symbols
+        waveform = np.fft.ifft(spectrum, axis=2)
+        # Freed before the rotation is allocated; the two would set the peak.
+        del spectrum
+        waveform *= unit_rotation(phases[rows])
+        return np.fft.fft(waveform.sum(axis=1), axis=1)
+
+    return _streamed_gram(
+        (si_vectors(rows) for rows in _row_blocks(n_trials, n_tx * n)), n
+    )
 
 
 def check_si_covariance(

@@ -137,6 +137,18 @@ def test_si_covariance_is_positive_semidefinite():
     assert eigenvalues.min() > -1e-10 * eigenvalues.max()
 
 
+@pytest.mark.parametrize("shape", [(16,), (3, 16)])
+def test_si_covariance_is_fortran_ordered_per_trial(shape):
+    # zhemm and zhetrd take Fortran-ordered matrices; a C-ordered trial
+    # matrix costs a transposing copy on every call
+    symbols = np.sign(np.random.default_rng(45).standard_normal(shape)) + 0j
+    stats = EstimatorStatistics(symbols, np.ones(3), 2)
+    cov = si_covariance(stats, pn_covariance_table(1e-2, 16))
+    for trial in np.ndindex(shape[:-1]):
+        assert stats.sample_covariance[trial].flags.f_contiguous
+        assert cov[trial].flags.f_contiguous
+
+
 def test_estimator_statistics_validation():
     rng = np.random.default_rng(45)
     symbols = gen_bpsk_symbols(16, 1.0, rng)

@@ -1,8 +1,11 @@
 """Reduced-size runs of the self-check suites and their reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fdsic import validation
 from fdsic.cancellation import cancellation_ability
 from fdsic.estimator import (
     EstimatorStatistics,
@@ -27,6 +30,8 @@ from fdsic.validation import (
     check_qp_oracle,
     check_si_covariance,
     exact_order_si_reference,
+    simulate_mixing_covariance,
+    simulate_si_covariance,
     subcarrier_si_covariance,
     time_domain_si_reference,
 )
@@ -76,6 +81,93 @@ def test_hermitian_gram_matches_einsum(order):
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(gram - reference)) <= 1e-12 * scale
     assert np.array_equal(gram, gram.conj().T)
+
+
+def _one_shot_phases(shape, delta_f, rng):
+    sigma = np.sqrt(phase_increment_variance(delta_f, shape[-1]))
+    phases = np.zeros(shape)
+    for _ in range(2):
+        steps = sigma * rng.standard_normal(shape[:-1] + (shape[-1] - 1,))
+        phases[..., 1:] += np.cumsum(steps, axis=-1)
+    return phases
+
+
+def _one_shot_mixing_rows(delta_f, n, n_traces, rng):
+    phases = _one_shot_phases((n_traces, n), delta_f, rng)
+    return np.fft.ifft(np.exp(1j * phases), axis=1)
+
+
+def _one_shot_si_rows(symbols, pdp, n_tx, delta_f, n_trials, rng):
+    n = symbols.size
+    taps = np.sqrt(pdp / 2.0) * (
+        rng.standard_normal((n_trials, n_tx, pdp.size))
+        + 1j * rng.standard_normal((n_trials, n_tx, pdp.size))
+    )
+    phases = _one_shot_phases((n_trials, n_tx, n), delta_f, rng)
+    waveform = np.fft.ifft(np.fft.fft(taps, n=n, axis=2) * symbols, axis=2)
+    return np.fft.fft((waveform * np.exp(1j * phases)).sum(axis=1), axis=1)
+
+
+# Sample counts below one block, exactly two blocks, and two blocks and a
+# remainder; with 128-entry blocks of N = 8 rows a block
+# holds 16 rows, so the last SI case has more antennas than a block has rows.
+@pytest.mark.parametrize(
+    "oracle, n_tx, count",
+    [
+        ("mixing", 1, 10), ("mixing", 1, 32), ("mixing", 1, 37),
+        ("si", 2, 5), ("si", 2, 16), ("si", 2, 19), ("si", 24, 3),
+    ],
+)
+def test_streamed_oracles_match_the_one_shot_reduction(
+    monkeypatch, oracle, n_tx, count
+):
+    monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
+    n, delta_f = 8, 1e-2
+    rng = np.random.default_rng(90)
+    reference_rng = np.random.default_rng(90)
+    if oracle == "mixing":
+        gram = simulate_mixing_covariance(delta_f, n, count, rng)
+        rows = _one_shot_mixing_rows(delta_f, n, count, reference_rng)
+    else:
+        symbols = gen_bpsk_symbols(n, 1.0, np.random.default_rng(91))
+        pdp = np.exp(-np.arange(3) / 4.0)
+        gram = simulate_si_covariance(symbols, pdp, n_tx, delta_f, count, rng)
+        rows = _one_shot_si_rows(symbols, pdp, n_tx, delta_f, count, reference_rng)
+    reference = np.einsum("ta,tb->ab", rows, rows.conj()) / count
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(gram - reference)) <= 1e-12 * scale
+    assert np.array_equal(gram, gram.conj().T)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_mixing_oracle_rejects_zero_traces():
+    with pytest.raises(ValueError, match="n_traces"):
+        simulate_mixing_covariance(1e-3, 16, 0, np.random.default_rng(92))
+
+
+def test_si_oracle_rejects_zero_trials():
+    with pytest.raises(ValueError, match="n_trials"):
+        check_si_covariance(n_trials=0)
+
+
+def test_full_size_oracles_stream_within_50_mb():
+    # One full-size call of each oracle, as `fdsic validate` makes them.
+    # Built on full-size arrays they peaked at 146 and 156 MB; streamed,
+    # only the phases (25.6 MB) and the SI taps (12.8 MB) are full size.
+    rng = np.random.default_rng(93)
+    symbols = gen_bpsk_symbols(8, 1.0, rng)
+    pdp = np.exp(-np.arange(2) / 4.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        simulate_mixing_covariance(1e-3, 32, 100_000, rng)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        simulate_si_covariance(symbols, pdp, 4, 1e-3, 100_000, rng)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 50e6, peaks
 
 
 def test_time_domain_reference_needs_full_prefix():
