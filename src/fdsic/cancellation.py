@@ -1,9 +1,10 @@
-"""Cancellation step and the power accounting around it.
+"""SI reconstruction from a channel estimate and the power accounting
+around the cancellation step.
 
 The residual after subtracting an SI estimate V y from the received vector is
-r = (I - V)(si + noise) - V soi.  Cancellation ability is the ratio of
-pre-cancellation power (SI plus the noise floor) to the residual power, in
-dB.
+r = (I - V)(si + noise) - V soi; the harness forms it as a plain
+subtraction.  Cancellation ability is the ratio of pre-cancellation power
+(SI plus the noise floor) to the residual power, in dB.
 """
 
 import math
@@ -30,15 +31,6 @@ def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndar
         symbols.shape + (1,) * (channel_estimate.ndim - axis - 1)
     )
     return per_row * np.fft.fft(channel_estimate, n=n, axis=axis)
-
-
-def cancel(received: np.ndarray, si_estimate: np.ndarray) -> np.ndarray:
-    """Subtract the SI estimate from the received vector."""
-    received = np.asarray(received, dtype=np.complex128)
-    si_estimate = np.asarray(si_estimate, dtype=np.complex128)
-    if received.shape != si_estimate.shape:
-        raise ValueError("received and si_estimate shapes disagree")
-    return received - si_estimate
 
 
 def si_power(
@@ -73,6 +65,4 @@ class CancellationReport:
     method: str
     residual_power_empirical: float
     residual_power_theoretical: float
-    si_power: float
-    noise_floor: float
     ability_db: float

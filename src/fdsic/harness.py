@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .cancellation import (
     CancellationReport,
-    cancel,
     cancellation_ability,
     reconstruct_si,
     si_power,
@@ -132,7 +131,8 @@ class SimConfig:
     def from_file(cls, path: str | Path) -> "SimConfig":
         """Parse a plain 'key = value' file, one setting per line, '#' comments.
 
-        Each value is converted by its field's type (int, float or str).
+        Each value is converted by its field's type (int, float or str).  A
+        key may appear only once.
         """
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
@@ -146,6 +146,8 @@ class SimConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: {key} is set more than once")
             kind = fields[key].type
             try:
                 values[key] = kind(value)
@@ -341,9 +343,9 @@ def _run_block(
     # The optimal method subtracts the weighted estimate directly; the LS
     # baseline reconstructs from its tap estimate.
     weights = spectral_weights(spectrum, scale, NOISE_POWER, soi_power)
-    residual_opt = cancel(received, weights.estimate(received)) - soi
+    residual_opt = received - weights.estimate(received) - soi
     taps_ls = ls_estimate(received, symbols, spectrum.n_taps)
-    residual_ls = cancel(received, reconstruct_si(symbols, taps_ls)) - soi
+    residual_ls = received - reconstruct_si(symbols, taps_ls) - soi
     theo_ls = ls_residual_power(spectrum, scale, NOISE_POWER, soi_power)
     residuals = np.array([
         [_column_power(residual_ls), theo_ls],
@@ -368,8 +370,6 @@ def _report(
         method=method,
         residual_power_empirical=empirical,
         residual_power_theoretical=float(theoretical),
-        si_power=scenario.si_power,
-        noise_floor=scenario.noise_floor,
         ability_db=cancellation_ability(
             scenario.si_power, scenario.noise_floor, empirical
         ),
@@ -515,7 +515,8 @@ def emit_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
-    """Parse a CSV written by emit_csv back into records."""
+    """Parse a CSV written by emit_csv back into records.  A row with more
+    or fewer fields than the header raises ValueError naming its line."""
     records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -523,6 +524,11 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
         if header != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} "
+                    f"fields, got {len(row)}"
+                )
             records.append(
                 SweepRecord(
                     sweep_variable=row[0],

@@ -1,5 +1,5 @@
-"""Impairment models: Wiener oscillator phase noise, its subcarrier-domain
-mixing statistics, the self-interference multipath channel, white Gaussian
+"""Impairment models: Wiener oscillator phase noise and its phase
+correlation kernel, the self-interference multipath channel, white Gaussian
 draws, and synthesis of the SI part of one received OFDM symbol.
 
 Signal model for one symbol with N subcarriers: every transmit chain s leaks
@@ -12,7 +12,10 @@ sample instants,
 with (*) the circular convolution realized by the cyclic prefix.  In the
 subcarrier domain the rotation becomes a circulant mixing with coefficients
 delta_m = (1/N) sum_n exp(j*phi(n)) exp(+2j*pi*m*n/N): delta_0 is the common
-phase error, the rest is inter-carrier interference.
+phase error, the rest is inter-carrier interference.  The simulator never
+forms them: it rotates in the sample domain, and the checks in
+fdsic.validation build the coefficients (ici_coefficients) and their
+covariance.
 """
 
 from dataclasses import dataclass, field
@@ -49,26 +52,14 @@ def gen_wiener_phase(
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def ici_coefficients(phases: np.ndarray) -> np.ndarray:
-    """Subcarrier mixing coefficients of a phase trace over one symbol body.
-
-    Returns delta with delta[m] = (1/N) sum_n exp(j*phases[n] + 2j*pi*m*n/N),
-    indexed circularly.  A constant trace gives a single spike at m = 0 and
-    sum_m |delta[m]|^2 = 1 holds for every trace.
-    """
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 1 or phases.size == 0:
-        raise ValueError("phases must be a non-empty vector")
-    return np.fft.ifft(np.exp(1j * phases))
-
-
 @dataclass(frozen=True)
 class PnCovarianceTable:
     """Second-order statistics of the mixing coefficients of one oscillator
     pair (transmit plus receive).
 
     kernel holds the sample-domain phase correlation
-    E[exp(j*(phi(n1) - phi(n2)))] = exp(-combined_variance * |n1 - n2| / 2).
+    E[exp(j*(phi(n1) - phi(n2)))] = exp(-increment_variance * |n1 - n2|):
+    the summed pair's increments have variance 2 * increment_variance.
     Its two-sided transform is the subcarrier mixing covariance
     E[delta_a * conj(delta_b)], which fdsic.validation.mixing_covariance
     builds for the checks; the SI covariance needs only the kernel.
@@ -78,22 +69,17 @@ class PnCovarianceTable:
     n_subcarriers: int
     increment_variance: float
 
-    @property
-    def combined_variance(self) -> float:
-        """Per-sample increment variance of the summed oscillator pair."""
-        return 2.0 * self.increment_variance
-
 
 def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable:
     """Closed-form phase statistics of independent Wiener oscillator pairs.
 
     The phase difference phi(n1) - phi(n2) of the combined transmit+receive
-    process is Gaussian with variance combined_variance * |n1 - n2|, so its
-    characteristic function is the decaying exponential kernel.  The table
-    describes a single transmit/receive pair, so it serves both oscillator
-    modes: whether the antennas share one transmit oscillator changes only
-    the draws, not the SI covariance, because the channels are independent
-    and zero-mean.
+    process is Gaussian with variance 2 * sigma2 * |n1 - n2|, sigma2 being
+    one oscillator's increment variance, so its characteristic function is
+    the decaying exponential kernel.  The table describes a single
+    transmit/receive pair, so it serves both oscillator modes: whether the
+    antennas share one transmit oscillator changes only the draws, not the
+    SI covariance, because the channels are independent and zero-mean.
     """
     sigma2 = phase_increment_variance(delta_f, n_subcarriers)
     combined = 2.0 * sigma2

@@ -15,7 +15,10 @@ Cholesky solve of the normal equations, the real-embedded quadratic
 programs, the direct evaluation of the expected residual power, and the
 least-squares projector built from a general Gram solve.  The closed-form
 subcarrier mixing covariance, which the simulator never needs, is built
-here from the phase correlation kernel.
+here from the phase correlation kernel.  So are the transforms only these
+checks use: the partial DFT matrix (dft_matrix), the subcarrier mixing
+coefficients of phase traces (ici_coefficients) and cyclic-prefix
+modulation (modulate).  The simulator imports nothing from this module.
 
 Both Monte Carlo oracles stream their samples through fixed-size blocks of
 rows: each block is drawn, rotated and transformed on its own and folded
@@ -43,7 +46,7 @@ from .impairments import (
     synthesize_received,
     unit_rotation,
 )
-from .ofdm import dft_matrix, gen_bpsk_symbols, modulate
+from .ofdm import gen_bpsk_symbols
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,22 @@ def expected_residual_power(
     return max(float(value), 0.0)
 
 
+def dft_matrix(n_subcarriers: int, n_taps: int) -> np.ndarray:
+    """Partial DFT matrix with entries exp(-2j*pi*n*l/N), shape (N, n_taps).
+
+    Columns are orthogonal with squared norm N, so conj(F).T @ F = N * I.
+    """
+    if n_subcarriers < 1 or n_taps < 1:
+        raise ValueError("matrix dimensions must be positive")
+    if n_taps > n_subcarriers:
+        raise ValueError(
+            f"n_taps={n_taps} exceeds n_subcarriers={n_subcarriers}"
+        )
+    rows = np.arange(n_subcarriers)[:, None]
+    cols = np.arange(n_taps)[None, :]
+    return np.exp(-2j * np.pi * rows * cols / n_subcarriers)
+
+
 def ls_weight_matrix(symbols: np.ndarray, n_taps: int) -> np.ndarray:
     """The N x N weights implied by LS estimation plus reconstruction,
     an oblique projection onto the span of the known symbols, from the
@@ -293,6 +312,20 @@ def _summed_wiener_phases(
     return phases
 
 
+def ici_coefficients(phases: np.ndarray) -> np.ndarray:
+    """Subcarrier mixing coefficients of a phase trace over one symbol body,
+    or of each trace of a stack along the last axis.
+
+    Returns delta with delta[m] = (1/N) sum_n exp(j*phases[n] + 2j*pi*m*n/N),
+    indexed circularly.  A constant trace gives a single spike at m = 0 and
+    sum_m |delta[m]|^2 = 1 holds for every trace.
+    """
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.ndim == 0 or phases.shape[-1] == 0:
+        raise ValueError("phases must hold non-empty traces")
+    return np.fft.ifft(unit_rotation(phases), axis=-1)
+
+
 def simulate_mixing_covariance(
     delta_f: float,
     n_subcarriers: int,
@@ -302,7 +335,7 @@ def simulate_mixing_covariance(
     """Monte Carlo E[delta_a conj(delta_b)] from independent transmit and
     receive Wiener traces, by direct transform of the rotation samples.
 
-    Every trace is transformed on its own with np.fft.ifft, so the oracle
+    Every trace is transformed on its own by ici_coefficients, so the oracle
     checks the closed form's transform convention, and the traces enter only
     through their sample Gram, which is streamed over blocks of traces.  The
     rng draws (two blocks of n_traces x (n_subcarriers - 1) normals) are
@@ -313,7 +346,7 @@ def simulate_mixing_covariance(
     sigma = np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
     phases = _summed_wiener_phases((n_traces, n_subcarriers), sigma, rng)
     coeffs = (
-        np.fft.ifft(unit_rotation(phases[rows]), axis=1)
+        ici_coefficients(phases[rows])
         for rows in _row_blocks(n_traces, n_subcarriers)
     )
     return _streamed_gram(coeffs, n_subcarriers)
@@ -459,6 +492,20 @@ def check_qp_oracle(
         tolerance=tolerance,
         detail=f"sizes={sizes} instances={n_instances} per size",
     )
+
+
+def modulate(freq_symbols: np.ndarray, cp_length: int) -> np.ndarray:
+    """Inverse transform plus cyclic prefix, returns N + cp_length samples."""
+    symbols = np.asarray(freq_symbols, dtype=np.complex128)
+    n = symbols.size
+    if n == 0:
+        raise ValueError("freq_symbols must be non-empty")
+    if cp_length < 0 or cp_length >= n:
+        raise ValueError(f"cp_length={cp_length} must be in [0, {n})")
+    body = np.fft.ifft(symbols)
+    if cp_length == 0:
+        return body
+    return np.concatenate([body[-cp_length:], body])
 
 
 def time_domain_si_reference(

@@ -134,6 +134,15 @@ def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
     assert "n_tx needs int, got 'many'" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "node.cfg"
+    cfg.write_text("n_tx = 2\nn_tx = 4\n")
+    with pytest.raises(SystemExit) as caught:
+        main(["single", "--fast", "--trials", "1", "--config", str(cfg)])
+    assert caught.value.code == 2
+    assert "node.cfg:2: n_tx is set more than once" in capsys.readouterr().err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

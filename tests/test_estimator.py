@@ -31,8 +31,9 @@ from fdsic.impairments import (
     pn_covariance_table,
     synthesize_received,
 )
-from fdsic.ofdm import dft_matrix, gen_bpsk_symbols
+from fdsic.ofdm import gen_bpsk_symbols
 from fdsic.validation import (
+    dft_matrix,
     expected_residual_power,
     ls_weight_matrix,
     mixing_covariance,

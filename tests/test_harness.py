@@ -15,6 +15,7 @@ from fdsic.estimator import (
     si_spectrum,
 )
 from fdsic.harness import (
+    CSV_COLUMNS,
     NOISE_POWER,
     Scenario,
     SimConfig,
@@ -135,6 +136,16 @@ def test_config_from_file_names_line_and_key_of_bad_value(tmp_path):
         SimConfig.from_file(path)
     path.write_text("inr_db = loud\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:1: inr_db needs float"):
+        SimConfig.from_file(path)
+
+
+def test_config_from_file_rejects_a_repeated_key(tmp_path):
+    # a repeated key would otherwise let its last value win silently
+    path = tmp_path / "twice.cfg"
+    path.write_text("n_tx = 2\nn_subcarriers = 32\n\nn_tx = 4\n")
+    with pytest.raises(
+        ValueError, match=r"twice\.cfg:4: n_tx is set more than once"
+    ):
         SimConfig.from_file(path)
 
 
@@ -652,6 +663,23 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "alien.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["inr", "20.0", "optimal", "11.0", "", "1.0"],
+        ["inr", "20.0", "optimal", "11.0", "", "1.0", "3", "0.5", "7"],
+    ],
+    ids=["short", "long"],
+)
+def test_read_csv_rejects_a_row_of_the_wrong_length(tmp_path, row):
+    path = tmp_path / "rows.csv"
+    good = "inr,20.0,ls,10.0,,1.0,3,0.5"
+    path.write_text(f"{','.join(CSV_COLUMNS)}\n{good}\n{','.join(row)}\n")
+    message = rf"rows\.csv:3: expected 8 fields, got {len(row)}"
+    with pytest.raises(ValueError, match=message):
         read_csv(path)
 
 

@@ -10,13 +10,16 @@ from fdsic.impairments import (
     gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
-    ici_coefficients,
     phase_increment_variance,
     pn_covariance_table,
     synthesize_received,
 )
 from fdsic.ofdm import gen_bpsk_symbols
-from fdsic.validation import mixing_covariance, simulate_mixing_covariance
+from fdsic.validation import (
+    ici_coefficients,
+    mixing_covariance,
+    simulate_mixing_covariance,
+)
 
 
 def test_phase_increment_variance_accumulates_over_symbol():
@@ -93,6 +96,16 @@ def test_ici_coefficients_conserve_energy(n, variance, seed):
     assert np.sum(np.abs(delta) ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_ici_coefficients_of_a_stack_match_each_trace():
+    # the Monte Carlo oracle transforms blocks of traces at once
+    rng = np.random.default_rng(27)
+    traces = np.array([gen_wiener_phase(20, 1e-2, rng) for _ in range(3)])
+    stacked = ici_coefficients(traces)
+    assert stacked.shape == (3, 20)
+    for trace, delta in zip(traces, stacked):
+        assert np.array_equal(delta, ici_coefficients(trace))
+
+
 def test_mixing_is_circulant_in_the_coefficients():
     # rotating the body samples mixes subcarriers with offsets delta[i - k]
     rng = np.random.default_rng(24)
@@ -135,8 +148,11 @@ def test_pn_table_perfect_oscillator_is_deterministic():
 
 def test_pn_table_kernel_decay():
     table = pn_covariance_table(1e-3, 32)
-    combined = table.combined_variance
-    assert combined == pytest.approx(2.0 * table.increment_variance)
+    sigma2 = phase_increment_variance(1e-3, 32)
+    assert table.increment_variance == sigma2
+    # the transmit plus receive pair accumulates twice one oscillator's
+    # increment variance per sample
+    combined = 2.0 * sigma2
     assert table.kernel[0, 5] == pytest.approx(np.exp(-combined * 5 / 2.0))
     assert table.kernel[7, 2] == pytest.approx(np.exp(-combined * 5 / 2.0))
 

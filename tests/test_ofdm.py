@@ -1,10 +1,14 @@
-"""Transform conventions, BPSK draws and cyclic prefix handling."""
+"""Transform conventions, BPSK draws and cyclic prefix handling.
+
+The partial DFT matrix and cyclic-prefix modulation serve only the checks,
+so they live in fdsic.validation."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdsic.ofdm import dft_matrix, gen_bpsk_symbols, modulate
+from fdsic.ofdm import gen_bpsk_symbols
+from fdsic.validation import dft_matrix, modulate
 
 
 def test_dft_matrix_columns_orthogonal():
