@@ -71,7 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> SimConfig:
-    config = SimConfig.from_file(args.config) if args.config else SimConfig()
+    try:
+        config = SimConfig.from_file(args.config) if args.config else SimConfig()
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read config file {args.config}: {exc.strerror}"
+        ) from exc
     if args.fast:
         config = config.fast()
     overrides = {}
@@ -113,8 +118,9 @@ def main(argv: list[str] | None = None) -> int:
             print(result.line())
         return 0 if all(result.passed for result in results) else 1
 
-    # A setting, sweep value or config file the simulator rejects is a
-    # usage error: argparse reports it and exits with status 2.
+    # A setting, sweep value, config file or output path the simulator
+    # rejects is a usage error: argparse reports it and exits with status 2,
+    # before any trial runs.
     try:
         config = _load_config(args)
         if args.command == "single":
@@ -125,13 +131,18 @@ def main(argv: list[str] | None = None) -> int:
                 values = [float(part) for part in args.values.split(",")]
             else:
                 values = defaults
+        out = args.out
+        if out is None and args.command != "single":
+            out = Path(f"sweep_{variable}.csv")
+        for path in (out, args.json_summary):
+            if path is not None and not path.parent.is_dir():
+                raise ValueError(
+                    f"cannot write {path}: no directory {path.parent}"
+                )
         records = sweep(config, variable, values)
     except ValueError as exc:
         parser.error(str(exc))
     _print_records(records)
-    out = args.out
-    if out is None and args.command != "single":
-        out = Path(f"sweep_{variable}.csv")
     if out is not None:
         emit_csv(records, out)
         print(f"wrote {out}")

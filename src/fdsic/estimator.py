@@ -44,9 +44,16 @@ is checked against live in fdsic.validation.
 Every BLAS and LAPACK call here goes through scipy.linalg.  The numpy and
 scipy wheels each bundle their own multithreaded OpenBLAS, and alternating
 between the two thread pools on every trial costs more than the small
-matrix products themselves.
+matrix products themselves.  Those products are 128 x 128 or smaller, and
+none of them (zhetrd, dsterf, zgemm, zhemm, zunmqr) runs faster on a
+second thread, which only spins on another core.  So sweeps and the
+validation suites run inside one_blas_thread, which sets scipy's OpenBLAS
+to one thread and restores the previous count on exit; where scipy links
+some other BLAS, they run unchanged.
 """
 
+import contextlib
+import ctypes
 import functools
 from dataclasses import dataclass, field
 
@@ -54,6 +61,59 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .impairments import PnCovarianceTable
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """The (get, set) thread-count functions of the OpenBLAS that
+    scipy.linalg calls, or None where none is found.
+
+    The library is found by its exported symbol, not by its file name:
+    dlsym on the handle of scipy's LAPACK wrapper module resolves through
+    that module's own dependencies, so it reaches exactly the BLAS that the
+    wrappers call.
+    """
+    try:
+        from scipy.linalg import _flapack
+
+        library = ctypes.CDLL(_flapack.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get_threads = getattr(library, f"{prefix}_get_num_threads")
+            set_threads = getattr(library, f"{prefix}_set_num_threads")
+        except AttributeError:
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with scipy's OpenBLAS on one thread.
+
+    Yields the thread count read back from the library, or None where no
+    OpenBLAS is found, in which case the body runs unchanged.  The previous
+    count is restored on exit, also when the body raises.  Also usable as a
+    decorator.  The count is process-wide, so bodies that overlap in
+    several threads can restore it out of order.
+    """
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield None
+        return
+    get_threads, set_threads = functions
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(previous)
 
 
 class SingularMatrixError(np.linalg.LinAlgError):

@@ -35,6 +35,7 @@ from .estimator import (
     SiSpectrum,
     ls_estimate,
     ls_residual_power,
+    one_blas_thread,
     si_covariance,
     si_spectrum,
     spectral_weights,
@@ -376,6 +377,7 @@ def _report(
     )
 
 
+@one_blas_thread()
 def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial: both methods on the identical realization."""
     if trial_index < 0:
@@ -409,6 +411,7 @@ class SweepRecord:
     ci_halfwidth_db: float
 
 
+@one_blas_thread()
 def sweep(
     config: SimConfig, variable: str, values: Sequence[float]
 ) -> list[SweepRecord]:
@@ -417,8 +420,9 @@ def sweep(
     Every sweep point runs config.n_trials trials.  Trial t draws one
     realization from a stream that depends only on (master_seed, t), and
     every point rescales that same realization, so points are paired.  The
-    trials run in chunks of _chunk_size(config).  Records come back sorted
-    by (value, method).  A repeated value raises ValueError.
+    trials run in chunks of _chunk_size(config), with scipy's OpenBLAS on
+    one thread.  Records come back sorted by (value, method).  A repeated
+    value raises ValueError.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -550,13 +554,20 @@ def write_json_summary(
     records: Sequence[SweepRecord],
     command: str,
 ) -> None:
-    """Write the version, command, configuration echo and records as JSON."""
-    payload = {
-        "version": __version__,
-        "command": command,
-        "config": dataclasses.asdict(config),
-        "records": [dataclasses.asdict(record) for record in records],
-    }
+    """Write the version, command, configuration echo and records as JSON.
+
+    blas_threads is the OpenBLAS thread count that sweeps run with, read
+    back from the library inside one_blas_thread, or None where no OpenBLAS
+    was found.
+    """
+    with one_blas_thread() as blas_threads:
+        payload = {
+            "version": __version__,
+            "command": command,
+            "blas_threads": blas_threads,
+            "config": dataclasses.asdict(config),
+            "records": [dataclasses.asdict(record) for record in records],
+        }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -35,7 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 
-from .estimator import EstimatorStatistics, SingularMatrixError
+from .estimator import (
+    EstimatorStatistics,
+    SingularMatrixError,
+    one_blas_thread,
+)
 from .impairments import (
     PnCovarianceTable,
     channel_outputs,
@@ -620,8 +624,10 @@ def check_model_equivalence(
     )
 
 
+@one_blas_thread()
 def run_all(fast: bool = False) -> list[CheckResult]:
-    """Run every validation suite; fast mode shrinks the Monte Carlo sizes."""
+    """Run every validation suite, with scipy's OpenBLAS on one thread; fast
+    mode shrinks the Monte Carlo sizes."""
     traces = 20_000 if fast else 100_000
     trials = 20_000 if fast else 100_000
     instances = 25 if fast else 100

@@ -143,6 +143,34 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     assert "node.cfg:2: n_tx is set more than once" in capsys.readouterr().err
 
 
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "no-such.cfg"
+    with pytest.raises(SystemExit) as caught:
+        main(["single", "--config", str(cfg)])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert f"cannot read config file {cfg}" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json-summary"])
+def test_output_path_is_checked_before_any_trial(
+    tmp_path, capsys, monkeypatch, flag
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    target = tmp_path / "no-such-dir" / "x.out"
+    argv = ["sweep-snr", "--fast", "--trials", "2", flag, str(target)]
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert f"cannot write {target}" in err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -508,6 +508,103 @@ def test_sweep_calls_no_numpy_linear_algebra(monkeypatch):
     run_trial(config, 0)
 
 
+# The (get, set) thread-count functions of scipy's OpenBLAS, or None.
+BLAS_THREADS = estimator._openblas_thread_functions()
+needs_openblas = pytest.mark.skipif(
+    BLAS_THREADS is None,
+    reason="no OpenBLAS thread-count functions found behind scipy.linalg, "
+    "so one_blas_thread leaves the BLAS as it is",
+)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Set scipy's OpenBLAS to two threads for the test, so that a restored
+    count differs from the pinned one; put the original count back after."""
+    get_threads, set_threads = BLAS_THREADS
+    original = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("scipy's OpenBLAS does not take a second thread")
+        yield get_threads
+    finally:
+        set_threads(original)
+
+
+def record_blas_threads(monkeypatch, get_threads) -> list[int]:
+    """The thread counts in effect at each si_spectrum call, as they come."""
+    seen = []
+    original = harness.si_spectrum
+
+    def recording(*args, **kwargs):
+        seen.append(get_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "si_spectrum", recording)
+    return seen
+
+
+@needs_openblas
+def test_sweep_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
+    seen = record_blas_threads(monkeypatch, two_blas_threads)
+    config = SimConfig(**SMALL)
+    sweep(config, "delta_f", [1e-4, 1e-2])
+    assert seen == [1, 1]
+    assert two_blas_threads() == 2
+    run_trial(config, 0)
+    assert seen == [1, 1, 1]
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_failed_sweep_restores_the_blas_thread_count(
+    monkeypatch, two_blas_threads
+):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness, "si_spectrum", boom)
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        sweep(SimConfig(**SMALL), "inr", [40.0])
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_validation_suites_run_on_one_blas_thread(
+    monkeypatch, two_blas_threads
+):
+    from fdsic import validation
+
+    for name in (
+        "check_pn_covariance",
+        "check_si_covariance",
+        "check_qp_oracle",
+        "check_model_equivalence",
+    ):
+        monkeypatch.setattr(
+            validation, name, lambda *args, **kwargs: two_blas_threads()
+        )
+    assert validation.run_all(fast=True) == [1] * 5
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_thread_pin_changes_no_output(
+    monkeypatch, tmp_path, two_blas_threads
+):
+    # the reference node, whose N = 128 products are the largest a sweep
+    # runs, gives the same bytes on one thread and on two
+    config = SimConfig(n_trials=2)
+    pinned, unpinned = tmp_path / "pinned.csv", tmp_path / "unpinned.csv"
+    emit_csv(sweep(config, "delta_f", [1e-4, 1e-2]), pinned)
+    seen = record_blas_threads(monkeypatch, two_blas_threads)
+    monkeypatch.setattr(estimator, "_openblas_thread_functions", lambda: None)
+    emit_csv(sweep(config, "delta_f", [1e-4, 1e-2]), unpinned)
+    assert seen == [2, 2]
+    assert unpinned.read_bytes() == pinned.read_bytes()
+
+
 def test_sweep_transforms_no_n_by_n_matrix(monkeypatch):
     # the spectral engine runs on the sample-domain covariance, so no FFT of
     # an INR or a delta_f sweep carries an N x N matrix to the subcarrier
@@ -693,6 +790,16 @@ def test_json_summary(tmp_path):
     assert payload["config"]["n_subcarriers"] == 16
     assert len(payload["records"]) == 2
     assert "version" in payload
+    # the thread count sweeps run with, read back from scipy's OpenBLAS
+    assert payload["blas_threads"] == (None if BLAS_THREADS is None else 1)
+
+
+def test_json_summary_without_openblas_records_null(monkeypatch, tmp_path):
+    monkeypatch.setattr(estimator, "_openblas_thread_functions", lambda: None)
+    config = SimConfig(**SMALL)
+    path = tmp_path / "summary.json"
+    write_json_summary(path, config, sweep(config, "inr", [40.0]), "sweep-inr")
+    assert json.loads(path.read_text())["blas_threads"] is None
 
 
 def test_sweep_record_round_half_even_not_involved():
