@@ -21,16 +21,22 @@ coefficients of phase traces (ici_coefficients) and cyclic-prefix
 modulation (modulate).  The simulator imports nothing from this module.
 
 Both Monte Carlo oracles stream their samples through fixed-size blocks of
-rows: each block is drawn, rotated and transformed on its own and folded
-into one running BLAS-3 Hermitian rank-k update (zherk), so their memory is
-bounded by the full-size phase array (and the SI oracle's taps) rather than
-by a stack of full-size temporaries.  Their random draws are part of the
-contract: the same seed draws the same numbers in the same order and
+rows: the oscillator walks are drawn block by block at unit step, and each
+block is scaled to its bandwidth, rotated and transformed on its own and
+folded into one running BLAS-3 Hermitian rank-k update (zherk), so their
+memory is bounded by the full-size walk array (and the SI oracle's taps)
+rather than by a stack of full-size temporaries.  Because only the scale
+depends on the bandwidth, the mixing oracle serves every bandwidth of a
+check from one draw.  The SI oracle forms its channel outputs by direct
+circular convolution with the delayed symbol waveforms, a route independent
+of the simulator's FFT-based channel_outputs.  Their random draws are part
+of the contract: the same seed draws the same numbers in the same order and
 shapes, block after block, so the reported worst errors change only in the
 last digits when the arithmetic around the draws changes.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
@@ -290,18 +296,18 @@ def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
 
 
 def _summed_wiener_phases(
-    shape: tuple[int, ...], sigma: float, rng: np.random.Generator
+    shape: tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
     """Phases of two independent Wiener oscillators summed, one trace along
-    the last axis of shape, each starting at zero with steps of standard
-    deviation sigma.
+    the last axis of shape, each starting at zero with unit-variance steps.
 
-    The steps are drawn as two (shape[0], ..., N - 1) arrays, first
-    oscillator first, but block by block along the leading axis:
-    standard_normal fills C order sequentially, so consecutive blocks
-    receive the numbers one full draw would, and scaling and summing each
-    block in place gives the phases of the full-size arithmetic bit for
-    bit.  Only the returned array exists at full size.
+    A walk with steps of standard deviation sigma is sigma times this unit
+    walk, so one draw serves every bandwidth: callers scale one row block
+    at a time and only the returned array exists at full size.  The steps
+    are drawn as two (shape[0], ..., N - 1) arrays, first oscillator first,
+    but block by block along the leading axis: standard_normal fills C
+    order sequentially, so consecutive blocks receive the numbers one full
+    draw would.
     """
     phases = np.zeros(shape)
     row_entries = int(np.prod(shape[1:]))
@@ -310,7 +316,6 @@ def _summed_wiener_phases(
             steps = rng.standard_normal(
                 (rows.stop - rows.start,) + shape[1:-1] + (shape[-1] - 1,)
             )
-            steps *= sigma
             np.cumsum(steps, axis=-1, out=steps)
             phases[rows, ..., 1:] += steps
     return phases
@@ -331,50 +336,98 @@ def ici_coefficients(phases: np.ndarray) -> np.ndarray:
 
 
 def simulate_mixing_covariance(
-    delta_f: float,
+    delta_fs: Sequence[float],
     n_subcarriers: int,
     n_traces: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """Monte Carlo E[delta_a conj(delta_b)] from independent transmit and
-    receive Wiener traces, by direct transform of the rotation samples.
+    receive Wiener traces, by direct transform of the rotation samples, one
+    estimate per phase-noise bandwidth in delta_fs.
 
-    Every trace is transformed on its own by ici_coefficients, so the oracle
-    checks the closed form's transform convention, and the traces enter only
-    through their sample Gram, which is streamed over blocks of traces.  The
-    rng draws (two blocks of n_traces x (n_subcarriers - 1) normals) are
-    part of the oracle's contract: a given rng state always yields the same
-    traces.
+    All bandwidths share one draw of unit-step walks, each scaled to its
+    bandwidth one block of traces at a time.  Every trace is transformed on
+    its own by ici_coefficients, so the oracle checks the closed form's
+    transform convention, and the traces enter only through their sample
+    Gram, which is streamed over blocks of traces.  The rng draws (two
+    blocks of n_traces x (n_subcarriers - 1) normals, whatever the number
+    of bandwidths) are part of the oracle's contract: a given rng state
+    always yields the same traces.
     """
+    if len(delta_fs) == 0:
+        raise ValueError("delta_fs must name at least one bandwidth")
     _require_samples(n_traces, "n_traces")
-    sigma = np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
-    phases = _summed_wiener_phases((n_traces, n_subcarriers), sigma, rng)
-    coeffs = (
-        ici_coefficients(phases[rows])
-        for rows in _row_blocks(n_traces, n_subcarriers)
-    )
-    return _streamed_gram(coeffs, n_subcarriers)
+    sigmas = [
+        np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
+        for delta_f in delta_fs
+    ]
+    walks = _summed_wiener_phases((n_traces, n_subcarriers), rng)
+
+    def coefficients(sigma: float):
+        for rows in _row_blocks(n_traces, n_subcarriers):
+            yield ici_coefficients(sigma * walks[rows])
+
+    return [
+        _streamed_gram(coefficients(sigma), n_subcarriers) for sigma in sigmas
+    ]
 
 
 def check_pn_covariance(
-    delta_f: float = 1e-3,
+    delta_fs: Sequence[float] = (1e-4, 1e-3),
     n_subcarriers: int = 32,
     n_traces: int = 100_000,
     seed: int = 7001,
     tolerance: float = 2e-3,
-) -> CheckResult:
-    """Closed-form mixing covariance versus the Monte Carlo oracle."""
+) -> list[CheckResult]:
+    """Closed-form mixing covariance versus the Monte Carlo oracle, one
+    result per bandwidth in delta_fs, all from one draw of traces."""
     rng = np.random.default_rng(seed)
-    table = pn_covariance_table(delta_f, n_subcarriers)
-    estimate = simulate_mixing_covariance(delta_f, n_subcarriers, n_traces, rng)
-    worst = float(np.max(np.abs(estimate - mixing_covariance(table.kernel))))
-    return CheckResult(
-        name="pn-covariance",
-        passed=worst <= tolerance,
-        worst_error=worst,
-        tolerance=tolerance,
-        detail=f"delta_f={delta_f:g} N={n_subcarriers} traces={n_traces}",
+    estimates = simulate_mixing_covariance(
+        delta_fs, n_subcarriers, n_traces, rng
     )
+    results = []
+    for delta_f, estimate in zip(delta_fs, estimates):
+        table = pn_covariance_table(delta_f, n_subcarriers)
+        worst = float(
+            np.max(np.abs(estimate - mixing_covariance(table.kernel)))
+        )
+        results.append(
+            CheckResult(
+                name="pn-covariance",
+                passed=worst <= tolerance,
+                worst_error=worst,
+                tolerance=tolerance,
+                detail=(
+                    f"delta_f={delta_f:g} N={n_subcarriers} traces={n_traces}"
+                ),
+            )
+        )
+    return results
+
+
+def _delayed_waveforms(symbols: np.ndarray, n_taps: int) -> np.ndarray:
+    """The (n_taps, N) symbol waveform ifft(symbols), row l delayed
+    circularly by l samples, so taps @ delayed is the circular channel
+    output of each row of taps."""
+    waveform = np.fft.ifft(np.asarray(symbols, dtype=np.complex128))
+    return np.stack([np.roll(waveform, lag) for lag in range(n_taps)])
+
+
+def _direct_channel_outputs(
+    taps: np.ndarray, delayed: np.ndarray
+) -> np.ndarray:
+    """Circular channel outputs taps @ delayed of every row of (..., L) taps
+    against the delayed waveforms of _delayed_waveforms, shape (..., N).
+
+    One zgemm on scipy's BLAS, which runs on the thread count run_all pins;
+    numpy's own BLAS would wake a thread pool whose spinning costs more CPU
+    than the product.  Transposing both C-ordered operands hands zgemm
+    Fortran-ordered views, and the transposed product is C-ordered, so
+    nothing is copied.
+    """
+    rows = taps.reshape(-1, delayed.shape[0])
+    product = blas.zgemm(1.0, delayed.T, rows.T).T
+    return product.reshape(taps.shape[:-1] + delayed.shape[1:])
 
 
 def simulate_si_covariance(
@@ -388,11 +441,15 @@ def simulate_si_covariance(
     """Sample covariance of synthesized SI vectors for fixed symbols.
 
     Vectorized mirror of synthesize_received: fresh channels and
-    per-antenna oscillator pairs each trial.  The rotated waveforms are
-    summed over antennas, transformed, and enter only through their sample
-    Gram, one block of trials at a time.  The rng draws (taps, then two
-    blocks of oscillator steps) keep their order, shapes and count: a given
-    rng state always yields the same channels and traces.
+    per-antenna oscillator pairs each trial.  The channel outputs come from
+    direct circular convolution of the taps with the delayed symbol
+    waveforms rather than from the FFT pair of channel_outputs, so the
+    oracle shares no route with it.  The unit-step walks are scaled to the
+    bandwidth, and the rotated outputs summed over antennas and
+    transformed, one block of trials at a time; they enter only through
+    their sample Gram.  The rng draws (taps, then two blocks of oscillator
+    steps) keep their order, shapes and count: a given rng state always
+    yields the same channels and traces.
     """
     _require_samples(n_trials, "n_trials")
     n = symbols.size
@@ -403,16 +460,13 @@ def simulate_si_covariance(
         rng.standard_normal((n_trials, n_tx, n_taps))
         + 1j * rng.standard_normal((n_trials, n_tx, n_taps))
     )
-    phases = _summed_wiener_phases((n_trials, n_tx, n), sigma, rng)
+    walks = _summed_wiener_phases((n_trials, n_tx, n), rng)
+    delayed = _delayed_waveforms(symbols, n_taps)
 
     def si_vectors(rows: slice) -> np.ndarray:
-        spectrum = np.fft.fft(taps[rows], n=n, axis=2)
-        spectrum *= symbols
-        waveform = np.fft.ifft(spectrum, axis=2)
-        # Freed before the rotation is allocated; the two would set the peak.
-        del spectrum
-        waveform *= unit_rotation(phases[rows])
-        return np.fft.fft(waveform.sum(axis=1), axis=1)
+        outputs = _direct_channel_outputs(taps[rows], delayed)
+        outputs *= unit_rotation(sigma * walks[rows])
+        return np.fft.fft(outputs.sum(axis=1), axis=1)
 
     return _streamed_gram(
         (si_vectors(rows) for rows in _row_blocks(n_trials, n_tx * n)), n
@@ -632,10 +686,8 @@ def run_all(fast: bool = False) -> list[CheckResult]:
     trials = 20_000 if fast else 100_000
     instances = 25 if fast else 100
     return [
-        check_pn_covariance(delta_f=1e-4, n_traces=traces,
-                            tolerance=2e-3 if not fast else 5e-3),
-        check_pn_covariance(delta_f=1e-3, n_traces=traces,
-                            tolerance=2e-3 if not fast else 5e-3),
+        *check_pn_covariance(delta_fs=(1e-4, 1e-3), n_traces=traces,
+                             tolerance=2e-3 if not fast else 5e-3),
         check_si_covariance(n_trials=trials,
                             tolerance=0.03 if not fast else 0.06),
         check_qp_oracle(n_instances=instances),

@@ -34,6 +34,16 @@ FULL_SWEEP_BUDGET_S = 1800.0
 FAST_SWEEP_BUDGET_S = 180.0
 COVARIANCE_BUDGET_S = 120.0
 
+# Worst errors of the full-size Monte Carlo oracles, as `fdsic validate`
+# runs them: pn-covariance at delta_f 1e-4 and 1e-3, then si-covariance.
+# Like FAST_WORST_ERRORS in test_cli.py, they hold the draws fixed: any
+# change to the seeds, draw order or sizes moves them far beyond rel 1e-6.
+FULL_WORST_ERRORS = (
+    5.3459588478687707e-05,
+    1.6937382447009826e-04,
+    5.379012097087674e-03,
+)
+
 
 def _verdict(name: str, passed: bool, detail: str) -> None:
     print(f"{name} {'PASS' if passed else 'FAIL'}: {detail}")
@@ -151,17 +161,18 @@ def test_criterion_4_si_covariance_oracle():
         passed,
         f"{result.line()} in {elapsed:.0f}s <= {COVARIANCE_BUDGET_S:.0f}s",
     )
+    assert result.worst_error == pytest.approx(FULL_WORST_ERRORS[2], rel=1e-6)
 
 
 def test_criterion_5_mixing_covariance_oracle():
-    results = [
-        check_pn_covariance(delta_f=1e-4),
-        check_pn_covariance(delta_f=1e-3),
-    ]
-    passed = all(result.passed for result in results)
+    # one draw of traces serves both bandwidths
+    results = check_pn_covariance(delta_fs=(1e-4, 1e-3))
+    passed = len(results) == 2 and all(result.passed for result in results)
     _verdict(
         "criterion 5", passed, "; ".join(result.line() for result in results)
     )
+    worst = [result.worst_error for result in results]
+    assert worst == pytest.approx(FULL_WORST_ERRORS[:2], rel=1e-6)
 
 
 def test_criterion_6_real_program_equals_complex_solve():

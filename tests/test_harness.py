@@ -576,8 +576,13 @@ def test_validation_suites_run_on_one_blas_thread(
 ):
     from fdsic import validation
 
-    for name in (
+    # check_pn_covariance returns one result per bandwidth, the others one
+    monkeypatch.setattr(
+        validation,
         "check_pn_covariance",
+        lambda *args, **kwargs: [two_blas_threads(), two_blas_threads()],
+    )
+    for name in (
         "check_si_covariance",
         "check_qp_oracle",
         "check_model_equivalence",

@@ -160,7 +160,7 @@ def test_pn_table_kernel_decay():
 def test_pn_table_matches_monte_carlo():
     rng = np.random.default_rng(26)
     gamma = mixing_covariance(pn_covariance_table(1e-3, 16).kernel)
-    estimate = simulate_mixing_covariance(1e-3, 16, 20_000, rng)
+    (estimate,) = simulate_mixing_covariance((1e-3,), 16, 20_000, rng)
     assert np.max(np.abs(estimate - gamma)) < 5e-3
 
 

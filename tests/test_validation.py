@@ -50,10 +50,15 @@ def test_check_result_line_format():
 
 
 def test_pn_covariance_check_small():
-    result = check_pn_covariance(
-        delta_f=1e-3, n_subcarriers=16, n_traces=20_000, tolerance=5e-3
+    results = check_pn_covariance(
+        delta_fs=(1e-4, 1e-3), n_subcarriers=16, n_traces=20_000,
+        tolerance=5e-3,
     )
-    assert result.passed, result.line()
+    assert [result.detail.split()[0] for result in results] == [
+        "delta_f=0.0001", "delta_f=0.001",
+    ]
+    for result in results:
+        assert result.passed, result.line()
 
 
 def test_si_covariance_check_small():
@@ -126,7 +131,7 @@ def test_streamed_oracles_match_the_one_shot_reduction(
     rng = np.random.default_rng(90)
     reference_rng = np.random.default_rng(90)
     if oracle == "mixing":
-        gram = simulate_mixing_covariance(delta_f, n, count, rng)
+        (gram,) = simulate_mixing_covariance((delta_f,), n, count, rng)
         rows = _one_shot_mixing_rows(delta_f, n, count, reference_rng)
     else:
         symbols = gen_bpsk_symbols(n, 1.0, np.random.default_rng(91))
@@ -142,7 +147,54 @@ def test_streamed_oracles_match_the_one_shot_reduction(
 
 def test_mixing_oracle_rejects_zero_traces():
     with pytest.raises(ValueError, match="n_traces"):
-        simulate_mixing_covariance(1e-3, 16, 0, np.random.default_rng(92))
+        simulate_mixing_covariance((1e-3,), 16, 0, np.random.default_rng(92))
+
+
+def test_mixing_oracle_shares_one_draw_across_bandwidths(monkeypatch):
+    # 37 traces of N = 8 in 128-entry blocks: two blocks and a remainder
+    monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
+    n, count, delta_fs = 8, 37, (1e-3, 1e-2)
+    rng = np.random.default_rng(94)
+    grams = simulate_mixing_covariance(delta_fs, n, count, rng)
+    single_rng = np.random.default_rng(94)
+    simulate_mixing_covariance(delta_fs[:1], n, count, single_rng)
+    assert rng.bit_generator.state == single_rng.bit_generator.state
+    assert len(grams) == len(delta_fs)
+    for delta_f, gram in zip(delta_fs, grams):
+        rows = _one_shot_mixing_rows(
+            delta_f, n, count, np.random.default_rng(94)
+        )
+        reference = np.einsum("ta,tb->ab", rows, rows.conj()) / count
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(gram - reference)) <= 1e-12 * scale
+        assert np.array_equal(gram, gram.conj().T)
+
+
+def test_mixing_oracle_rejects_no_bandwidth():
+    rng = np.random.default_rng(95)
+    with pytest.raises(ValueError, match="delta_fs"):
+        simulate_mixing_covariance((), 16, 10, rng)
+    with pytest.raises(ValueError, match="delta_fs"):
+        check_pn_covariance(delta_fs=())
+
+
+@pytest.mark.parametrize("n_taps", [1, 2, 16])
+def test_si_oracle_convolution_matches_channel_outputs(n_taps):
+    # the SI oracle's direct circular convolution against the production
+    # FFT route, up to the full symbol length N = 16, on taps of 4 trials
+    # of 3 antennas as the oracle passes them
+    rng = np.random.default_rng(96)
+    n, shape = 16, (4, 3, n_taps)
+    symbols = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    direct = validation._direct_channel_outputs(
+        taps, validation._delayed_waveforms(symbols, n_taps)
+    )
+    reference = channel_outputs(symbols, taps)
+    assert direct.shape == reference.shape
+    assert np.max(np.abs(direct - reference)) <= 1e-13 * np.max(
+        np.abs(reference)
+    )
 
 
 def test_si_oracle_rejects_zero_trials():
@@ -153,14 +205,14 @@ def test_si_oracle_rejects_zero_trials():
 def test_full_size_oracles_stream_within_50_mb():
     # One full-size call of each oracle, as `fdsic validate` makes them.
     # Built on full-size arrays they peaked at 146 and 156 MB; streamed,
-    # only the phases (25.6 MB) and the SI taps (12.8 MB) are full size.
+    # only the unit walks (25.6 MB) and the SI taps (12.8 MB) are full size.
     rng = np.random.default_rng(93)
     symbols = gen_bpsk_symbols(8, 1.0, rng)
     pdp = np.exp(-np.arange(2) / 4.0)
     peaks = []
     tracemalloc.start()
     try:
-        simulate_mixing_covariance(1e-3, 32, 100_000, rng)
+        simulate_mixing_covariance((1e-4, 1e-3), 32, 100_000, rng)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
         simulate_si_covariance(symbols, pdp, 4, 1e-3, 100_000, rng)
