@@ -34,7 +34,10 @@ tridiagonal solves as (B, ...) stacks, while the BLAS and LAPACK calls that
 factor or multiply one trial's matrices (zgemm, zhemm, zhetrd, dsterf,
 zunmqr) run once per trial on that trial's operands alone, so a trial's
 results do not depend on the batch around it.  The simulator runs a chunk
-of trials as one batch.
+of trials as one batch.  A failure raises with a message that says what
+failed, not where: a point's factorization depends only on its own
+tridiagonal and a trial's on its own operands, so the simulator finds the
+failing trial and point by running them alone.
 
 The conventional least-squares channel estimator is included as the
 baseline, on a vector or on each column of a block.  The subcarrier-domain
@@ -118,27 +121,7 @@ def one_blas_thread():
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """A covariance that must be positive definite failed to factor, or
-    its tridiagonal eigenvalue iteration did not converge.
-
-    point is the index of the failing operating point within a block of
-    points and trial its row in a batch of trials; either is None when the
-    failure is not tied to one.
-    """
-
-    def __init__(
-        self, message: str, point: int | None = None, trial: int | None = None
-    ):
-        super().__init__(message)
-        self.point = point
-        self.trial = trial
-
-
-def _singular(
-    message: str, flat: int, batch: tuple, points: tuple
-) -> SingularMatrixError:
-    """The error for entry flat of a row-major (batch + points) array."""
-    trial, point = divmod(flat, int(np.prod(points, dtype=int)))
-    return SingularMatrixError(message, point=point, trial=trial if batch else None)
+    its tridiagonal eigenvalue iteration did not converge."""
 
 
 def _shifted_waveforms(symbols: np.ndarray, n_taps: int) -> np.ndarray:
@@ -251,11 +234,7 @@ def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
     power = np.abs(symbols) ** 2
     low, high = power.min(axis=-1), power.max(axis=-1)
     if np.any(low == 0.0):
-        # a batch names the first trial with a zero symbol
-        raise SingularMatrixError(
-            "LS normal equations are singular",
-            trial=int(np.argmax(low.ravel() == 0.0)) if low.ndim else None,
-        )
+        raise SingularMatrixError("LS normal equations are singular")
     mean = power.sum(axis=-1) / power.shape[-1]
     if np.any(np.maximum(high - mean, mean - low) > 1e-12 * mean):
         raise ValueError("LS needs constant-modulus symbols")
@@ -347,10 +326,7 @@ def si_spectrum(
             diagonal[trial], off_diagonal[trial] if n > 1 else np.zeros(1)
         )
         if info != 0:
-            raise SingularMatrixError(
-                f"dsterf did not converge (info={info})",
-                trial=int(np.ravel_multi_index(trial, batch)) if batch else None,
-            )
+            raise SingularMatrixError(f"dsterf did not converge (info={info})")
     captured = (shifted.conj() * product).real.sum(axis=(-2, -1)) / power
     leakage = np.trace(si_cov, axis1=-2, axis2=-1).real - captured
     return SiSpectrum(
@@ -414,9 +390,9 @@ class SpectralWeights:
 
         received is the (N,) received vector at one operating point, or the
         (N, P) block whose column p is received at point p; for a batch of
-        B trials, the (B, N) or (B, N, P) stack of them.  A point whose
-        received covariance fails to factor raises SingularMatrixError with
-        that point's index and, in a batch, its trial's row.
+        B trials, the (B, N) or (B, N, P) stack of them.  A received
+        covariance that fails to factor at any point of any trial raises
+        SingularMatrixError.
         """
         received = np.asarray(received, dtype=np.complex128)
         batch = self.spectrum.eigenvalues.shape[:-1]
@@ -439,9 +415,8 @@ class SpectralWeights:
             np.column_stack([flat.real, flat.imag]),
         )
         if info > 0:
-            raise _singular(
-                "received covariance is not positive definite",
-                (info - 1) // n, batch, self.soi_power.shape,
+            raise SingularMatrixError(
+                "received covariance is not positive definite"
             )
         back = np.moveaxis(
             (solved[:, 0] + 1j * solved[:, 1]).reshape(stacked.shape),
@@ -467,10 +442,9 @@ def spectral_weights(
     route without the cancellation between its large terms.  The estimate
     itself never forms the eigenvectors: it solves with the shifted
     tridiagonal scale*T + (noise + soi)*I.  The operating points are shared
-    by every trial of a batched spectrum.  A point whose received
-    covariance is not positive definite raises SingularMatrixError with
-    that point's index and, for a batch, the row of the first trial where
-    it fails.
+    by every trial of a batched spectrum.  A received covariance that is
+    not positive definite at any point of any trial raises
+    SingularMatrixError.
     """
     scale, soi_power = np.broadcast_arrays(
         np.asarray(scale, dtype=np.float64),
@@ -486,10 +460,8 @@ def spectral_weights(
     )
     received = si_noise + soi_power[..., None]
     if not received.min() > 0.0:
-        failed = np.flatnonzero(~(received.min(axis=-1) > 0.0))
-        raise _singular(
-            "received covariance is not positive definite",
-            int(failed[0]), batch, scale.shape,
+        raise SingularMatrixError(
+            "received covariance is not positive definite"
         )
     diagonal = scale[..., None] * spectrum.diagonal.reshape(per_point) + (
         noise_power + soi_power[..., None]

@@ -133,11 +133,15 @@ class SimConfig:
         """Parse a plain 'key = value' file, one setting per line, '#' comments.
 
         Each value is converted by its field's type (int, float or str).  A
-        key may appear only once.
+        key may appear only once.  Text that does not decode and values the
+        config rejects raise ValueError naming the file.
         """
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -156,7 +160,10 @@ class SimConfig:
                 raise ValueError(
                     f"{path}:{lineno}: {key} needs {kind.__name__}, got {value!r}"
                 ) from exc
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
@@ -275,8 +282,16 @@ def _run_chunk(
 
     Returns residual powers of shape (2, 2, P, B): [m, 0] the empirical and
     [m, 1] the theoretical residual of method _METHODS[m], at point p in
-    the chunk's trial b.  A failure names its trial and point, or the
-    chunk's range of trials when no trial fails alone.
+    the chunk's trial b.
+
+    A failure keeps its type and is named by replay, since only the
+    harness knows the chunk's layout.  A trial's numbers do not depend on
+    its chunk, nor a point's on the rest of its block, so a failed chunk of
+    several trials reruns them one at a time, and a single trial whose
+    failing block has several points reruns that block one point at a
+    time.  The first rerun that fails alone raises its own error; if none
+    does, the error names the chunk's trials at the first point of the
+    failing block.
     """
     cfg = scenarios[0].config
     draws = [_run_trial(cfg, trial, unit_pdp) for trial in trials]
@@ -303,19 +318,17 @@ def _run_chunk(
                 [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )
     except Exception as exc:
-        # a failure tied to one trial or point of a block names it
-        row = getattr(exc, "trial", None)
-        if row is not None or len(trials) == 1:
-            which = f"trial {trials[row or 0]}"
-        else:
-            # Tied to no trial: a trial's numbers do not depend on its
-            # chunk, so the first trial that fails alone raises its own
-            # error; if none does, name the chunk's range.
+        which = f"trial {trials[0]}"
+        if len(trials) > 1:
+            which = f"trials {trials[0]}-{trials[-1]}"
             for trial in trials:
                 _run_chunk(scenarios, [trial], variable, tables, unit_pdp)
-            which = f"trials {trials[0]}-{trials[-1]}"
-        point = scenarios[group[getattr(exc, "point", None) or 0]].config
-        value = getattr(point, _SWEEP_FIELDS[variable])
+        elif len(group) > 1:
+            for index in group:
+                _run_chunk(
+                    [scenarios[index]], trials, variable, tables, unit_pdp
+                )
+        value = getattr(scenarios[group[0]].config, _SWEEP_FIELDS[variable])
         raise type(exc)(f"{which} at {variable}={value!r} failed: {exc}") from exc
     return residuals
 

@@ -153,6 +153,28 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     assert f"cannot read config file {cfg}" in err
 
 
+def test_undecodable_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n_tx = 2\n\xff\n")
+    with pytest.raises(SystemExit) as caught:
+        main(["single", "--fast", "--config", str(cfg)])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert f"{cfg}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_config_file_value_rejected_by_the_config_names_it(tmp_path, capsys):
+    # the file's settings are checked as a whole before any flag overrides
+    # them, so the file is what the error names
+    cfg = tmp_path / "node.cfg"
+    cfg.write_text("n_trials = 0\n")
+    with pytest.raises(SystemExit) as caught:
+        main(["single", "--fast", "--trials", "3", "--config", str(cfg)])
+    assert caught.value.code == 2
+    assert f"{cfg}: n_trials must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--json-summary"])
 def test_output_path_is_checked_before_any_trial(
     tmp_path, capsys, monkeypatch, flag

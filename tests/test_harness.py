@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -200,8 +201,15 @@ def test_run_trial_wraps_internal_failures(monkeypatch):
         SingularMatrixError, match="trial 7 at inr=40.0 failed: synthetic"
     ):
         run_trial(SimConfig(**SMALL), 7)
-    with pytest.raises(SingularMatrixError, match="trial 0 at snr=5.0 failed"):
+    with pytest.raises(
+        SingularMatrixError, match="trial 0 at snr=5.0 failed"
+    ) as caught:
         sweep(SimConfig(**SMALL), "snr", [5.0])
+    # the wrapped error carries its type and message alone, so it crosses a
+    # process boundary intact
+    copy = pickle.loads(pickle.dumps(caught.value))
+    assert type(copy) is SingularMatrixError
+    assert str(copy) == str(caught.value)
 
 
 def test_failure_inside_a_block_names_its_point(monkeypatch):
@@ -210,31 +218,59 @@ def test_failure_inside_a_block_names_its_point(monkeypatch):
     # own value wherever it sits in the block
     original = harness.spectral_weights
 
-    def indefinite_middle(spectrum, scale, noise_power, soi_power):
-        soi_power = soi_power.copy()
-        soi_power[1] = -1e12
+    def indefinite_at_snr_10(spectrum, scale, noise_power, soi_power):
+        soi_power = np.where(soi_power == 10.0, -1e12, soi_power)
         return original(spectrum, scale, noise_power, soi_power)
 
-    monkeypatch.setattr(harness, "spectral_weights", indefinite_middle)
+    monkeypatch.setattr(harness, "spectral_weights", indefinite_at_snr_10)
     with pytest.raises(
         SingularMatrixError, match="trial 0 at snr=10.0 failed: received"
     ):
         sweep(SimConfig(**SMALL), "snr", [0.0, 10.0, 20.0])
 
 
+def _mark_trial(monkeypatch, trial):
+    """Record trial's symbols as the sweep draws them; returns the dict
+    that holds them under "symbols"."""
+    marked = {}
+    draw = harness._run_trial
+
+    def marking_draw(cfg, index, unit_pdp):
+        draws = draw(cfg, index, unit_pdp)
+        if index == trial:
+            marked["symbols"] = draws[0]
+        return draws
+
+    monkeypatch.setattr(harness, "_run_trial", marking_draw)
+    return marked
+
+
+def _rows_of(marked, symbols):
+    """Which rows of a (B, N) batch of symbols are the marked trial's."""
+    return np.array([np.array_equal(row, marked["symbols"]) for row in symbols])
+
+
 def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
     # all five trials run as one chunk, their B*P shifted tridiagonals in
-    # one solve; only trial 3's second point fails to factor
+    # one solve; only trial 3's point at snr=10 fails to factor
     config = SimConfig(**{**SMALL, "n_trials": 5})
     assert harness._chunk_size(config) == 5
-    original = harness.spectral_weights
+    marked = _mark_trial(monkeypatch, 3)
+    spectrum_of = harness.si_spectrum
+    weights_of = harness.spectral_weights
+
+    def marking_spectrum(si_cov, symbols, n_taps):
+        marked["rows"] = _rows_of(marked, symbols)
+        return spectrum_of(si_cov, symbols, n_taps)
 
     def broken(spectrum, scale, noise_power, soi_power):
-        weights = original(spectrum, scale, noise_power, soi_power)
+        weights = weights_of(spectrum, scale, noise_power, soi_power)
         n = spectrum.eigenvalues.shape[-1]
-        weights.received_diagonal[(3 * scale.size + 1) * n] = -1.0
+        diagonal = weights.received_diagonal.reshape(-1, soi_power.size, n)
+        diagonal[marked["rows"][:, None] & (soi_power == 10.0), 0] = -1.0
         return weights
 
+    monkeypatch.setattr(harness, "si_spectrum", marking_spectrum)
     monkeypatch.setattr(harness, "spectral_weights", broken)
     with pytest.raises(
         SingularMatrixError, match="trial 3 at snr=10.0 failed: received"
@@ -242,11 +278,13 @@ def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
         sweep(config, "snr", [0.0, 10.0, 20.0])
 
     # the eigenvalue check before the solve names the trial too
-    def indefinite_trial(spectrum, scale, noise_power, soi_power):
-        spectrum.eigenvalues[3] = -1e12
-        return original(spectrum, scale, noise_power, soi_power)
+    def indefinite_trial(si_cov, symbols, n_taps):
+        spectrum = spectrum_of(si_cov, symbols, n_taps)
+        spectrum.eigenvalues[_rows_of(marked, symbols)] = -1e12
+        return spectrum
 
-    monkeypatch.setattr(harness, "spectral_weights", indefinite_trial)
+    monkeypatch.setattr(harness, "si_spectrum", indefinite_trial)
+    monkeypatch.setattr(harness, "spectral_weights", weights_of)
     with pytest.raises(
         SingularMatrixError, match="trial 3 at snr=0.0 failed: received"
     ):
@@ -255,47 +293,34 @@ def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
 
 def test_untagged_failures_in_a_chunk_name_their_trials(monkeypatch):
     # the tridiagonal eigenvalue iteration runs trial by trial; when it
-    # fails at trial 3 of a 5-trial chunk, the message names trial 3
+    # fails for trial 3 of a 5-trial chunk, here on a covariance that is
+    # not finite, the message names trial 3
     config = SimConfig(**{**SMALL, "n_trials": 5})
     assert harness._chunk_size(config) == 5
-    calls = []
-    lapack = estimator.lapack
+    marked = _mark_trial(monkeypatch, 3)
+    covariance_of = harness.si_covariance
 
-    class FailingLapack:
-        def __getattr__(self, name):
-            return getattr(lapack, name)
+    def non_finite_trial(stats, pn):
+        si_cov = covariance_of(stats, pn)
+        si_cov[_rows_of(marked, stats.symbols)] = np.nan
+        return si_cov
 
-        def dsterf(self, diagonal, off_diagonal):
-            calls.append(len(calls))
-            eigenvalues, info = lapack.dsterf(diagonal, off_diagonal)
-            return eigenvalues, 1 if len(calls) == 4 else info
-
-    monkeypatch.setattr(estimator, "lapack", FailingLapack())
+    monkeypatch.setattr(harness, "si_covariance", non_finite_trial)
     with pytest.raises(
         SingularMatrixError, match="trial 3 at snr=0.0 failed: dsterf"
     ):
         sweep(config, "snr", [0.0, 10.0])
-    assert len(calls) == 4
-    monkeypatch.setattr(estimator, "lapack", lapack)
+    monkeypatch.setattr(harness, "si_covariance", covariance_of)
 
     # a failure that carries no trial is traced to the first trial that
     # fails alone ...
-    marked = {}
-    draw = harness._run_trial
     outputs = harness.channel_outputs
 
-    def marking_draw(cfg, trial, unit_pdp):
-        draws = draw(cfg, trial, unit_pdp)
-        if trial == 3:
-            marked["taps"] = draws[1]
-        return draws
-
     def failing_outputs(symbols, taps):
-        if any(np.array_equal(row, marked["taps"]) for row in taps):
+        if _rows_of(marked, symbols).any():
             raise ValueError("synthetic failure")
         return outputs(symbols, taps)
 
-    monkeypatch.setattr(harness, "_run_trial", marking_draw)
     monkeypatch.setattr(harness, "channel_outputs", failing_outputs)
     with pytest.raises(
         ValueError, match="trial 3 at snr=0.0 failed: synthetic failure"
@@ -313,6 +338,48 @@ def test_untagged_failures_in_a_chunk_name_their_trials(monkeypatch):
         ValueError, match="trials 0-4 at snr=0.0 failed: synthetic failure"
     ):
         sweep(config, "snr", [0.0, 10.0])
+
+
+def test_failure_at_a_later_bandwidth_names_its_trial_and_point(monkeypatch):
+    # each delta_f is its own block, built after the blocks before it; a
+    # covariance that is not positive definite for trial 3 at delta_f=0.1
+    # only is named there, past the first block
+    config = dataclasses.replace(SimConfig().fast(), n_trials=5)
+    assert harness._chunk_size(config) == 5
+    marked = _mark_trial(monkeypatch, 3)
+    widest = pn_covariance_table(0.1, config.n_subcarriers).increment_variance
+    covariance_of = harness.si_covariance
+
+    def negated_trial(stats, pn):
+        si_cov = covariance_of(stats, pn)
+        if pn.increment_variance == widest:
+            rows = _rows_of(marked, stats.symbols)
+            si_cov[rows] = -si_cov[rows]
+        return si_cov
+
+    monkeypatch.setattr(harness, "si_covariance", negated_trial)
+    with pytest.raises(
+        SingularMatrixError,
+        match="trial 3 at delta_f=0.1 failed: received covariance",
+    ):
+        sweep(config, "delta_f", [0.0, 1e-3, 0.1])
+
+
+def test_block_only_failure_names_the_trial_at_its_first_point(monkeypatch):
+    # a failure that only a block of several points raises, and no point
+    # raises alone, names the first trial at the block's first point
+    original = harness.spectral_weights
+
+    def block_only(spectrum, scale, noise_power, soi_power):
+        if soi_power.size > 1:
+            raise SingularMatrixError("synthetic failure")
+        return original(spectrum, scale, noise_power, soi_power)
+
+    monkeypatch.setattr(harness, "spectral_weights", block_only)
+    with pytest.raises(
+        SingularMatrixError, match="trial 0 at snr=0.0 failed: synthetic"
+    ):
+        sweep(SimConfig(**SMALL), "snr", [0.0, 10.0, 20.0])
 
 
 def test_run_trial_ls_floor_without_phase_noise():
