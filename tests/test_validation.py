@@ -1,5 +1,9 @@
 """Reduced-size runs of the self-check suites and their reporting."""
 
+import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ from fdsic import validation
 from fdsic.cancellation import cancellation_ability
 from fdsic.estimator import (
     EstimatorStatistics,
+    SingularMatrixError,
     si_covariance,
     si_spectrum,
     spectral_weights,
@@ -74,6 +79,76 @@ def test_qp_oracle_check_small():
 def test_model_equivalence_check_small():
     result = check_model_equivalence(n_trials=20)
     assert result.passed, result.line()
+
+
+@pytest.fixture
+def stub_checks(monkeypatch):
+    """Stand-ins for the four suites that return their names at once; a
+    test replaces one of them.  A run_all still running after 20 s raises
+    TimeoutError, so one that waits forever on its child fails the test,
+    and every test must leave no child process behind."""
+    monkeypatch.setattr(
+        validation, "check_pn_covariance", lambda **kwargs: ["pn", "pn"]
+    )
+    for name, result in (
+        ("check_si_covariance", "si"),
+        ("check_qp_oracle", "qp"),
+        ("check_model_equivalence", "model"),
+    ):
+        monkeypatch.setattr(
+            validation, name, lambda _result=result, **kwargs: _result
+        )
+
+    def expire(signum, frame):
+        raise TimeoutError("run_all still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        yield monkeypatch
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _raising(exc):
+    def check(**kwargs):
+        raise exc
+
+    return check
+
+
+def test_run_all_returns_the_child_results_first(stub_checks):
+    assert validation.run_all(fast=True) == ["pn", "pn", "si", "qp", "model"]
+
+
+def test_run_all_raises_the_child_check_error(stub_checks):
+    stub_checks.setattr(
+        validation, "check_pn_covariance", _raising(SingularMatrixError("boom"))
+    )
+    with pytest.raises(SingularMatrixError, match="^boom$"):
+        validation.run_all(fast=True)
+
+
+def test_parent_check_error_stops_the_child_first(stub_checks):
+    # the child would sleep past the alarm: run_all must stop it, not wait
+    stub_checks.setattr(
+        validation, "check_pn_covariance", lambda **kwargs: time.sleep(60)
+    )
+    stub_checks.setattr(
+        validation, "check_qp_oracle", _raising(ValueError("parent boom"))
+    )
+    with pytest.raises(ValueError, match="^parent boom$"):
+        validation.run_all(fast=True)
+
+
+def test_child_exit_without_results_names_its_exit_code(stub_checks):
+    stub_checks.setattr(
+        validation, "check_pn_covariance", lambda **kwargs: os._exit(3)
+    )
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        validation.run_all(fast=True)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
