@@ -27,7 +27,6 @@ from .harness import (
     SweepRecord,
     emit_csv,
     read_csv,
-    run_trial,
     sweep,
     write_json_summary,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "ls_residual_power",
     "pn_covariance_table",
     "read_csv",
-    "run_trial",
     "si_covariance",
     "si_spectrum",
     "spectral_weights",

@@ -8,7 +8,6 @@ subtraction.  Cancellation ability is the ratio of pre-cancellation power
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +32,6 @@ def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndar
     return per_row * np.fft.fft(channel_estimate, n=n, axis=axis)
 
 
-def si_power(
-    symbol_power: float, pdp: np.ndarray, n_tx: int, n_subcarriers: int
-) -> float:
-    """Mean received SI power over one symbol,
-    N * symbol_power * n_tx * sum(pdp)."""
-    pdp = np.asarray(pdp, dtype=np.float64)
-    if symbol_power < 0.0 or np.any(pdp < 0.0):
-        raise ValueError("powers must be non-negative")
-    if n_tx < 1 or n_subcarriers < 1:
-        raise ValueError("n_tx and n_subcarriers must be positive")
-    return float(n_subcarriers * symbol_power * n_tx * pdp.sum())
-
-
 def cancellation_ability(
     si_power: float, noise_floor: float, residual_power: float
 ) -> float:
@@ -57,12 +43,3 @@ def cancellation_ability(
         return math.inf
     return 10.0 * math.log10((si_power + noise_floor) / residual_power)
 
-
-@dataclass(frozen=True)
-class CancellationReport:
-    """Outcome of cancelling one received symbol with one method."""
-
-    method: str
-    residual_power_empirical: float
-    residual_power_theoretical: float
-    ability_db: float

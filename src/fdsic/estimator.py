@@ -370,9 +370,8 @@ class SpectralWeights:
     vectors.  A block stacks the P tridiagonals along one diagonal of
     length P*N with zero off-diagonal entries between them, so each factors
     exactly as it would alone; a batch of B trials stacks all B*P of them,
-    trial after trial.  soi_power is a scalar or a length-P vector, gains
-    (the eigenvalue gains of V) have shape (N,) or (P, N), and the expected
-    residual power is a scalar or a length-P vector, each with the
+    trial after trial.  soi_power is a scalar or a length-P vector, and
+    the expected residual power is a scalar or a length-P vector with the
     spectrum's leading trial axis in front when it has one.
     """
 
@@ -380,7 +379,6 @@ class SpectralWeights:
     received_diagonal: np.ndarray
     received_off_diagonal: np.ndarray
     soi_power: np.ndarray
-    gains: np.ndarray
     residual_power: float | np.ndarray
 
     def estimate(self, received: np.ndarray) -> np.ndarray:
@@ -478,7 +476,6 @@ def spectral_weights(
         # scipy's dptsv wants N*P - 1 entries, and a non-empty vector at 1
         received_off_diagonal=coupling[: max(coupling.size - 1, 1)],
         soi_power=soi_power,
-        gains=si_noise / received,
         residual_power=(si_noise * soi_power[..., None] / received).sum(axis=-1),
     )
 

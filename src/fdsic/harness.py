@@ -19,17 +19,11 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
-import warnings
 
 import numpy as np
 
 from . import __version__
-from .cancellation import (
-    CancellationReport,
-    cancellation_ability,
-    reconstruct_si,
-    si_power,
-)
+from .cancellation import cancellation_ability, reconstruct_si
 from .estimator import (
     EstimatorStatistics,
     SiSpectrum,
@@ -74,6 +68,12 @@ CSV_COLUMNS = (
     "trials",
     "ci_db",
 )
+# How read_csv parses each column, in SweepRecord's field order; an empty
+# g_theo_db cell (CSVs written before LS had a prediction) reads as None.
+_CSV_PARSERS = (
+    str, float, str, float, lambda cell: None if cell == "" else float(cell),
+    float, int, float,
+)
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,17 @@ class SimConfig:
 
     n_tx: int = 64
     n_subcarriers: int = 128
-    cp_length: int = 16
     n_taps: int = 16
-    symbol_power: float = 1.0
     delta_f: float = 1e-3
     inr_db: float = 40.0
     snr_db: float = 10.0
     n_trials: int = 500
     master_seed: int = 20260818
     oscillator_mode: str = "per-antenna"
-    pdp_shape: str = "exponential"
     pdp_decay: float = 4.0
 
     def __post_init__(self):
-        for name in ("inr_db", "snr_db", "delta_f", "symbol_power", "pdp_decay"):
+        for name in ("inr_db", "snr_db", "delta_f", "pdp_decay"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -103,26 +100,16 @@ class SimConfig:
             raise ValueError("n_tx, n_subcarriers and n_taps must be positive")
         if self.n_taps > self.n_subcarriers:
             raise ValueError("n_taps cannot exceed n_subcarriers")
-        if self.cp_length < 0 or self.cp_length >= self.n_subcarriers:
-            raise ValueError("cp_length must be in [0, n_subcarriers)")
         if self.oscillator_mode not in OSCILLATOR_MODES:
             raise ValueError(
                 f"oscillator_mode must be one of {OSCILLATOR_MODES}"
             )
-        if self.pdp_shape not in ("exponential", "uniform"):
-            raise ValueError("pdp_shape must be 'exponential' or 'uniform'")
-        if self.delta_f < 0.0 or self.symbol_power <= 0.0 or self.pdp_decay <= 0.0:
-            raise ValueError("delta_f, symbol_power and pdp_decay out of range")
+        if self.delta_f < 0.0 or self.pdp_decay <= 0.0:
+            raise ValueError("delta_f and pdp_decay out of range")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        if self.n_taps > self.cp_length + 1:
-            warnings.warn(
-                "channel exceeds the cyclic prefix, symbols would overlap",
-                UserWarning,
-                stacklevel=2,
-            )
 
     def fast(self) -> "SimConfig":
         """Reduced profile for smoke runs: smaller array and fewer trials."""
@@ -167,11 +154,9 @@ class SimConfig:
 
 
 def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
-    """Tap power profile with the requested shape, summing to total_power."""
-    if config.pdp_shape == "exponential":
-        weights = np.exp(-np.arange(config.n_taps) / config.pdp_decay)
-    else:
-        weights = np.ones(config.n_taps)
+    """Exponential tap power profile exp(-l / pdp_decay), summing to
+    total_power."""
+    weights = np.exp(-np.arange(config.n_taps) / config.pdp_decay)
     return total_power * weights / weights.sum()
 
 
@@ -179,9 +164,10 @@ def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
 class Scenario:
     """Per-sweep-point power bookkeeping shared by all trials.
 
-    channel_power is the per-antenna channel power that makes the mean SI
-    power over one symbol hit the configured INR above the unit noise
-    floor; soi_power follows from the SNR.  The phase-noise table depends
+    channel_power is the per-antenna channel power that makes si_power,
+    the mean SI power N * n_tx * sum(pdp) over one symbol of unit-power
+    symbols, hit the configured INR above the unit noise floor; soi_power
+    follows from the SNR.  The phase-noise table depends
     only on delta_f and N, so it is built once per distinct delta_f of a
     sweep (see _pn_tables), not per point.
     """
@@ -195,18 +181,14 @@ class Scenario:
     @classmethod
     def from_config(cls, config: SimConfig) -> "Scenario":
         channel_power = float(
-            10.0 ** (config.inr_db / 10.0)
-            * NOISE_POWER
-            / (config.symbol_power * config.n_tx)
+            10.0 ** (config.inr_db / 10.0) * NOISE_POWER / config.n_tx
         )
         pdp = pdp_profile(config, channel_power)
         return cls(
             config=config,
             channel_power=channel_power,
             soi_power=float(10.0 ** (config.snr_db / 10.0)),
-            si_power=si_power(
-                config.symbol_power, pdp, config.n_tx, config.n_subcarriers
-            ),
+            si_power=float(config.n_subcarriers * config.n_tx * pdp.sum()),
             noise_floor=config.n_subcarriers * NOISE_POWER,
         )
 
@@ -223,12 +205,6 @@ def _pn_tables(
                 point.delta_f, point.n_subcarriers
             )
     return tables
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    optimal: CancellationReport
-    ls: CancellationReport
 
 
 def _chunk_size(config: SimConfig) -> int:
@@ -253,7 +229,7 @@ def _run_trial(
     """
     n = config.n_subcarriers
     rng = np.random.default_rng([config.master_seed, trial_index])
-    symbols = gen_bpsk_symbols(n, config.symbol_power, rng)
+    symbols = gen_bpsk_symbols(n, 1.0, rng)
     taps = gen_si_channel(config.n_tx, config.n_taps, unit_pdp, rng)
     n_osc = config.n_tx if config.oscillator_mode == "per-antenna" else 1
     walks = [gen_wiener_phase(n, 1.0, rng) for _ in range(n_osc + 1)]
@@ -371,43 +347,6 @@ def _run_block(
 def _column_power(block: np.ndarray) -> np.ndarray:
     """Power sum_n |block[..., n, p]|^2 of each column."""
     return (block.real**2 + block.imag**2).sum(axis=-2)
-
-
-def _report(
-    method: str,
-    empirical: float,
-    theoretical: float,
-    scenario: Scenario,
-) -> CancellationReport:
-    empirical = float(empirical)
-    return CancellationReport(
-        method=method,
-        residual_power_empirical=empirical,
-        residual_power_theoretical=float(theoretical),
-        ability_db=cancellation_ability(
-            scenario.si_power, scenario.noise_floor, empirical
-        ),
-    )
-
-
-@one_blas_thread()
-def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
-    """Run one seeded trial: both methods on the identical realization."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be non-negative")
-    scenario = Scenario.from_config(config)
-    residuals = _run_chunk(
-        [scenario],
-        [trial_index],
-        "inr",
-        _pn_tables([scenario]),
-        pdp_profile(config, 1.0),
-    )[:, :, 0, 0]
-    reports = {
-        method: _report(method, *residuals[m], scenario)
-        for m, method in enumerate(_METHODS)
-    }
-    return TrialResult(**reports)
 
 
 @dataclass(frozen=True)
@@ -533,7 +472,8 @@ def emit_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
     """Parse a CSV written by emit_csv back into records.  A row with more
-    or fewer fields than the header raises ValueError naming its line."""
+    or fewer fields than the header raises ValueError naming its line, and
+    a cell that does not parse one naming its line and column."""
     records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -541,23 +481,18 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
         if header != list(CSV_COLUMNS):
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} "
-                    f"fields, got {len(row)}"
+                    f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
                 )
-            records.append(
-                SweepRecord(
-                    sweep_variable=row[0],
-                    value=float(row[1]),
-                    method=row[2],
-                    g_empirical_db=float(row[3]),
-                    g_theoretical_db=None if row[4] == "" else float(row[4]),
-                    residual_power_mean=float(row[5]),
-                    trials=int(row[6]),
-                    ci_halfwidth_db=float(row[7]),
-                )
-            )
+            cells = []
+            for column, parse, cell in zip(CSV_COLUMNS, _CSV_PARSERS, row):
+                try:
+                    cells.append(parse(cell))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {column}: {exc}") from exc
+            records.append(SweepRecord(*cells))
     return records
 
 

@@ -9,12 +9,12 @@ import numpy as np
 
 
 def gen_bpsk_symbols(
-    n_subcarriers: int, symbol_power: float, rng: np.random.Generator
+    n_subcarriers: int, power: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one BPSK symbol per subcarrier, each +/- sqrt(symbol_power)."""
+    """Draw one BPSK symbol per subcarrier, each +/- sqrt(power)."""
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be positive")
-    if symbol_power <= 0.0:
-        raise ValueError("symbol_power must be positive")
+    if power <= 0.0:
+        raise ValueError("power must be positive")
     bits = rng.integers(0, 2, n_subcarriers)
-    return (np.sqrt(symbol_power) * (2.0 * bits - 1.0)).astype(np.complex128)
+    return (np.sqrt(power) * (2.0 * bits - 1.0)).astype(np.complex128)

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdsic.cancellation import (
-    cancellation_ability,
-    reconstruct_si,
-    si_power,
-)
+from fdsic.cancellation import cancellation_ability, reconstruct_si
 from fdsic.estimator import EstimatorStatistics
 from fdsic.impairments import (
     channel_outputs,
@@ -137,13 +133,6 @@ def test_optimal_weights_beat_fixed_competitors():
     for weights in competitors:
         other = expected_residual_power(cov, weights, 1.0, 3.0)
         assert best_value <= other * (1.0 + 1e-9)
-
-
-def test_si_power_formula():
-    pdp = np.array([2.0, 1.0, 0.5])
-    assert si_power(1.5, pdp, 4, 32) == pytest.approx(32 * 1.5 * 4 * 3.5)
-    with pytest.raises(ValueError):
-        si_power(-1.0, pdp, 4, 32)
 
 
 def test_cancellation_ability_known_ratio():

@@ -66,7 +66,7 @@ def test_sweep_default_output_name(tmp_path, monkeypatch):
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "node.cfg"
     cfg.write_text(
-        "n_tx = 2\nn_subcarriers = 16\ncp_length = 4\nn_taps = 3\n"
+        "n_tx = 2\nn_subcarriers = 16\nn_taps = 3\n"
         "n_trials = 2\nmaster_seed = 7\n"
     )
     code = main(["single", "--config", str(cfg)])
@@ -127,11 +127,18 @@ def test_rejected_input_is_a_usage_error(capsys, argv, message):
 
 def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "node.cfg"
-    cfg.write_text("n_tx = many\n")
-    with pytest.raises(SystemExit) as caught:
-        main(["single", "--config", str(cfg)])
-    assert caught.value.code == 2
-    assert "n_tx needs int, got 'many'" in capsys.readouterr().err
+    for text, message in (
+        ("n_tx = many\n", "n_tx needs int, got 'many'"),
+        # settings the simulator no longer has
+        ("n_tx = 2\ncp_length = 16\n", "node.cfg:2: unknown key 'cp_length'"),
+        ("symbol_power = 1.0\n", "node.cfg:1: unknown key 'symbol_power'"),
+        ("pdp_shape = uniform\n", "node.cfg:1: unknown key 'pdp_shape'"),
+    ):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as caught:
+            main(["single", "--config", str(cfg)])
+        assert caught.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):

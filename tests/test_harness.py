@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fdsic import estimator, harness
+from fdsic.cancellation import cancellation_ability
 from fdsic.estimator import (
     EstimatorStatistics,
     SingularMatrixError,
@@ -24,7 +25,6 @@ from fdsic.harness import (
     emit_csv,
     pdp_profile,
     read_csv,
-    run_trial,
     sweep,
     write_json_summary,
 )
@@ -34,7 +34,6 @@ from fdsic.ofdm import gen_bpsk_symbols
 SMALL = dict(
     n_tx=2,
     n_subcarriers=16,
-    cp_length=4,
     n_taps=4,
     n_trials=3,
     master_seed=99,
@@ -45,7 +44,6 @@ def test_config_defaults_describe_reference_node():
     config = SimConfig()
     assert config.n_tx == 64
     assert config.n_subcarriers == 128
-    assert config.cp_length == 16
     assert config.n_taps == 16
     assert config.inr_db == 40.0
     assert config.snr_db == 10.0
@@ -58,18 +56,18 @@ def test_config_defaults_describe_reference_node():
     [
         dict(n_tx=0),
         dict(n_taps=200),
-        dict(cp_length=128),
+        dict(n_subcarriers=0),
         dict(pdp_decay=0.0),
         dict(oscillator_mode="odd"),
-        dict(pdp_shape="gaussian"),
+        dict(n_taps=0),
         dict(delta_f=-1e-3),
-        dict(symbol_power=0.0),
+        dict(pdp_decay=-4.0),
         dict(n_trials=0),
         dict(master_seed=-1),
         # non-finite values fail up front, not deep inside a trial
         *(
             pytest.param({name: value}, id=f"{name}-{value}")
-            for name in ("inr_db", "snr_db", "delta_f", "symbol_power", "pdp_decay")
+            for name in ("inr_db", "snr_db", "delta_f", "pdp_decay")
             for value in (math.nan, math.inf)
         ),
         pytest.param(dict(inr_db=-math.inf), id="inr_db-minus-inf"),
@@ -80,11 +78,6 @@ def test_config_rejects_bad_values(overrides):
     (name,) = overrides
     with pytest.raises(ValueError, match=name):
         SimConfig(**overrides)
-
-
-def test_config_warns_when_channel_outruns_prefix():
-    with pytest.warns(UserWarning, match="prefix"):
-        SimConfig(cp_length=8, n_taps=10)
 
 
 def test_config_fast_profile():
@@ -101,7 +94,6 @@ def test_config_from_file(tmp_path):
         "# reference point\n"
         "n_tx = 4\n"
         "n_subcarriers = 32   # small grid\n"
-        "cp_length = 8\n"
         "n_taps = 6\n"
         "delta_f = 1e-4\n"
         "inr_db = 35\n"
@@ -128,6 +120,16 @@ def test_config_from_file_rejects_unknown_key(tmp_path):
     path.write_text("sample_time = 5e-7\n")
     with pytest.raises(ValueError, match="unknown key 'sample_time'"):
         SimConfig.from_file(path)
+    # settings that changed no result are gone, and a file that still sets
+    # one is told so rather than ignored
+    for key, value in (
+        ("cp_length", "16"), ("symbol_power", "1.0"), ("pdp_shape", "uniform")
+    ):
+        path.write_text(f"n_tx = 4\n{key} = {value}\n")
+        with pytest.raises(
+            ValueError, match=rf"bad\.cfg:2: unknown key '{key}'"
+        ):
+            SimConfig.from_file(path)
 
 
 def test_config_from_file_names_line_and_key_of_bad_value(tmp_path):
@@ -164,10 +166,6 @@ def test_pdp_profile_shapes():
     assert pdp.sum() == pytest.approx(8.0)
     ratios = pdp[1:] / pdp[:-1]
     np.testing.assert_allclose(ratios, np.exp(-1.0 / config.pdp_decay))
-    flat = pdp_profile(
-        dataclasses.replace(config, pdp_shape="uniform"), 8.0
-    )
-    np.testing.assert_allclose(flat, 2.0)
 
 
 def test_scenario_power_bookkeeping():
@@ -178,18 +176,25 @@ def test_scenario_power_bookkeeping():
     assert scenario.noise_floor == config.n_subcarriers * 1.0
 
 
+def _trial_cells(config, trial):
+    """One trial's (2, 2) residual cells at config's point, run alone
+    through the harness: [m, 0] empirical and [m, 1] theoretical residual
+    power of method harness._METHODS[m]."""
+    scenario = Scenario.from_config(config)
+    return harness._run_chunk(
+        [scenario],
+        [trial],
+        "inr",
+        harness._pn_tables([scenario]),
+        pdp_profile(config, 1.0),
+    )[:, :, 0, 0]
+
+
 def test_run_trial_is_deterministic():
     config = SimConfig(**SMALL)
-    first = run_trial(config, 5)
-    second = run_trial(config, 5)
-    assert first == second
-    other = run_trial(config, 6)
-    assert other != first
-
-
-def test_run_trial_rejects_negative_index():
-    with pytest.raises(ValueError):
-        run_trial(SimConfig(**SMALL), -1)
+    first = _trial_cells(config, 5)
+    np.testing.assert_array_equal(_trial_cells(config, 5), first)
+    assert not np.any(_trial_cells(config, 6) == first)
 
 
 def test_run_trial_wraps_internal_failures(monkeypatch):
@@ -200,7 +205,7 @@ def test_run_trial_wraps_internal_failures(monkeypatch):
     with pytest.raises(
         SingularMatrixError, match="trial 7 at inr=40.0 failed: synthetic"
     ):
-        run_trial(SimConfig(**SMALL), 7)
+        _trial_cells(SimConfig(**SMALL), 7)
     with pytest.raises(
         SingularMatrixError, match="trial 0 at snr=5.0 failed"
     ) as caught:
@@ -386,22 +391,25 @@ def test_run_trial_ls_floor_without_phase_noise():
     # perfect oscillators: the LS residual is exactly the out-of-span noise
     # plus the SOI it forwards, (N - L) * noise + L * soi
     config = SimConfig(**SMALL, delta_f=0.0, snr_db=10.0)
-    result = run_trial(config, 0)
+    (_, ls), (_, optimal) = _trial_cells(config, 0)
     expected = (16 - 4) * 1.0 + 4 * 10.0
-    assert result.ls.residual_power_theoretical == pytest.approx(
-        expected, rel=1e-9
-    )
-    assert result.optimal.residual_power_theoretical <= expected
+    assert ls == pytest.approx(expected, rel=1e-9)
+    assert optimal <= expected
 
 
 def test_run_trial_reports_both_methods():
     config = SimConfig(**SMALL)
-    result = run_trial(config, 1)
-    assert result.optimal.method == "optimal"
-    assert result.ls.method == "ls"
-    for report in (result.optimal, result.ls):
-        assert report.residual_power_empirical > 0.0
-        assert np.isfinite(report.ability_db)
+    scenario = Scenario.from_config(config)
+    cells = _trial_cells(config, 1)
+    assert harness._METHODS == ("ls", "optimal")
+    assert cells.shape == (2, 2)
+    for empirical in cells[:, 0]:
+        assert empirical > 0.0
+        assert np.isfinite(
+            cancellation_ability(
+                scenario.si_power, scenario.noise_floor, empirical
+            )
+        )
 
 
 def test_sweep_pairs_trials_across_points():
@@ -410,18 +418,18 @@ def test_sweep_pairs_trials_across_points():
     assert [r.value for r in records] == [20.0, 20.0, 30.0, 30.0]
     assert [r.method for r in records] == ["ls", "optimal", "ls", "optimal"]
     assert records[0].trials == config.n_trials
-    # one point re-derived straight from run_trial
-    _assert_cells_match_run_trial(records, config, "inr_db", 20.0)
+    # one point re-derived trial by trial
+    _assert_cells_match_trials(records, config, "inr_db", 20.0)
     # points of one trial that differ in delta_f must not share the trial's
     # covariance decomposition
     records = sweep(config, "delta_f", [1e-4, 1e-2])
     for value in (1e-4, 1e-2):
-        _assert_cells_match_run_trial(records, config, "delta_f", value)
+        _assert_cells_match_trials(records, config, "delta_f", value)
     # every SNR point of a trial runs in one block; each column is the point
     # run alone
     records = sweep(config, "snr", [0.0, 10.0, 20.0])
     for value in (0.0, 10.0, 20.0):
-        _assert_cells_match_run_trial(records, config, "snr_db", value)
+        _assert_cells_match_trials(records, config, "snr_db", value)
 
 
 @pytest.mark.parametrize("mode", ["per-antenna", "shared"])
@@ -502,12 +510,11 @@ def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, val
         for cells in (swept[..., trial], first, last[..., -1]):
             np.testing.assert_array_equal(cells, alone)
         if variable == "delta_f":
-            # every point is a block of its own, as in run_trial
-            for p, value in enumerate(values):
-                result = run_trial(scenarios[p].config, trial)
-                assert result.ls.residual_power_empirical == alone[0, 0, p]
-                assert result.optimal.residual_power_empirical == alone[1, 0, p]
-                assert result.optimal.residual_power_theoretical == alone[1, 1, p]
+            # every point is a block of its own, as when it runs alone
+            for p in range(len(values)):
+                np.testing.assert_array_equal(
+                    _trial_cells(scenarios[p].config, trial), alone[..., p]
+                )
     # the records aggregate exactly these cells
     for record in records:
         p = values.index(record.value)
@@ -539,7 +546,7 @@ def test_sweep_builds_one_pn_table_per_delta_f(monkeypatch):
 def test_sweep_runs_at_one_subcarrier():
     # N = 1: a 1 x 1 covariance, no Householder reflector, one tap
     config = SimConfig(
-        n_tx=2, n_subcarriers=1, cp_length=0, n_taps=1, n_trials=5,
+        n_tx=2, n_subcarriers=1, n_taps=1, n_trials=5,
         master_seed=7,
     )
     for variable, values in (("inr", [20.0, 40.0]), ("delta_f", [0.0, 0.1])):
@@ -572,7 +579,7 @@ def test_sweep_calls_no_numpy_linear_algebra(monkeypatch):
     config = SimConfig(**SMALL)
     sweep(config, "inr", [20.0, 50.0])
     sweep(config, "delta_f", [0.0, 0.1])
-    run_trial(config, 0)
+    _trial_cells(config, 0)
 
 
 # The (get, set) thread-count functions of scipy's OpenBLAS, or None.
@@ -619,7 +626,7 @@ def test_sweep_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
     sweep(config, "delta_f", [1e-4, 1e-2])
     assert seen == [1, 1]
     assert two_blas_threads() == 2
-    run_trial(config, 0)
+    sweep(config, "inr", [40.0])
     assert seen == [1, 1, 1]
     assert two_blas_threads() == 2
 
@@ -703,14 +710,12 @@ def test_sweep_transforms_no_n_by_n_matrix(monkeypatch):
     sweep(config, "delta_f", [0.0, 0.1])
 
 
-def _assert_cells_match_run_trial(records, config, field, value):
+def _assert_cells_match_trials(records, config, field, value):
     point = dataclasses.replace(config, **{field: value})
-    trials = [run_trial(point, t) for t in range(config.n_trials)]
+    trials = np.array([_trial_cells(point, t) for t in range(config.n_trials)])
     cells = {r.method: r for r in records if r.value == value}
-    for method, rel in (("ls", 1e-12), ("optimal", 1e-9)):
-        mean = np.mean(
-            [getattr(t, method).residual_power_empirical for t in trials]
-        )
+    for m, (method, rel) in enumerate((("ls", 1e-12), ("optimal", 1e-9))):
+        mean = trials[:, m, 0].mean()
         assert cells[method].residual_power_mean == pytest.approx(mean, rel=rel)
 
 
@@ -852,14 +857,38 @@ def test_read_csv_rejects_a_row_of_the_wrong_length(tmp_path, row):
         read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("inr,20.0,ls,abc,,1.0,3,0.5",
+         "g_emp_db: could not convert string to float: 'abc'"),
+        ("inr,20.0,ls,10.0,,1.0,8.0,0.5",
+         "trials: invalid literal for int() with base 10: '8.0'"),
+    ],
+    ids=["non-numeric", "float-trials"],
+)
+def test_read_csv_names_the_line_and_column_of_a_bad_cell(tmp_path, row, message):
+    path = tmp_path / "cells.csv"
+    good = "inr,20.0,ls,10.0,,1.0,3,0.5"
+    path.write_text(f"{','.join(CSV_COLUMNS)}\n{good}\n{row}\n")
+    with pytest.raises(ValueError) as caught:
+        read_csv(path)
+    assert str(caught.value) == f"{path}:3: {message}"
+
+
 def test_json_summary(tmp_path):
-    config = SimConfig(**SMALL)
+    config = SimConfig(**SMALL, delta_f=1e-4, oscillator_mode="shared")
     records = sweep(config, "inr", [40.0])
     path = tmp_path / "summary.json"
     write_json_summary(path, config, records, "sweep-inr")
     payload = json.loads(path.read_text())
     assert payload["command"] == "sweep-inr"
     assert payload["config"]["n_subcarriers"] == 16
+    # the echo holds every SimConfig field and nothing else, so the summary
+    # alone rebuilds the configuration that produced it
+    echo = payload["config"]
+    assert set(echo) == {field.name for field in dataclasses.fields(SimConfig)}
+    assert SimConfig(**echo) == config
     assert len(payload["records"]) == 2
     assert "version" in payload
     # the thread count sweeps run with, read back from scipy's OpenBLAS

@@ -64,9 +64,17 @@ def test_tridiagonal_eigenvalues_match_dense_solver(trial):
 @PROPERTY
 @given(trial=trials, inr_db=levels_db, snr_db=st.floats(-10.0, 30.0))
 def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
+    # the weights V = I - soi * inv(C) have their eigenvalues, the gains
+    # (lam + noise) / (lam + noise + soi), in [0, 1).  V is formed column
+    # by column: N copies of the point as one block, applied to I.
     cov, symbols = trial
     spectrum = si_spectrum(cov, symbols, N_TAPS)
-    gains = spectral_weights(spectrum, _power(inr_db), 1.0, _power(snr_db)).gains
+    copies = np.ones(N)
+    block = spectral_weights(
+        spectrum, _power(inr_db) * copies, 1.0, _power(snr_db) * copies
+    )
+    weights = block.estimate(np.eye(N, dtype=np.complex128))
+    gains = np.linalg.eigvalsh((weights + weights.conj().T) / 2.0)
     assert gains.min() >= 0.0
     assert gains.max() < 1.0
 

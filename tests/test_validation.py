@@ -427,7 +427,9 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
         stats = EstimatorStatistics(symbols, _node_pdp(), NODE_TX)
         spectrum = si_spectrum(si_covariance(stats, table), symbols, NODE_L)
         weights = spectral_weights(spectrum, scale, 1.0, soi)
-        gains = weights.gains
+        # V's eigenvalues, the gains (lam + noise) / (lam + noise + soi)
+        si_noise = scale * spectrum.eigenvalues + 1.0
+        gains = si_noise / (si_noise + soi)
         common = np.sum((1.0 - gains) ** 2) + soi * np.sum(gains**2)
         for order, si in (("model", model), ("exact", exact)):
             si = np.sqrt(scale) * si
