@@ -134,11 +134,13 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out
         if out is None and args.command != "single":
             out = Path(f"sweep_{variable}.csv")
-        for path in (out, args.json_summary):
-            if path is not None and not path.parent.is_dir():
+        for path in filter(None, (out, args.json_summary)):
+            if not path.parent.is_dir():
                 raise ValueError(
                     f"cannot write {path}: no directory {path.parent}"
                 )
+            if path.is_dir():
+                raise ValueError(f"cannot write {path}: it is a directory")
         records = sweep(config, variable, values)
     except ValueError as exc:
         parser.error(str(exc))

@@ -146,19 +146,22 @@ class EstimatorStatistics:
     covariance, apart from the oscillator statistics: the transmit symbols,
     the channel power profile and the number of transmit antennas.
 
-    sample_covariance is derived from them on construction: the
+    Two arrays are derived from them on construction: the circular symbol
+    waveform w = ifft(symbols) delayed by each of the L = pdp.size taps
+    (shifted_waveforms, see _shifted_waveforms), and the
     delay-profile-weighted sample covariance
-    S(n1, n2) = sum_l pdp[l] w(n1 - l) conj(w(n2 - l)) of the circular
-    symbol waveform w = ifft(symbols).  It does not depend on the
-    oscillators, so one instance serves every phase-noise bandwidth (see
-    si_covariance).  symbols is one (N,) vector, or a (B, N) batch of
-    trials' symbols with a (B, N, N) stack of sample covariances.  Each
-    trial's N x N matrix is Fortran-ordered.
+    S(n1, n2) = sum_l pdp[l] w(n1 - l) conj(w(n2 - l)).  Neither depends
+    on the oscillators, so one instance serves every phase-noise bandwidth
+    (see si_covariance and si_spectrum).  symbols is one (N,) vector, or a
+    (B, N) batch of trials' symbols with a (B, L, N) stack of delayed
+    waveforms and a (B, N, N) stack of sample covariances.  Each trial's
+    N x N matrix is Fortran-ordered.
     """
 
     symbols: np.ndarray
     pdp: np.ndarray
     n_tx: int
+    shifted_waveforms: np.ndarray = field(init=False, repr=False, compare=False)
     sample_covariance: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,6 +196,7 @@ class EstimatorStatistics:
             sample_covariance[trial] = blas.zgemm(
                 1.0, weighted[trial].T, shifted[trial].T, trans_b=2
             )
+        object.__setattr__(self, "shifted_waveforms", shifted)
         object.__setattr__(self, "sample_covariance", sample_covariance)
 
 
@@ -217,7 +221,7 @@ def si_covariance(
     it without a transposing copy.
     """
     n = stats.symbols.shape[-1]
-    if n != pn.n_subcarriers:
+    if n != pn.kernel.shape[-1]:
         raise ValueError("symbols and covariance table disagree on N")
     # K depends on |n1 - n2| only, so K.T is K in the sample covariance's
     # Fortran order, and the product keeps that order
@@ -239,14 +243,6 @@ def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
     if np.any(np.maximum(high - mean, mean - low) > 1e-12 * mean):
         raise ValueError("LS needs constant-modulus symbols")
     return mean
-
-
-@functools.lru_cache(maxsize=16)
-def _hetrd_lwork(n: int) -> int:
-    """zhetrd's workspace size for an N x N covariance, a constant of a
-    sweep computed once per N."""
-    lwork, _ = lapack.zhetrd_lwork(n, lower=1)
-    return int(lwork.real)
 
 
 @dataclass(frozen=True)
@@ -276,31 +272,30 @@ class SiSpectrum:
     n_taps: int
 
 
-def si_spectrum(
-    si_cov: np.ndarray, symbols: np.ndarray, n_taps: int
-) -> SiSpectrum:
+def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
     """Tridiagonalize a unit-channel-power sample-domain SI covariance A_t
-    (si_covariance) once, for every operating point that shares its
-    symbols, oscillator statistics and delay profile.
+    (si_covariance of stats) once, for every operating point that shares
+    its symbols, oscillator statistics and delay profile.
 
     zhetrd reads only the lower triangle of A_t.  The LS projector
     P = Bb (Bb^H Bb)^-1 Bb^H onto the columns b_l of the N x L basis
-    Bb = diag(symbols) F_L has Gram N*p*I for constant-modulus symbols of
-    power p, and U^H b_l = sqrt(N) w_l with w_l(n) = w(n - l) the delayed
-    symbol waveform, so tr{P A0} = Re sum_l w_l^H A_t w_l / p without
-    forming P or A0.  One zhemm on the same lower triangle forms A_t w_l.
-    A (B, N, N) stack of covariances with (B, N) symbols gives the spectra
-    of B trials, one zhemm, zhetrd and dsterf per trial.
+    Bb = diag(symbols) F_L, with L = stats.pdp.size taps, has Gram N*p*I for
+    constant-modulus symbols of power p, and U^H b_l = sqrt(N) w_l with
+    w_l(n) = w(n - l) the delayed symbol waveform that stats holds, so
+    tr{P A0} = Re sum_l w_l^H A_t w_l / p without forming P or A0.  One
+    zhemm on the same lower triangle forms A_t w_l.  Statistics of a batch
+    of B trials with a (B, N, N) stack of covariances give the spectra of B
+    trials, one zhemm, zhetrd and dsterf per trial.
     """
     si_cov = np.asarray(si_cov, dtype=np.complex128)
-    symbols = np.asarray(symbols, dtype=np.complex128)
+    symbols = stats.symbols
     n = symbols.shape[-1]
     if si_cov.shape != symbols.shape + (n,):
-        raise ValueError("si_cov must be N x N for N symbols")
+        raise ValueError("si_cov must be N x N for each trial's N symbols")
     batch = symbols.shape[:-1]
     power = _constant_modulus_power(symbols)
-    lwork = _hetrd_lwork(n)
-    shifted = _shifted_waveforms(symbols, n_taps)
+    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+    shifted = stats.shifted_waveforms
     # A_t w_l as rows, C-ordered like shifted, so that the capture's
     # reduction runs in the same order whatever the batch around a trial
     product = np.empty(shifted.shape, dtype=np.complex128)
@@ -336,7 +331,7 @@ def si_spectrum(
         reflectors=reflectors,
         tau=tau,
         ls_leakage=leakage if batch else float(leakage),
-        n_taps=n_taps,
+        n_taps=stats.pdp.size,
     )
 
 

@@ -243,7 +243,6 @@ def _run_chunk(
     trials: Sequence[int],
     variable: str,
     tables: dict[float, PnCovarianceTable],
-    unit_pdp: np.ndarray,
 ) -> np.ndarray:
     """A chunk of trials at every sweep point, as one batch.
 
@@ -252,9 +251,10 @@ def _run_chunk(
     realization (_run_trial), and each point only rescales it: the channel
     power scales the SI, the SOI power scales the SOI, and the phase-noise
     bandwidth scales the walks.  The channel outputs and the symbols'
-    sample covariances are built once per chunk, the SI vectors and the SI
-    covariance decompositions once per distinct delta_f, and the points
-    that share a delta_f run through both cancellers as one block.
+    delayed waveforms and sample covariances are built once per chunk, the
+    SI vectors and the SI covariance decompositions once per distinct
+    delta_f, and the points that share a delta_f run through both
+    cancellers as one block.
 
     Returns residual powers of shape (2, 2, P, B): [m, 0] the empirical and
     [m, 1] the theoretical residual of method _METHODS[m], at point p in
@@ -270,6 +270,8 @@ def _run_chunk(
     failing block.
     """
     cfg = scenarios[0].config
+    # the swept fields leave the delay profile alone
+    unit_pdp = pdp_profile(cfg, 1.0)
     draws = [_run_trial(cfg, trial, unit_pdp) for trial in trials]
     symbols, taps, walks, soi, noise = (np.array(part) for part in zip(*draws))
 
@@ -289,7 +291,7 @@ def _run_chunk(
             pn = tables[delta_f]
             phases = np.sqrt(pn.increment_variance) * walks
             si = synthesize_received(outputs, phases[:, :-1], phases[:, -1])
-            spectrum = si_spectrum(si_covariance(stats, pn), symbols, cfg.n_taps)
+            spectrum = si_spectrum(si_covariance(stats, pn), stats)
             residuals[:, :, group] = _run_block(
                 [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )
@@ -298,12 +300,10 @@ def _run_chunk(
         if len(trials) > 1:
             which = f"trials {trials[0]}-{trials[-1]}"
             for trial in trials:
-                _run_chunk(scenarios, [trial], variable, tables, unit_pdp)
+                _run_chunk(scenarios, [trial], variable, tables)
         elif len(group) > 1:
             for index in group:
-                _run_chunk(
-                    [scenarios[index]], trials, variable, tables, unit_pdp
-                )
+                _run_chunk([scenarios[index]], trials, variable, tables)
         value = getattr(scenarios[group[0]].config, _SWEEP_FIELDS[variable])
         raise type(exc)(f"{which} at {variable}={value!r} failed: {exc}") from exc
     return residuals
@@ -391,13 +391,12 @@ def sweep(
         for value in values
     ]
     tables = _pn_tables(scenarios)
-    unit_pdp = pdp_profile(config, 1.0)
     chunk = _chunk_size(config)
     residuals = np.empty((len(_METHODS), 2, len(scenarios), config.n_trials))
     for start in range(0, config.n_trials, chunk):
         stop = min(start + chunk, config.n_trials)
         residuals[..., start:stop] = _run_chunk(
-            scenarios, range(start, stop), variable, tables, unit_pdp
+            scenarios, range(start, stop), variable, tables
         )
     records = [
         _aggregate(variable, value, method, *residuals[m, :, point], scenario)

@@ -66,7 +66,6 @@ class PnCovarianceTable:
     """
 
     kernel: np.ndarray = field(repr=False)
-    n_subcarriers: int
     increment_variance: float
 
 
@@ -85,11 +84,7 @@ def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable
     combined = 2.0 * sigma2
     lags = np.arange(n_subcarriers)
     kernel = np.exp(-combined * np.abs(lags[:, None] - lags[None, :]) / 2.0)
-    return PnCovarianceTable(
-        kernel=kernel,
-        n_subcarriers=n_subcarriers,
-        increment_variance=sigma2,
-    )
+    return PnCovarianceTable(kernel=kernel, increment_variance=sigma2)
 
 
 def gen_si_channel(

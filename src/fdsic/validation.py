@@ -247,7 +247,7 @@ def subcarrier_si_covariance(
     batch of B trials' statistics gives a (B, N, N) stack.
     """
     n = stats.symbols.shape[-1]
-    if n != pn.n_subcarriers:
+    if n != pn.kernel.shape[-1]:
         raise ValueError("symbols and covariance table disagree on N")
     weighted = pn.kernel * stats.sample_covariance * stats.n_tx
     cov = np.fft.ifft(np.fft.fft(weighted, axis=-2), axis=-1) * n
@@ -301,12 +301,6 @@ def _streamed_gram(blocks, n: int) -> np.ndarray:
         count += rows.shape[0]
     upper /= count
     return upper + np.triu(upper, 1).conj().T
-
-
-def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
-    """Sample second moment of the rows of one (T, n) array: the
-    one-block case of _streamed_gram."""
-    return _streamed_gram((rows,), rows.shape[1])
 
 
 def _summed_wiener_phases(
@@ -390,12 +384,11 @@ def check_pn_covariance(
     delta_fs: Sequence[float] = (1e-4, 1e-3),
     n_subcarriers: int = 32,
     n_traces: int = 100_000,
-    seed: int = 7001,
     tolerance: float = 2e-3,
 ) -> list[CheckResult]:
     """Closed-form mixing covariance versus the Monte Carlo oracle, one
     result per bandwidth in delta_fs, all from one draw of traces."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7001)
     estimates = simulate_mixing_covariance(
         delta_fs, n_subcarriers, n_traces, rng
     )
@@ -455,24 +448,23 @@ def simulate_si_covariance(
     """Sample covariance of synthesized SI vectors for fixed symbols.
 
     Vectorized mirror of synthesize_received: fresh channels and
-    per-antenna oscillator pairs each trial.  The channel outputs come from
-    direct circular convolution of the taps with the delayed symbol
-    waveforms rather than from the FFT pair of channel_outputs, so the
-    oracle shares no route with it.  The unit-step walks are scaled to the
-    bandwidth, and the rotated outputs summed over antennas and
-    transformed, one block of trials at a time; they enter only through
-    their sample Gram.  The rng draws (taps, then two blocks of oscillator
-    steps) keep their order, shapes and count: a given rng state always
-    yields the same channels and traces.
+    per-antenna oscillator pairs each trial, the taps drawn by the
+    simulator's own gen_si_channel.  The channel outputs come from direct
+    circular convolution of the taps with the delayed symbol waveforms
+    rather than from the FFT pair of channel_outputs, so the oracle shares
+    no route with it.  The unit-step walks are scaled to the bandwidth, and
+    the rotated outputs summed over antennas and transformed, one block of
+    trials at a time; they enter only through their sample Gram.  The rng
+    draws (taps, then two blocks of oscillator steps) keep their order,
+    shapes and count: a given rng state always yields the same channels and
+    traces.
     """
     _require_samples(n_trials, "n_trials")
     n = symbols.size
     n_taps = pdp.size
     sigma = np.sqrt(phase_increment_variance(delta_f, n))
-    scale = np.sqrt(pdp / 2.0)
-    taps = scale[None, None, :] * (
-        rng.standard_normal((n_trials, n_tx, n_taps))
-        + 1j * rng.standard_normal((n_trials, n_tx, n_taps))
+    taps = gen_si_channel(n_trials * n_tx, n_taps, pdp, rng).reshape(
+        n_trials, n_tx, n_taps
     )
     walks = _summed_wiener_phases((n_trials, n_tx, n), rng)
     delayed = _delayed_waveforms(symbols, n_taps)
@@ -488,17 +480,12 @@ def simulate_si_covariance(
 
 
 def check_si_covariance(
-    n_subcarriers: int = 8,
-    n_taps: int = 2,
-    n_tx: int = 4,
-    delta_f: float = 1e-3,
-    n_trials: int = 100_000,
-    seed: int = 7002,
-    tolerance: float = 0.03,
+    n_trials: int = 100_000, tolerance: float = 0.03
 ) -> CheckResult:
     """Analytic SI covariance versus the sample covariance of simulated SI,
     entrywise within tolerance * max |entry|."""
-    rng = np.random.default_rng(seed)
+    n_subcarriers, n_taps, n_tx, delta_f = 8, 2, 4, 1e-3
+    rng = np.random.default_rng(7002)
     symbols = gen_bpsk_symbols(n_subcarriers, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
@@ -525,13 +512,12 @@ def check_si_covariance(
 def check_qp_oracle(
     sizes: tuple[int, ...] = (4, 8, 16),
     n_instances: int = 100,
-    seed: int = 7003,
-    tolerance: float = 1e-8,
 ) -> CheckResult:
     """Real-embedded per-subcarrier programs versus the complex normal
     equations and the explicit inverse on random Hermitian positive definite
     instances; also enforces that every program optimum is non-positive."""
-    rng = np.random.default_rng(seed)
+    tolerance = 1e-8
+    rng = np.random.default_rng(7003)
     worst = 0.0
     for n in sizes:
         for _ in range(n_instances):
@@ -645,17 +631,11 @@ def exact_order_si_reference(
     return np.fft.fft(np.exp(1j * rx_phases) * window)
 
 
-def check_model_equivalence(
-    n_subcarriers: int = 32,
-    n_taps: int = 4,
-    n_tx: int = 3,
-    n_trials: int = 100,
-    delta_f: float = 1e-3,
-    seed: int = 7004,
-    tolerance: float = 1e-8,
-) -> CheckResult:
+def check_model_equivalence(n_trials: int = 100) -> CheckResult:
     """Subcarrier-domain synthesis versus the sample-domain FIR reference."""
-    rng = np.random.default_rng(seed)
+    n_subcarriers, n_taps, n_tx, delta_f = 32, 4, 3, 1e-3
+    tolerance = 1e-8
+    rng = np.random.default_rng(7004)
     cp_length = n_taps + 2
     variance = phase_increment_variance(delta_f, n_subcarriers)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
@@ -712,12 +692,12 @@ def _release_free_heap() -> None:
 
 
 def _send_result(writer, check) -> None:
-    """Body of run_all's child: run check on one BLAS thread and send
-    (True, its results), or (False, the exception it raised)."""
+    """Body of run_all's child: run check and send (True, its results), or
+    (False, the exception it raised).  The child is forked inside run_all's
+    one_blas_thread, so it runs on one BLAS thread too."""
     _release_free_heap()
     try:
-        with one_blas_thread():
-            message = (True, check())
+        message = (True, check())
     except Exception as exc:
         message = (False, exc)
     writer.send(message)

@@ -190,14 +190,17 @@ def test_output_path_is_checked_before_any_trial(
         raise AssertionError("a trial ran before the output path was checked")
 
     monkeypatch.setattr(cli, "sweep", no_sweep)
-    target = tmp_path / "no-such-dir" / "x.out"
-    argv = ["sweep-snr", "--fast", "--trials", "2", flag, str(target)]
-    with pytest.raises(SystemExit) as caught:
-        main(argv)
-    assert caught.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: fdsic")
-    assert f"cannot write {target}" in err
+    for target, reason in (
+        (tmp_path / "no-such-dir" / "x.out", "no directory"),
+        (tmp_path, "it is a directory"),
+    ):
+        argv = ["sweep-snr", "--fast", "--trials", "2", flag, str(target)]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fdsic")
+        assert f"cannot write {target}: {reason}" in err
 
 
 def test_unknown_command_exits():

@@ -63,6 +63,12 @@ def _engine_covariance(symbols, pdp, n_tx, delta_f):
     return si_covariance(*_statistics(symbols, pdp, n_tx, delta_f))
 
 
+def _engine_spectrum(symbols, pdp, n_tx, delta_f):
+    """The spectral engine's tridiagonalization of A_t."""
+    stats, table = _statistics(symbols, pdp, n_tx, delta_f)
+    return si_spectrum(si_covariance(stats, table), stats)
+
+
 def _loaded(cov, noise, soi):
     """Received and SI-plus-noise covariances: cov diagonally loaded."""
     eye = np.eye(cov.shape[0])
@@ -164,6 +170,25 @@ def test_estimator_statistics_validation():
         EstimatorStatistics(symbols, np.array([1.0, -0.1]), 1)
     with pytest.raises(ValueError, match="n_tx"):
         EstimatorStatistics(symbols, np.ones(2), 0)
+
+
+def test_si_spectrum_rejects_a_covariance_of_other_statistics():
+    # the spectrum reads the symbols, waveforms and tap count from the
+    # statistics, so the covariance must be one N x N matrix per trial
+    rng = np.random.default_rng(46)
+    symbols = np.array([gen_bpsk_symbols(8, 1.0, rng) for _ in range(2)])
+    stats = EstimatorStatistics(symbols, np.ones(2), 1)
+    cov = si_covariance(stats, pn_covariance_table(1e-3, 8))
+    one_trial = EstimatorStatistics(symbols[0], np.ones(2), 1)
+    for si_cov, of in (
+        (cov[0], stats),  # one trial's covariance for a batch
+        (cov, one_trial),  # a batch's covariances for one trial
+        (cov[:, :4, :4], stats),  # N = 4 for 8 symbols
+        (np.eye(16), one_trial),
+    ):
+        with pytest.raises(ValueError, match="N x N"):
+            si_spectrum(si_cov, of)
+    assert si_spectrum(cov[0], one_trial).n_taps == 2
 
 
 def test_real_embedding_is_multiplicative():
@@ -337,7 +362,7 @@ def test_ls_estimate_rejects_unequal_moduli():
     with pytest.raises(ValueError, match="constant-modulus"):
         ls_estimate(np.ones(8), symbols, 2)
     with pytest.raises(ValueError, match="constant-modulus"):
-        si_spectrum(np.eye(8), symbols, 2)
+        si_spectrum(np.eye(8), EstimatorStatistics(symbols, np.ones(2), 1))
     # unit-modulus complex symbols qualify
     phases = np.exp(0.25j * np.pi * np.arange(8))
     received = np.arange(8) + 1j
@@ -411,7 +436,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     cov = subcarrier_si_covariance(
         EstimatorStatistics(symbols, scale * unit_pdp, n_tx), table
     )
-    spectrum = si_spectrum(si_covariance(stats, table), symbols, n_taps)
+    spectrum = si_spectrum(si_covariance(stats, table), stats)
     solution = spectral_weights(spectrum, scale, noise, soi)
     weights = _engine_weights(solution, n)
     oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
@@ -450,9 +475,7 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
     noise, soi, scale = 1.0, 10.0, 300.0
     for delta_f in (0.0, 0.1):
         unit = _covariance(symbols, np.ones(1), 4, delta_f)
-        spectrum = si_spectrum(
-            _engine_covariance(symbols, np.ones(1), 4, delta_f), symbols, 1
-        )
+        spectrum = _engine_spectrum(symbols, np.ones(1), 4, delta_f)
         assert spectrum.tau.size == n - 1
         solution = spectral_weights(spectrum, scale, noise, soi)
         oracle, _ = optimal_weights(*_loaded(scale * unit, noise, soi))
@@ -478,9 +501,7 @@ def test_block_columns_match_single_points(delta_f):
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
     unit_pdp /= unit_pdp.sum()
     unit = _covariance(symbols, unit_pdp, n_tx, delta_f)
-    spectrum = si_spectrum(
-        _engine_covariance(symbols, unit_pdp, n_tx, delta_f), symbols, n_taps
-    )
+    spectrum = _engine_spectrum(symbols, unit_pdp, n_tx, delta_f)
     scale = 10.0 ** (np.array([20.0, 35.0, 50.0, 50.0]) / 10.0) / n_tx
     soi = 10.0 ** (np.array([10.0, 0.0, 10.0, 20.0]) / 10.0)
     received = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
@@ -516,8 +537,8 @@ def test_block_columns_match_single_points(delta_f):
 
 def test_block_failure_names_the_failing_point():
     # the estimator says what failed; the harness finds the point by replay
-    symbols = np.ones(4, dtype=np.complex128)
-    spectrum = si_spectrum(-1.5 * np.eye(4), symbols, 2)
+    stats = EstimatorStatistics(np.ones(4), np.ones(2), 1)
+    spectrum = si_spectrum(-1.5 * np.eye(4), stats)
     # min(lam) + noise + soi is > 0, = 0 and > 0 at the three points
     with pytest.raises(SingularMatrixError, match="not positive definite"):
         spectral_weights(spectrum, 1.0, 1.0, np.array([0.6, 0.5, 0.6]))
@@ -531,8 +552,8 @@ def test_block_failure_names_the_failing_point():
 
 
 def test_spectral_weights_reject_indefinite_received():
-    symbols = np.ones(4, dtype=np.complex128)
-    spectrum = si_spectrum(-1.5 * np.eye(4), symbols, 2)
+    stats = EstimatorStatistics(np.ones(4), np.ones(2), 1)
+    spectrum = si_spectrum(-1.5 * np.eye(4), stats)
     # min(lam) + noise + soi = 0 and < 0
     for scale in (1.0, 2.0):
         with pytest.raises(SingularMatrixError):
@@ -555,9 +576,9 @@ def test_sweep_covariance_is_the_sample_domain_image_of_the_oracle(
     handed = []
     original = harness.si_spectrum
 
-    def recorded(si_cov, symbols, n_taps):
-        handed.append((si_cov, symbols))
-        return original(si_cov, symbols, n_taps)
+    def recorded(si_cov, stats):
+        handed.append((si_cov, stats.symbols))
+        return original(si_cov, stats)
 
     monkeypatch.setattr(harness, "si_spectrum", recorded)
     sweep(config, "inr", [30.0, 40.0])
@@ -582,7 +603,7 @@ def test_engine_spectrum_matches_the_subcarrier_domain_matrix(delta_f):
     symbols = np.array([gen_bpsk_symbols(n, 2.0, rng) for _ in range(3)])
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats, table = _statistics(symbols, pdp / pdp.sum(), n_tx, delta_f)
-    spectrum = si_spectrum(si_covariance(stats, table), symbols, n_taps)
+    spectrum = si_spectrum(si_covariance(stats, table), stats)
     oracle = subcarrier_si_covariance(stats, table)
     for trial in range(3):
         dense = np.linalg.eigvalsh(oracle[trial])

@@ -186,7 +186,6 @@ def _trial_cells(config, trial):
         [trial],
         "inr",
         harness._pn_tables([scenario]),
-        pdp_profile(config, 1.0),
     )[:, :, 0, 0]
 
 
@@ -264,9 +263,9 @@ def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
     spectrum_of = harness.si_spectrum
     weights_of = harness.spectral_weights
 
-    def marking_spectrum(si_cov, symbols, n_taps):
-        marked["rows"] = _rows_of(marked, symbols)
-        return spectrum_of(si_cov, symbols, n_taps)
+    def marking_spectrum(si_cov, stats):
+        marked["rows"] = _rows_of(marked, stats.symbols)
+        return spectrum_of(si_cov, stats)
 
     def broken(spectrum, scale, noise_power, soi_power):
         weights = weights_of(spectrum, scale, noise_power, soi_power)
@@ -283,9 +282,9 @@ def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
         sweep(config, "snr", [0.0, 10.0, 20.0])
 
     # the eigenvalue check before the solve names the trial too
-    def indefinite_trial(si_cov, symbols, n_taps):
-        spectrum = spectrum_of(si_cov, symbols, n_taps)
-        spectrum.eigenvalues[_rows_of(marked, symbols)] = -1e12
+    def indefinite_trial(si_cov, stats):
+        spectrum = spectrum_of(si_cov, stats)
+        spectrum.eigenvalues[_rows_of(marked, stats.symbols)] = -1e12
         return spectrum
 
     monkeypatch.setattr(harness, "si_spectrum", indefinite_trial)
@@ -471,6 +470,24 @@ def test_sweep_draws_one_realization_per_trial(monkeypatch, mode):
         }
 
 
+def test_pn_sweep_gathers_the_delayed_waveforms_once_per_chunk(monkeypatch):
+    # the statistics of a chunk hold its delayed symbol waveforms, and every
+    # bandwidth's spectrum reads them there: 40 fast-profile trials at four
+    # delta_f values run as two chunks and gather twice
+    config = dataclasses.replace(SimConfig().fast(), n_trials=40)
+    assert harness._chunk_size(config) == 32
+    gathers = []
+    original = estimator._shifted_waveforms
+
+    def counted(symbols, n_taps):
+        gathers.append(symbols.shape)
+        return original(symbols, n_taps)
+
+    monkeypatch.setattr(estimator, "_shifted_waveforms", counted)
+    sweep(config, "delta_f", [1e-5, 1e-4, 1e-3, 1e-2])
+    assert gathers == [(32, 32), (8, 32)]
+
+
 @pytest.mark.parametrize("mode", ["per-antenna", "shared"])
 @pytest.mark.parametrize(
     "variable, values",
@@ -502,7 +519,7 @@ def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, val
         Scenario.from_config(dataclasses.replace(config, **{field: value}))
         for value in values
     ]
-    args = (variable, harness._pn_tables(scenarios), pdp_profile(config, 1.0))
+    args = (variable, harness._pn_tables(scenarios))
     for trial in (0, 1, 31, 32, 39):
         alone = original(scenarios, [trial], *args)[..., 0]
         first = original(scenarios, range(trial, trial + 4), *args)[..., 0]
@@ -771,8 +788,8 @@ def test_sweep_reaches_the_high_inr_limits():
     leakage = []
     for _ in range(10):
         symbols = gen_bpsk_symbols(config.n_subcarriers, 1.0, rng)
-        cov = si_covariance(EstimatorStatistics(symbols, pdp, config.n_tx), table)
-        spectrum = si_spectrum(cov, symbols, config.n_taps)
+        stats = EstimatorStatistics(symbols, pdp, config.n_tx)
+        spectrum = si_spectrum(si_covariance(stats, table), stats)
         leakage.append(spectrum.ls_leakage)
     ceiling = 10.0 * np.log10(
         config.n_subcarriers * config.n_tx / np.mean(leakage)

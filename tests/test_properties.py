@@ -23,12 +23,13 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 
 def _unit_covariance(seed, delta_f, n_tx, n=N):
-    """One trial's SI covariance at unit channel power, with its symbols."""
+    """One trial's SI covariance at unit channel power, with its
+    statistics."""
     rng = np.random.default_rng(seed)
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = rng.uniform(0.1, 1.0, min(N_TAPS, n))
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp / pdp.sum(), n_tx=n_tx)
-    return si_covariance(stats, pn_covariance_table(delta_f, n)), symbols
+    return si_covariance(stats, pn_covariance_table(delta_f, n)), stats
 
 
 trials = st.builds(
@@ -54,8 +55,8 @@ def _power(db):
 @PROPERTY
 @given(trial=sized_trials)
 def test_tridiagonal_eigenvalues_match_dense_solver(trial):
-    cov, symbols = trial
-    eigenvalues = si_spectrum(cov, symbols, 1).eigenvalues
+    cov, stats = trial
+    eigenvalues = si_spectrum(cov, stats).eigenvalues
     dense = np.linalg.eigvalsh(cov)
     tolerance = 1e-12 * np.max(np.abs(dense))
     assert np.max(np.abs(eigenvalues - dense)) <= tolerance
@@ -67,8 +68,8 @@ def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
     # the weights V = I - soi * inv(C) have their eigenvalues, the gains
     # (lam + noise) / (lam + noise + soi), in [0, 1).  V is formed column
     # by column: N copies of the point as one block, applied to I.
-    cov, symbols = trial
-    spectrum = si_spectrum(cov, symbols, N_TAPS)
+    cov, stats = trial
+    spectrum = si_spectrum(cov, stats)
     copies = np.ones(N)
     block = spectral_weights(
         spectrum, _power(inr_db) * copies, 1.0, _power(snr_db) * copies
@@ -82,8 +83,8 @@ def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
 @PROPERTY
 @given(trial=trials, inr_db=levels_db, snr_db=st.floats(-10.0, 30.0))
 def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
-    cov, symbols = trial
-    spectrum = si_spectrum(cov, symbols, N_TAPS)
+    cov, stats = trial
+    spectrum = si_spectrum(cov, stats)
     scale, soi = _power(inr_db), _power(snr_db)
     optimal = spectral_weights(spectrum, scale, 1.0, soi).residual_power
     assert optimal <= ls_residual_power(spectrum, scale, 1.0, soi) * (1 + 1e-12)
@@ -96,8 +97,8 @@ def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
     snr_db=st.floats(-10.0, 30.0),
 )
 def test_optimal_prediction_is_monotone_in_inr(trial, inr_db, snr_db):
-    cov, symbols = trial
-    spectrum = si_spectrum(cov, symbols, N_TAPS)
+    cov, stats = trial
+    spectrum = si_spectrum(cov, stats)
     unit_si_power = float(np.trace(cov).real)
     abilities = []
     for level in sorted(inr_db):

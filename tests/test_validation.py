@@ -29,7 +29,7 @@ from fdsic.impairments import (
 from fdsic.ofdm import gen_bpsk_symbols
 from fdsic.validation import (
     CheckResult,
-    _hermitian_gram,
+    _streamed_gram,
     check_model_equivalence,
     check_pn_covariance,
     check_qp_oracle,
@@ -156,7 +156,7 @@ def test_hermitian_gram_matches_einsum(order):
     rng = np.random.default_rng(80)
     rows = rng.standard_normal((500, 12)) + 1j * rng.standard_normal((500, 12))
     rows = np.asarray(rows, order=order)
-    gram = _hermitian_gram(rows)
+    gram = _streamed_gram((rows,), rows.shape[1])
     reference = np.einsum("ta,tb->ab", rows, rows.conj()) / rows.shape[0]
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(gram - reference)) <= 1e-12 * scale
@@ -361,9 +361,11 @@ def test_exact_order_samples_have_the_model_covariance():
     stats = EstimatorStatistics(symbols, pdp, n_tx)
     analytic = subcarrier_si_covariance(stats, pn_covariance_table(delta_f, n))
     scale = np.max(np.abs(analytic))
-    exact_gram = _hermitian_gram(exact)
+    exact_gram = _streamed_gram((exact,), n)
     assert np.max(np.abs(exact_gram - analytic)) <= 0.06 * scale
-    assert np.max(np.abs(exact_gram - _hermitian_gram(model))) <= 0.01 * scale
+    assert np.max(np.abs(exact_gram - _streamed_gram((model,), n))) <= (
+        0.01 * scale
+    )
 
 
 # The reference node: N = 128, prefix 16, 16 exponential taps, 64 antennas.
@@ -425,7 +427,7 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
     for _ in range(200):
         symbols, model, exact = _si_in_both_orders(rng, delta_f)
         stats = EstimatorStatistics(symbols, _node_pdp(), NODE_TX)
-        spectrum = si_spectrum(si_covariance(stats, table), symbols, NODE_L)
+        spectrum = si_spectrum(si_covariance(stats, table), stats)
         weights = spectral_weights(spectrum, scale, 1.0, soi)
         # V's eigenvalues, the gains (lam + noise) / (lam + noise + soi)
         si_noise = scale * spectrum.eigenvalues + 1.0
