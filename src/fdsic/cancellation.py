@@ -13,23 +13,20 @@ import numpy as np
 
 
 def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndarray:
-    """SI reconstruction diag(symbols) F h for an L-tap channel estimate h,
-    or for each column of an (L, P) block of estimates; (B, N) symbols of B
-    trials take the (B, L) or (B, L, P) stack of their estimates."""
+    """SI reconstruction diag(symbols) F h for each column h of each
+    trial's L x P block of tap estimates: (B, N) symbols of B trials take
+    the (B, L, P) stack of their estimates."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     channel_estimate = np.asarray(channel_estimate, dtype=np.complex128)
-    axis = symbols.ndim - 1
     n = symbols.shape[-1]
     if (
-        channel_estimate.ndim not in (axis + 1, axis + 2)
-        or channel_estimate.shape[:axis] != symbols.shape[:axis]
-        or not 1 <= channel_estimate.shape[axis] <= n
+        symbols.ndim != 2
+        or channel_estimate.ndim != 3
+        or channel_estimate.shape[0] != symbols.shape[0]
+        or not 1 <= channel_estimate.shape[1] <= n
     ):
-        raise ValueError("channel estimate must have between 1 and N taps")
-    per_row = symbols.reshape(
-        symbols.shape + (1,) * (channel_estimate.ndim - axis - 1)
-    )
-    return per_row * np.fft.fft(channel_estimate, n=n, axis=axis)
+        raise ValueError("symbols must be (B, N), taps (B, L, P) with L <= N")
+    return symbols[:, :, None] * np.fft.fft(channel_estimate, n=n, axis=1)
 
 
 def cancellation_ability(

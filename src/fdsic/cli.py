@@ -25,6 +25,14 @@ _SWEEP_COMMANDS = {
 }
 
 
+def _sweep_values(text: str) -> list[float]:
+    """The comma-separated numbers of --values."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key = value settings file")
     parser.add_argument("--seed", type=int, help="override the master seed")
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument(
             "--values",
-            type=str,
+            type=_sweep_values,
             help="comma-separated sweep values, default "
             + ",".join(f"{v:g}" for v in defaults),
         )
@@ -126,11 +134,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "single":
             variable, values = "inr", [config.inr_db]
         else:
-            variable, defaults = _SWEEP_COMMANDS[args.command]
-            if args.values:
-                values = [float(part) for part in args.values.split(",")]
-            else:
-                values = defaults
+            variable, values = _SWEEP_COMMANDS[args.command]
+            if args.values is not None:
+                values = args.values
         out = args.out
         if out is None and args.command != "single":
             out = Path(f"sweep_{variable}.csv")

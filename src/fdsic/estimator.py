@@ -20,27 +20,25 @@ eigenvalues lam0 of T are those of A0 and give both the optimal and the
 least-squares expected residuals in closed form, and the SI estimate is
 V y = y - soi * U Q inv(s*T + (noise + soi)*I) Q^H U^H y, where U and U^H
 are one FFT and one inverse FFT.  The subcarrier-domain A0 is never formed
-on this path; fdsic.validation builds it for the oracles.  The engine takes
-one operating point or a block of P of them that share A0: the received
-vectors form the columns of an N x P block, two reflector applications
-transform every column at once, and one real tridiagonal solve (dptsv)
-serves all P points, their shifted tridiagonals stacked along one diagonal
-with zero coupling between them.  The simulator runs every sweep point of
-a trial that shares a phase-noise bandwidth as one such block.
+on this path; fdsic.validation builds it for the oracles.
 
-Every function also takes a leading trial axis.  A batch of B trials, each
-with its own symbols and covariance, runs its elementwise work, FFTs and
-tridiagonal solves as (B, ...) stacks, while the BLAS and LAPACK calls that
-factor or multiply one trial's matrices (zgemm, zhemm, zhetrd, dsterf,
-zunmqr) run once per trial on that trial's operands alone, so a trial's
-results do not depend on the batch around it.  The simulator runs a chunk
-of trials as one batch.  A failure raises with a message that says what
-failed, not where: a point's factorization depends only on its own
-tridiagonal and a trial's on its own operands, so the simulator finds the
-failing trial and point by running them alone.
+Every entry point takes the one layout the simulator sends: a batch of B
+trials, each with its own symbols, and a block of P operating points that
+share them.  Symbols are (B, N), covariances (B, N, N), the points' channel
+and SOI powers two (P,) vectors and the received vectors (B, N, P); any
+other layout raises ValueError.  Two reflector applications transform
+every column of a trial's block at once, and one real tridiagonal solve
+(dptsv) serves all B*P points, their shifted tridiagonals stacked along
+one diagonal with zero coupling between them.  Elementwise work and FFTs
+run on the whole stack; the BLAS and LAPACK calls (zgemm, zhemm, zhetrd,
+dsterf, zunmqr) run once per trial on its operands alone, so a trial's
+results do not depend on the batch around it.  A failure raises with a
+message that says what failed, not where: a point's factorization depends
+only on its own tridiagonal and a trial's on its own operands, so the
+simulator finds the failing trial and point by running them alone.
 
 The conventional least-squares channel estimator is included as the
-baseline, on a vector or on each column of a block.  The subcarrier-domain
+baseline, on each column of each trial's block.  The subcarrier-domain
 covariance and the dense Cholesky and real-embedded solves that the engine
 is checked against live in fdsic.validation.
 
@@ -126,7 +124,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 def _shifted_waveforms(symbols: np.ndarray, n_taps: int) -> np.ndarray:
     """The circular symbol waveform w = ifft(symbols) delayed by each tap,
-    shifted[..., l, n] = w((n - l) mod N), as a C-ordered (..., L, N) array.
+    shifted[b, l, n] = w((n - l) mod N), as a C-ordered (B, L, N) array.
 
     Row l is the time-domain image of column l of the LS basis
     diag(symbols) F_L: U^H diag(x) F_L = sqrt(N) [w(n - l)] with the
@@ -135,27 +133,23 @@ def _shifted_waveforms(symbols: np.ndarray, n_taps: int) -> np.ndarray:
     n = symbols.shape[-1]
     waveform = np.fft.ifft(symbols)
     delays = (np.arange(n)[None, :] - np.arange(n_taps)[:, None]) % n
-    # the gather puts a batch's trial axis innermost; reductions over a
-    # trial's rows must not see the batch around it
+    # the gather puts the trial axis innermost; reductions over a trial's
+    # rows must not see the batch around it
     return np.ascontiguousarray(waveform[..., delays])
 
 
 @dataclass(frozen=True)
 class EstimatorStatistics:
-    """What the canceller knows ahead of one symbol that shapes the SI
-    covariance, apart from the oscillator statistics: the transmit symbols,
-    the channel power profile and the number of transmit antennas.
+    """What the canceller knows ahead of one symbol of each of B trials that
+    shapes the SI covariance, apart from the oscillator statistics: the
+    (B, N) transmit symbols, their channel power profile and the number of
+    transmit antennas.
 
-    Two arrays are derived from them on construction: the circular symbol
-    waveform w = ifft(symbols) delayed by each of the L = pdp.size taps
-    (shifted_waveforms, see _shifted_waveforms), and the
-    delay-profile-weighted sample covariance
-    S(n1, n2) = sum_l pdp[l] w(n1 - l) conj(w(n2 - l)).  Neither depends
-    on the oscillators, so one instance serves every phase-noise bandwidth
-    (see si_covariance and si_spectrum).  symbols is one (N,) vector, or a
-    (B, N) batch of trials' symbols with a (B, L, N) stack of delayed
-    waveforms and a (B, N, N) stack of sample covariances.  Each trial's
-    N x N matrix is Fortran-ordered.
+    Derived on construction: the circular symbol waveform w = ifft(symbols)
+    delayed by each of the L = pdp.size taps ((B, L, N) shifted_waveforms),
+    and the (B, N, N) stack of Fortran-ordered sample covariances
+    S(n1, n2) = sum_l pdp[l] w(n1 - l) conj(w(n2 - l)).  Neither depends on
+    the oscillators, so one instance serves every phase-noise bandwidth.
     """
 
     symbols: np.ndarray
@@ -169,10 +163,8 @@ class EstimatorStatistics:
         pdp = np.asarray(self.pdp, dtype=np.float64)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "pdp", pdp)
-        if symbols.ndim not in (1, 2) or symbols.shape[-1] == 0:
-            raise ValueError(
-                "symbols must be a non-empty vector or a batch of them"
-            )
+        if symbols.ndim != 2:
+            raise ValueError(f"symbols must be (B, N), got {symbols.shape}")
         if np.any(np.abs(symbols) == 0.0):
             raise ValueError("symbols must have no zero entries")
         n = symbols.shape[-1]
@@ -189,7 +181,7 @@ class EstimatorStatistics:
         sample_covariance = np.empty(
             symbols.shape + (n,), dtype=np.complex128
         ).swapaxes(-1, -2)
-        for trial in np.ndindex(symbols.shape[:-1]):
+        for trial in range(symbols.shape[0]):
             # sum_l pdp[l] shifted[l, n] conj(shifted[l, m]), the product
             # (pdp * shifted)^T conj(shifted) of the Fortran-ordered N x L
             # views of both
@@ -214,11 +206,11 @@ def si_covariance(
     engine works on A_t without transforming it.  The product costs O(N^2)
     per oscillator quality on top of the O(L*N^2) sample covariance.
     Channels are independent across antennas, so the result scales linearly
-    with n_tx in both oscillator modes.  A batch of B trials' statistics
-    gives a (B, N, N) stack, one covariance per trial.  Its lower triangle
-    defines the Hermitian matrix the engine reads.  Each trial's matrix is
-    Fortran-ordered, like the sample covariance, so zhemm and zhetrd read
-    it without a transposing copy.
+    with n_tx in both oscillator modes.  The result is a (B, N, N) stack,
+    one covariance per trial, whose lower triangles define the Hermitian
+    matrices the engine reads.  Each trial's matrix is Fortran-ordered,
+    like the sample covariance, so zhemm and zhetrd read it without a
+    transposing copy.
     """
     n = stats.symbols.shape[-1]
     if n != pn.kernel.shape[-1]:
@@ -228,9 +220,9 @@ def si_covariance(
     return pn.kernel.T * stats.sample_covariance * (n * stats.n_tx)
 
 
-def _constant_modulus_power(symbols: np.ndarray) -> float | np.ndarray:
+def _constant_modulus_power(symbols: np.ndarray) -> np.ndarray:
     """The common power p = |x_n|^2 of constant-modulus symbols, one per
-    vector of a (B, N) batch.
+    trial of a (B, N) batch.
 
     For such symbols the LS Gram matrix of the basis diag(x) F_L is N*p*I,
     which is what makes the matched filter exact least squares.
@@ -259,8 +251,8 @@ class SiSpectrum:
     subdiagonal, kept in the QR layout zunmqr applies (`reflectors`,
     `tau`).  The subcarrier-domain covariance is A0 = (U Q) T (U Q)^H with
     the unitary DFT U.  At N = 1, T is a single entry, Q = I and there are
-    no reflectors.  The spectrum of a batch of B trials carries a leading
-    trial axis on every array, and ls_leakage is then a length-B vector.
+    no reflectors.  Every array carries the batch's leading trial axis, and
+    ls_leakage is a length-B vector.
     """
 
     eigenvalues: np.ndarray
@@ -268,7 +260,7 @@ class SiSpectrum:
     off_diagonal: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
-    ls_leakage: float | np.ndarray
+    ls_leakage: np.ndarray
     n_taps: int
 
 
@@ -283,30 +275,29 @@ def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
     constant-modulus symbols of power p, and U^H b_l = sqrt(N) w_l with
     w_l(n) = w(n - l) the delayed symbol waveform that stats holds, so
     tr{P A0} = Re sum_l w_l^H A_t w_l / p without forming P or A0.  One
-    zhemm on the same lower triangle forms A_t w_l.  Statistics of a batch
-    of B trials with a (B, N, N) stack of covariances give the spectra of B
-    trials, one zhemm, zhetrd and dsterf per trial.
+    zhemm on the same lower triangle forms A_t w_l.  si_cov is the
+    (B, N, N) stack for the B trials of stats, and each trial gets its own
+    zhemm, zhetrd and dsterf.
     """
     si_cov = np.asarray(si_cov, dtype=np.complex128)
     symbols = stats.symbols
     n = symbols.shape[-1]
     if si_cov.shape != symbols.shape + (n,):
-        raise ValueError("si_cov must be N x N for each trial's N symbols")
-    batch = symbols.shape[:-1]
+        raise ValueError(f"si_cov must be (B, N, N) = {symbols.shape + (n,)}")
+    b = symbols.shape[0]
     power = _constant_modulus_power(symbols)
     lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
     shifted = stats.shifted_waveforms
     # A_t w_l as rows, C-ordered like shifted, so that the capture's
     # reduction runs in the same order whatever the batch around a trial
     product = np.empty(shifted.shape, dtype=np.complex128)
-    diagonal = np.empty(batch + (n,))
-    eigenvalues = np.empty(batch + (n,))
-    off_diagonal = np.empty(batch + (n - 1,))
-    tau = np.empty(batch + (n - 1,), dtype=np.complex128)
+    diagonal = np.empty((b, n))
+    eigenvalues = np.empty((b, n))
+    off_diagonal = np.empty((b, n - 1))
+    tau = np.empty((b, n - 1), dtype=np.complex128)
     # each trial's reflectors Fortran-ordered, as zunmqr takes them
-    reflectors = np.empty(batch + (n - 1, n - 1), dtype=np.complex128)
-    reflectors = reflectors.swapaxes(-1, -2)
-    for trial in np.ndindex(batch):
+    reflectors = np.empty((b, n - 1, n - 1), dtype=np.complex128).swapaxes(1, 2)
+    for trial in range(b):
         # shifted[trial].T is the Fortran-ordered N x L operand
         product[trial] = blas.zhemm(
             1.0, si_cov[trial], shifted[trial].T, lower=1
@@ -330,7 +321,7 @@ def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
         off_diagonal=off_diagonal,
         reflectors=reflectors,
         tau=tau,
-        ls_leakage=leakage if batch else float(leakage),
+        ls_leakage=leakage,
         n_taps=stats.pdp.size,
     )
 
@@ -338,69 +329,62 @@ def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
 def _apply_q(
     spectrum: SiSpectrum, block: np.ndarray, trans: str
 ) -> np.ndarray:
-    """Q @ block for trans "N", Q^H @ block for trans "C", on a vector or on
-    every column of a matrix at once, with each trial's own Q for a batch;
-    Q leaves the first row alone."""
+    """Q @ block for trans "N", Q^H @ block for trans "C", on every column
+    of each trial's N x P block of a (B, N, P) stack at once, with that
+    trial's own Q; Q leaves the first row alone."""
     out = block.copy()
     if spectrum.tau.shape[-1]:
-        for trial in np.ndindex(spectrum.tau.shape[:-1]):
-            tail = block[trial][1:]
-            columns = tail.reshape(tail.shape[0], -1)
-            applied, _, _ = lapack.zunmqr(
+        for trial in range(block.shape[0]):
+            tail = block[trial, 1:]
+            out[trial, 1:], _, _ = lapack.zunmqr(
                 "L", trans, spectrum.reflectors[trial], spectrum.tau[trial],
-                columns, columns.shape[1],
+                tail, tail.shape[1],
             )
-            out[trial][1:] = applied.reshape(tail.shape)
     return out
 
 
 @dataclass(frozen=True)
 class SpectralWeights:
-    """Optimal weights V = I - soi * inv(C) at one operating point, or at
-    each point of a block of P points that share the spectrum.
+    """Optimal weights V = I - soi * inv(C) at each of P operating points
+    that share the spectrum, in each of its B trials.
 
     Each point's C is held as the tridiagonal C' = scale*T + (noise + soi)*I
     of C = (U Q) C' (U Q)^H, with U the unitary DFT that takes the sample
     domain of the spectrum to the subcarrier domain of the received
-    vectors.  A block stacks the P tridiagonals along one diagonal of
-    length P*N with zero off-diagonal entries between them, so each factors
-    exactly as it would alone; a batch of B trials stacks all B*P of them,
-    trial after trial.  soi_power is a scalar or a length-P vector, and
-    the expected residual power is a scalar or a length-P vector with the
-    spectrum's leading trial axis in front when it has one.
+    vectors.  The B*P tridiagonals are stacked along one diagonal of length
+    B*P*N, trial after trial and each trial's points in order, with zero
+    off-diagonal entries between them, so each factors as it would alone.
+    soi_power is the (P,) vector of the points, and the expected residual
+    power is (B, P).
     """
 
     spectrum: SiSpectrum
     received_diagonal: np.ndarray
     received_off_diagonal: np.ndarray
     soi_power: np.ndarray
-    residual_power: float | np.ndarray
+    residual_power: np.ndarray
 
     def estimate(self, received: np.ndarray) -> np.ndarray:
         """The SI estimate V @ received, in O(N^2) per point: one inverse
         FFT into the sample domain, the reflectors and the tridiagonal
         solve there, and one FFT back, along the subcarrier axis.
 
-        received is the (N,) received vector at one operating point, or the
-        (N, P) block whose column p is received at point p; for a batch of
-        B trials, the (B, N) or (B, N, P) stack of them.  A received
-        covariance that fails to factor at any point of any trial raises
+        received is the (B, N, P) stack whose column p of trial b's block
+        is the received vector at point p.  A received covariance that
+        fails to factor at any point of any trial raises
         SingularMatrixError.
         """
         received = np.asarray(received, dtype=np.complex128)
-        batch = self.spectrum.eigenvalues.shape[:-1]
-        n = self.spectrum.eigenvalues.shape[-1]
-        shape = batch + (n,) + self.soi_power.shape
+        shape = self.spectrum.eigenvalues.shape + self.soi_power.shape
         if received.shape != shape:
-            raise ValueError(f"received must have shape {shape}")
+            raise ValueError(f"received must be (B, N, P) = {shape}")
         # U^H received = sqrt(N) ifft(received) and U z = fft(z) / sqrt(N),
         # so inv(C) received = fft(Q inv(C') Q^H ifft(received))
-        axis = len(batch)
-        rotated = _apply_q(self.spectrum, np.fft.ifft(received, axis=axis), "C")
+        rotated = _apply_q(self.spectrum, np.fft.ifft(received, axis=1), "C")
         # trial after trial and point after point, as the stacked
         # tridiagonals are; C' is real, so it solves the real and imaginary
         # parts together
-        stacked = np.moveaxis(rotated, axis, -1)
+        stacked = rotated.swapaxes(1, 2)
         flat = stacked.ravel()
         _, _, solved, info = lapack.dptsv(
             self.received_diagonal,
@@ -411,22 +395,30 @@ class SpectralWeights:
             raise SingularMatrixError(
                 "received covariance is not positive definite"
             )
-        back = np.moveaxis(
-            (solved[:, 0] + 1j * solved[:, 1]).reshape(stacked.shape),
-            -1, axis,
-        )
-        solved_si = np.fft.fft(_apply_q(self.spectrum, back, "N"), axis=axis)
-        return received - self.soi_power * solved_si
+        back = (solved[:, 0] + 1j * solved[:, 1]).reshape(stacked.shape)
+        back = _apply_q(self.spectrum, back.swapaxes(1, 2), "N")
+        return received - self.soi_power * np.fft.fft(back, axis=1)
+
+
+def _points(
+    scale: np.ndarray, soi_power: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The channel and SOI powers of P operating points, as floats."""
+    scale = np.asarray(scale, dtype=np.float64)
+    soi_power = np.asarray(soi_power, dtype=np.float64)
+    if scale.ndim != 1 or soi_power.shape != scale.shape:
+        raise ValueError("scale and soi_power must be two (P,) vectors")
+    return scale, soi_power
 
 
 def spectral_weights(
     spectrum: SiSpectrum,
-    scale: float | np.ndarray,
+    scale: np.ndarray,
     noise_power: float,
-    soi_power: float | np.ndarray,
+    soi_power: np.ndarray,
 ) -> SpectralWeights:
-    """Optimal weights for the SI covariance scale * A0, at one operating
-    point or, with a length-P scale and/or soi_power, at P points.
+    """Optimal weights for the SI covariance scale[p] * A0 with SOI power
+    soi_power[p] at each of P points, in each trial of the spectrum.
 
     Each eigenvalue lam of the scaled covariance gets the gain
     (lam + noise) / (lam + noise + soi) and adds the non-negative term
@@ -434,73 +426,54 @@ def spectral_weights(
     power.  Their sum equals N*noise + tr{A} + sum_k f_k of the Cholesky
     route without the cancellation between its large terms.  The estimate
     itself never forms the eigenvectors: it solves with the shifted
-    tridiagonal scale*T + (noise + soi)*I.  The operating points are shared
-    by every trial of a batched spectrum.  A received covariance that is
+    tridiagonal scale*T + (noise + soi)*I.  A received covariance that is
     not positive definite at any point of any trial raises
     SingularMatrixError.
     """
-    scale, soi_power = np.broadcast_arrays(
-        np.asarray(scale, dtype=np.float64),
-        np.asarray(soi_power, dtype=np.float64),
-    )
-    if scale.ndim > 1:
-        raise ValueError("scale and soi_power must be scalars or vectors")
-    batch = spectrum.eigenvalues.shape[:-1]
-    # (trial, point, eigenvalue) axes; either of the first two may be absent
-    per_point = batch + (1,) * scale.ndim + (-1,)
-    si_noise = (
-        scale[..., None] * spectrum.eigenvalues.reshape(per_point) + noise_power
-    )
-    received = si_noise + soi_power[..., None]
+    scale, soi_power = _points(scale, soi_power)
+    # (trial, point, eigenvalue) axes
+    si_noise = scale[:, None] * spectrum.eigenvalues[:, None, :] + noise_power
+    received = si_noise + soi_power[:, None]
     if not received.min() > 0.0:
         raise SingularMatrixError(
             "received covariance is not positive definite"
         )
-    diagonal = scale[..., None] * spectrum.diagonal.reshape(per_point) + (
-        noise_power + soi_power[..., None]
+    diagonal = scale[:, None] * spectrum.diagonal[:, None, :] + (
+        noise_power + soi_power[:, None]
     )
     # each point's off-diagonal, then a zero that decouples the next point
     coupling = np.zeros(diagonal.shape)
-    coupling[..., :-1] = scale[..., None] * spectrum.off_diagonal.reshape(
-        per_point
-    )
+    coupling[..., :-1] = scale[:, None] * spectrum.off_diagonal[:, None, :]
     coupling = coupling.ravel()
     return SpectralWeights(
         spectrum=spectrum,
         received_diagonal=diagonal.ravel(),
-        # scipy's dptsv wants N*P - 1 entries, and a non-empty vector at 1
+        # scipy's dptsv wants B*P*N - 1 entries, and a non-empty vector at 1
         received_off_diagonal=coupling[: max(coupling.size - 1, 1)],
         soi_power=soi_power,
-        residual_power=(si_noise * soi_power[..., None] / received).sum(axis=-1),
+        residual_power=(si_noise * soi_power[:, None] / received).sum(axis=-1),
     )
 
 
 def ls_residual_power(
     spectrum: SiSpectrum,
-    scale: float | np.ndarray,
+    scale: np.ndarray,
     noise_power: float,
-    soi_power: float | np.ndarray,
-) -> float | np.ndarray:
-    """Expected residual power of least squares plus reconstruction, at one
-    operating point or, with a length-P scale and/or soi_power, at P points;
-    a batched spectrum puts its trial axis in front.
+    soi_power: np.ndarray,
+) -> np.ndarray:
+    """Expected residual power of least squares plus reconstruction at each
+    of P points, as a (B, P) array for the B trials of the spectrum.
 
     The LS weights are the Hermitian idempotent projector P of rank L, so
     the residual functional collapses to
     (N - L)*noise + L*soi + scale * tr{(I - P) A0}.
     """
-    scale, soi_power = np.broadcast_arrays(
-        np.asarray(scale, dtype=np.float64),
-        np.asarray(soi_power, dtype=np.float64),
-    )
+    scale, soi_power = _points(scale, soi_power)
     n = spectrum.eigenvalues.shape[-1]
-    leakage = np.reshape(
-        spectrum.ls_leakage, spectrum.eigenvalues.shape[:-1] + (1,) * scale.ndim
-    )
     value = (
         (n - spectrum.n_taps) * noise_power
         + spectrum.n_taps * soi_power
-        + scale * leakage
+        + scale * spectrum.ls_leakage[:, None]
     )
     return np.maximum(value, 0.0)
 
@@ -508,28 +481,22 @@ def ls_residual_power(
 def ls_estimate(
     received: np.ndarray, symbols: np.ndarray, n_taps: int
 ) -> np.ndarray:
-    """Least-squares tap estimate from one received symbol, or from each
-    column of an (N, P) block of received vectors.
+    """Least-squares (B, n_taps, P) tap estimates from the (B, N, P) stack
+    of received vectors of (B, N) symbols.
 
-    Solves min_h || received - diag(symbols) F h ||^2.  For constant-modulus
-    symbols the normal equations are N*p*I h = F^H diag(conj(symbols))
-    received, so the estimate is the matched filter
-    ifft(received / symbols)[:n_taps], of shape (n_taps,) or (n_taps, P).
-    With (B, N) symbols of B trials, received is the (B, N) or (B, N, P)
-    stack and the estimate gets the same leading trial axis.  Zero symbols
-    raise SingularMatrixError; symbols of unequal modulus raise ValueError.
+    Solves min_h || received - diag(symbols) F h ||^2 per column.  For
+    constant-modulus symbols the normal equations are
+    N*p*I h = F^H diag(conj(symbols)) received, so the estimate is the
+    matched filter ifft(received / symbols)[:n_taps].  Zero symbols raise
+    SingularMatrixError; symbols of unequal modulus raise ValueError.
     """
     received = np.asarray(received, dtype=np.complex128)
     symbols = np.asarray(symbols, dtype=np.complex128)
-    axis = symbols.ndim - 1
-    if (
-        received.shape[: axis + 1] != symbols.shape
-        or received.ndim > symbols.ndim + 1
-    ):
-        raise ValueError("received and symbols sizes disagree")
+    if received.ndim != 3 or received.shape[:2] != symbols.shape:
+        raise ValueError(
+            f"received must be (B, N, P) for (B, N) symbols {symbols.shape}"
+        )
     if not 1 <= n_taps <= symbols.shape[-1]:
         raise ValueError(f"n_taps={n_taps} out of range")
     _constant_modulus_power(symbols)
-    per_row = symbols.reshape(symbols.shape + (1,) * (received.ndim - axis - 1))
-    estimate = np.fft.ifft(received / per_row, axis=axis)
-    return estimate[(slice(None),) * axis + (slice(n_taps),)]
+    return np.fft.ifft(received / symbols[:, :, None], axis=1)[:, :n_taps]

@@ -51,6 +51,9 @@ SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 # Per-subcarrier receiver noise power: every other power is set relative
 # to it.
 NOISE_POWER = 1.0
+# Largest |INR| or |SNR| in dB: every cell matches its prediction at 300 dB,
+# while at 400 dB the unit noise floor drowns in round-off.
+_DB_LIMIT = 300.0
 # Complex entries a chunk of trials may hold per N x N covariance stack
 # (B*N^2) or per channel-output stack (B*n_tx*N): 32 trials on the fast
 # profile, 2 on the reference node, 1 from N = 256 on.
@@ -96,6 +99,8 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if name.endswith("_db") and abs(value) > _DB_LIMIT:
+                raise ValueError(f"{name} must be within ±{_DB_LIMIT:g} dB")
         if self.n_tx < 1 or self.n_subcarriers < 1 or self.n_taps < 1:
             raise ValueError("n_tx, n_subcarriers and n_taps must be positive")
         if self.n_taps > self.n_subcarriers:

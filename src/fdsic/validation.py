@@ -243,8 +243,8 @@ def subcarrier_si_covariance(
     algebraically identical to the direct fourfold sum of the mixing
     covariance against the symbol outer product and the profile spectrum,
     and to U A_t U^H with A_t = fdsic.estimator.si_covariance and the
-    unitary DFT U, which the simulator's engine uses without forming A0.  A
-    batch of B trials' statistics gives a (B, N, N) stack.
+    unitary DFT U, which the simulator's engine uses without forming A0.  The
+    B trials of stats give a (B, N, N) stack.
     """
     n = stats.symbols.shape[-1]
     if n != pn.kernel.shape[-1]:
@@ -488,10 +488,10 @@ def check_si_covariance(
     rng = np.random.default_rng(7002)
     symbols = gen_bpsk_symbols(n_subcarriers, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
+    stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
     analytic = subcarrier_si_covariance(
         stats, pn_covariance_table(delta_f, n_subcarriers)
-    )
+    )[0]
     estimate = simulate_si_covariance(
         symbols, pdp, n_tx, delta_f, n_trials, rng
     )

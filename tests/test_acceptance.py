@@ -198,8 +198,9 @@ def test_criterion_8_optimality_and_closed_form():
         soi_power = float(10.0 ** rng.uniform(-1, 1))
         symbols = gen_bpsk_symbols(n, 1.0, rng)
         pdp = rng.uniform(0.2, 1.0, n_taps)
-        stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
-        cov = subcarrier_si_covariance(stats, pn_covariance_table(delta_f, n))
+        stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
+        table = pn_covariance_table(delta_f, n)
+        cov = subcarrier_si_covariance(stats, table)[0]
         si_noise = cov + 1.0 * np.eye(n)
         weights, opt_values = optimal_weights(
             si_noise + soi_power * np.eye(n), si_noise

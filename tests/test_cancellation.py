@@ -34,13 +34,14 @@ def test_reconstruct_si_matches_basis_product():
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
     expected = (symbols[:, None] * dft_matrix(n, n_taps)) @ taps
-    assert_allclose(reconstruct_si(symbols, taps), expected, atol=1e-12)
+    si = reconstruct_si(symbols[None], taps[None, :, None])
+    assert_allclose(si, expected[None, :, None], atol=1e-12)
 
 
 def test_reconstruct_si_validation():
-    symbols = np.ones(8, dtype=np.complex128)
+    symbols = np.ones((1, 8), dtype=np.complex128)
     with pytest.raises(ValueError):
-        reconstruct_si(symbols, np.ones(9, dtype=np.complex128))
+        reconstruct_si(symbols, np.ones((1, 9, 1), dtype=np.complex128))
 
 
 def test_residual_splits_into_leakage_and_soi_distortion():
@@ -60,10 +61,10 @@ def test_residual_splits_into_leakage_and_soi_distortion():
 def _small_covariance(rng, n=16, n_taps=2, n_tx=2, delta_f=1e-3):
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx)
+    stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
     return symbols, pdp, subcarrier_si_covariance(
         stats, pn_covariance_table(delta_f, n)
-    )
+    )[0]
 
 
 def test_expected_residual_with_zero_weights():
@@ -120,8 +121,8 @@ def test_optimal_weights_beat_fixed_competitors():
     n, n_taps = 32, 4
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats = EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=4)
-    cov = subcarrier_si_covariance(stats, pn_covariance_table(1e-3, n))
+    stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=4)
+    cov = subcarrier_si_covariance(stats, pn_covariance_table(1e-3, n))[0]
     si_noise = cov + np.eye(n)
     best, _ = optimal_weights(si_noise + 3.0 * np.eye(n), si_noise)
     best_value = expected_residual_power(cov, best, 1.0, 3.0)

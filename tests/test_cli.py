@@ -111,8 +111,13 @@ def test_validate_fast_smoke(capsys, monkeypatch):
         (["sweep-inr", "--fast", "--values", "20,abc"],
          "could not convert string to float: 'abc'"),
         (["sweep-inr", "--fast", "--trials", "0"], "n_trials must be positive"),
+        (["sweep-inr", "--fast", "--values", "4000"],
+         "inr_db must be within ±300 dB"),
     ],
-    ids=["delta-f-nan", "repeated-value", "non-numeric-value", "zero-trials"],
+    ids=[
+        "delta-f-nan", "repeated-value", "non-numeric-value", "zero-trials",
+        "inr-sweep-value-4000",
+    ],
 )
 def test_rejected_input_is_a_usage_error(capsys, argv, message):
     # argparse's usage error: status 2 and a message naming the setting or
@@ -123,6 +128,51 @@ def test_rejected_input_is_a_usage_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("usage: fdsic")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["single", "--fast", "--inr", "4000"], "inr_db must be within ±300 dB"),
+        (["single", "--fast", "--snr", "-4000"], "snr_db must be within"),
+        (["single", "--fast", "--inr", "3080"], "inr_db must be within"),
+        (["single", "--fast", "--snr", "400"], "snr_db must be within"),
+        (["sweep-snr", "--fast", "--trials", "2", "--values", ""],
+         "argument --values: could not convert string to float: ''"),
+        (["sweep-snr", "--fast", "--values", "0,5,"],
+         "argument --values: could not convert string to float: ''"),
+    ],
+    ids=[
+        "inr-4000", "snr-minus-4000", "inr-3080", "snr-400", "empty-values",
+        "empty-value-item",
+    ],
+)
+def test_unresolvable_power_or_empty_values_fail_before_any_trial(
+    capsys, monkeypatch, argv, message
+):
+    # INR and SNR beyond what the power arithmetic resolves, and sweep
+    # values with an empty item, are usage errors that name the setting;
+    # "--values" given but empty no longer falls back to the default points
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a trial ran before the input was rejected")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "setting", [["--inr", "110"], ["--inr", "300"], ["--snr", "-300"]],
+    ids=["inr-110", "inr-300", "snr-minus-300"],
+)
+def test_powers_within_the_limit_run(capsys, setting):
+    assert main(["single", "--fast", "--trials", "2", *setting]) == 0
+    out = capsys.readouterr().out
+    assert "ls" in out and "optimal" in out
 
 
 def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
@@ -175,11 +225,15 @@ def test_config_file_value_rejected_by_the_config_names_it(tmp_path, capsys):
     # the file's settings are checked as a whole before any flag overrides
     # them, so the file is what the error names
     cfg = tmp_path / "node.cfg"
-    cfg.write_text("n_trials = 0\n")
-    with pytest.raises(SystemExit) as caught:
-        main(["single", "--fast", "--trials", "3", "--config", str(cfg)])
-    assert caught.value.code == 2
-    assert f"{cfg}: n_trials must be positive" in capsys.readouterr().err
+    for text, message in (
+        ("n_trials = 0\n", "n_trials must be positive"),
+        ("inr_db = 4000\n", "inr_db must be within ±300 dB"),
+    ):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as caught:
+            main(["single", "--fast", "--trials", "3", "--config", str(cfg)])
+        assert caught.value.code == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--json-summary"])

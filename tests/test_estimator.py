@@ -4,9 +4,12 @@ independent oracle.
 
 The engine takes the sample-domain covariance A_t (si_covariance); the
 dense oracles take the subcarrier-domain A0 = U A_t U^H that
-fdsic.validation.subcarrier_si_covariance builds."""
+fdsic.validation.subcarrier_si_covariance builds.  The engine takes (B, N)
+symbols and (B, N, P) received blocks only, so a single trial at a single
+point runs as a batch of one with a block of one."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +50,7 @@ from fdsic.validation import (
 
 
 def _statistics(symbols, pdp, n_tx, delta_f):
+    """Statistics of a (B, N) batch of symbols and their phase-noise table."""
     return (
         EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx),
         pn_covariance_table(delta_f, symbols.shape[-1]),
@@ -54,19 +58,27 @@ def _statistics(symbols, pdp, n_tx, delta_f):
 
 
 def _covariance(symbols, pdp, n_tx, delta_f):
-    """The subcarrier-domain A0 that the dense oracles take."""
-    return subcarrier_si_covariance(*_statistics(symbols, pdp, n_tx, delta_f))
+    """The subcarrier-domain A0 of one trial's (N,) symbols, the matrix the
+    dense oracles take."""
+    stats, table = _statistics(symbols[None], pdp, n_tx, delta_f)
+    return subcarrier_si_covariance(stats, table)[0]
 
 
 def _engine_covariance(symbols, pdp, n_tx, delta_f):
-    """The sample-domain A_t that the spectral engine takes."""
-    return si_covariance(*_statistics(symbols, pdp, n_tx, delta_f))
+    """The sample-domain A_t of one trial's (N,) symbols."""
+    return si_covariance(*_statistics(symbols[None], pdp, n_tx, delta_f))[0]
 
 
 def _engine_spectrum(symbols, pdp, n_tx, delta_f):
-    """The spectral engine's tridiagonalization of A_t."""
-    stats, table = _statistics(symbols, pdp, n_tx, delta_f)
+    """The spectral engine's tridiagonalization of one trial's A_t, as the
+    spectrum of a batch of one."""
+    stats, table = _statistics(symbols[None], pdp, n_tx, delta_f)
     return si_spectrum(si_covariance(stats, table), stats)
+
+
+def _one(vector):
+    """One trial's (N,) vector at one point, as a (1, N, 1) stack."""
+    return vector[None, :, None]
 
 
 def _loaded(cov, noise, soi):
@@ -144,28 +156,28 @@ def test_si_covariance_is_positive_semidefinite():
     assert eigenvalues.min() > -1e-10 * eigenvalues.max()
 
 
-@pytest.mark.parametrize("shape", [(16,), (3, 16)])
+@pytest.mark.parametrize("shape", [(1, 16), (3, 16)])
 def test_si_covariance_is_fortran_ordered_per_trial(shape):
     # zhemm and zhetrd take Fortran-ordered matrices; a C-ordered trial
     # matrix costs a transposing copy on every call
     symbols = np.sign(np.random.default_rng(45).standard_normal(shape)) + 0j
     stats = EstimatorStatistics(symbols, np.ones(3), 2)
     cov = si_covariance(stats, pn_covariance_table(1e-2, 16))
-    for trial in np.ndindex(shape[:-1]):
+    for trial in range(shape[0]):
         assert stats.sample_covariance[trial].flags.f_contiguous
         assert cov[trial].flags.f_contiguous
 
 
 def test_estimator_statistics_validation():
     rng = np.random.default_rng(45)
-    symbols = gen_bpsk_symbols(16, 1.0, rng)
+    symbols = gen_bpsk_symbols(16, 1.0, rng)[None]
     table = pn_covariance_table(1e-3, 16)
     with pytest.raises(ValueError, match="zero"):
         bad = symbols.copy()
-        bad[3] = 0.0
+        bad[0, 3] = 0.0
         EstimatorStatistics(bad, np.ones(2), 1)
     with pytest.raises(ValueError, match="disagree"):
-        si_covariance(EstimatorStatistics(symbols[:8], np.ones(2), 1), table)
+        si_covariance(EstimatorStatistics(symbols[:, :8], np.ones(2), 1), table)
     with pytest.raises(ValueError, match="non-negative"):
         EstimatorStatistics(symbols, np.array([1.0, -0.1]), 1)
     with pytest.raises(ValueError, match="n_tx"):
@@ -179,16 +191,16 @@ def test_si_spectrum_rejects_a_covariance_of_other_statistics():
     symbols = np.array([gen_bpsk_symbols(8, 1.0, rng) for _ in range(2)])
     stats = EstimatorStatistics(symbols, np.ones(2), 1)
     cov = si_covariance(stats, pn_covariance_table(1e-3, 8))
-    one_trial = EstimatorStatistics(symbols[0], np.ones(2), 1)
+    one_trial = EstimatorStatistics(symbols[:1], np.ones(2), 1)
     for si_cov, of in (
-        (cov[0], stats),  # one trial's covariance for a batch
+        (cov[:1], stats),  # one trial's covariance for a batch
         (cov, one_trial),  # a batch's covariances for one trial
         (cov[:, :4, :4], stats),  # N = 4 for 8 symbols
-        (np.eye(16), one_trial),
+        (np.eye(16)[None], one_trial),
     ):
-        with pytest.raises(ValueError, match="N x N"):
+        with pytest.raises(ValueError, match=re.escape("(B, N, N)")):
             si_spectrum(si_cov, of)
-    assert si_spectrum(cov[0], one_trial).n_taps == 2
+    assert si_spectrum(cov[:1], one_trial).n_taps == 2
 
 
 def test_real_embedding_is_multiplicative():
@@ -323,8 +335,8 @@ def test_ls_estimate_recovers_clean_channel():
     quiet = gen_wiener_phase(n, 0.0, rng)
     outputs = channel_outputs(symbols, channel)
     received = synthesize_received(outputs, [quiet], quiet)
-    taps = ls_estimate(received, symbols, n_taps)
-    assert_allclose(taps, channel[0], atol=1e-10)
+    taps = ls_estimate(_one(received), symbols[None], n_taps)
+    assert_allclose(taps, _one(channel[0]), atol=1e-10)
 
 
 def test_ls_estimate_matches_lstsq():
@@ -334,7 +346,8 @@ def test_ls_estimate_matches_lstsq():
     received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     basis = symbols[:, None] * dft_matrix(n, n_taps)
     oracle = np.linalg.lstsq(basis, received, rcond=None)[0]
-    assert_allclose(ls_estimate(received, symbols, n_taps), oracle, atol=1e-10)
+    taps = ls_estimate(_one(received), symbols[None], n_taps)
+    assert_allclose(taps, _one(oracle), atol=1e-10)
 
 
 def test_ls_estimate_noise_variance():
@@ -345,30 +358,32 @@ def test_ls_estimate_noise_variance():
     errors = np.empty((trials, n_taps), dtype=np.complex128)
     for t in range(trials):
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        errors[t] = ls_estimate(noise, symbols, n_taps)
+        errors[t] = ls_estimate(_one(noise), symbols[None], n_taps)[0, :, 0]
     per_tap = (np.abs(errors) ** 2).mean(axis=0)
     assert_allclose(per_tap, 1.0 / n, rtol=0.15)
 
 
 def test_ls_estimate_singular_when_symbols_vanish():
     with pytest.raises(SingularMatrixError):
-        ls_estimate(np.ones(8), np.zeros(8, dtype=np.complex128), 2)
+        ls_estimate(np.ones((1, 8, 1)), np.zeros((1, 8), np.complex128), 2)
 
 
 def test_ls_estimate_rejects_unequal_moduli():
     # the matched filter is least squares only for constant-modulus symbols
-    symbols = np.ones(8, dtype=np.complex128)
-    symbols[5] = 2.0
+    symbols = np.ones((1, 8), dtype=np.complex128)
+    symbols[0, 5] = 2.0
     with pytest.raises(ValueError, match="constant-modulus"):
-        ls_estimate(np.ones(8), symbols, 2)
+        ls_estimate(np.ones((1, 8, 1)), symbols, 2)
     with pytest.raises(ValueError, match="constant-modulus"):
-        si_spectrum(np.eye(8), EstimatorStatistics(symbols, np.ones(2), 1))
+        stats = EstimatorStatistics(symbols, np.ones(2), 1)
+        si_spectrum(np.eye(8)[None], stats)
     # unit-modulus complex symbols qualify
     phases = np.exp(0.25j * np.pi * np.arange(8))
     received = np.arange(8) + 1j
     basis = phases[:, None] * dft_matrix(8, 3)
     oracle = np.linalg.lstsq(basis, received, rcond=None)[0]
-    assert_allclose(ls_estimate(received, phases, 3), oracle, atol=1e-10)
+    taps = ls_estimate(_one(received), phases[None], 3)
+    assert_allclose(taps, _one(oracle), atol=1e-10)
 
 
 def test_ls_weight_matrix_is_idempotent_projection():
@@ -386,9 +401,10 @@ def test_ls_weight_matrix_reproduces_ls_reconstruction():
     n, n_taps = 16, 3
     symbols = gen_bpsk_symbols(n, 1.0, rng)
     received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    via_taps = reconstruct_si(symbols, ls_estimate(received, symbols, n_taps))
-    assert_allclose(ls_weight_matrix(symbols, n_taps) @ received, via_taps,
-                    atol=1e-10)
+    taps = ls_estimate(_one(received), symbols[None], n_taps)
+    via_taps = reconstruct_si(symbols[None], taps)
+    assert_allclose(_one(ls_weight_matrix(symbols, n_taps) @ received),
+                    via_taps, atol=1e-10)
 
 
 def test_qp_direct_use_matches_optimal_weights_row():
@@ -411,9 +427,11 @@ def test_optimal_weights_rejects_indefinite_received():
 
 
 def _engine_weights(solution, n):
-    """The engine's V, column by column, from its estimate of each unit
-    vector."""
-    return np.column_stack([solution.estimate(col) for col in np.eye(n)])
+    """The engine's V at its one point of its one trial, column by column,
+    from its estimate of each unit vector."""
+    return np.column_stack(
+        [solution.estimate(_one(col))[0, :, 0] for col in np.eye(n)]
+    )
 
 
 @pytest.mark.parametrize("mode", OSCILLATOR_MODES)
@@ -432,22 +450,23 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     # one table serves both oscillator modes
     table = pn_covariance_table(delta_f, n)
 
-    stats = EstimatorStatistics(symbols, unit_pdp, n_tx)
+    stats = EstimatorStatistics(symbols[None], unit_pdp, n_tx)
     cov = subcarrier_si_covariance(
-        EstimatorStatistics(symbols, scale * unit_pdp, n_tx), table
-    )
+        EstimatorStatistics(symbols[None], scale * unit_pdp, n_tx), table
+    )[0]
     spectrum = si_spectrum(si_covariance(stats, table), stats)
-    solution = spectral_weights(spectrum, scale, noise, soi)
+    point = np.array([scale]), noise, np.array([soi])
+    solution = spectral_weights(spectrum, *point)
     weights = _engine_weights(solution, n)
     oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
     assert np.linalg.norm(weights - oracle) <= 1e-9 * np.linalg.norm(oracle)
-    assert solution.residual_power == pytest.approx(
+    assert solution.residual_power[0, 0] == pytest.approx(
         expected_residual_power(cov, weights, noise, soi), rel=1e-9
     )
     ls_oracle = expected_residual_power(
         cov, ls_weight_matrix(symbols, n_taps), noise, soi
     )
-    assert ls_residual_power(spectrum, scale, noise, soi) == pytest.approx(
+    assert ls_residual_power(spectrum, *point)[0, 0] == pytest.approx(
         ls_oracle, rel=1e-9
     )
     # a received symbol drawn in this oscillator mode
@@ -461,7 +480,8 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ) / np.sqrt(2.0)
     expected = oracle @ received
-    assert np.linalg.norm(solution.estimate(received) - expected) <= (
+    estimate = solution.estimate(_one(received))[0, :, 0]
+    assert np.linalg.norm(estimate - expected) <= (
         1e-9 * np.linalg.norm(expected)
     )
 
@@ -477,15 +497,17 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
         unit = _covariance(symbols, np.ones(1), 4, delta_f)
         spectrum = _engine_spectrum(symbols, np.ones(1), 4, delta_f)
         assert spectrum.tau.size == n - 1
-        solution = spectral_weights(spectrum, scale, noise, soi)
+        solution = spectral_weights(
+            spectrum, np.array([scale]), noise, np.array([soi])
+        )
         oracle, _ = optimal_weights(*_loaded(scale * unit, noise, soi))
         assert_allclose(
             _engine_weights(solution, n), oracle, rtol=1e-12, atol=1e-12
         )
         assert_allclose(
-            spectrum.eigenvalues, np.linalg.eigvalsh(unit), atol=1e-12 * n
+            spectrum.eigenvalues[0], np.linalg.eigvalsh(unit), atol=1e-12 * n
         )
-        assert solution.residual_power == pytest.approx(
+        assert solution.residual_power[0, 0] == pytest.approx(
             expected_residual_power(scale * unit, oracle, noise, soi),
             rel=1e-12,
         )
@@ -494,7 +516,8 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
 @pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])
 def test_block_columns_match_single_points(delta_f):
     # P operating points on one spectrum, as one block, give column by column
-    # what each point gives alone, and the dense Cholesky route's estimate
+    # what each point gives as a block of one, and the dense Cholesky
+    # route's estimate
     rng = np.random.default_rng(68)
     n, n_taps, n_tx, noise = 32, 4, 8, 1.0
     symbols = gen_bpsk_symbols(n, 1.0, rng)
@@ -505,60 +528,152 @@ def test_block_columns_match_single_points(delta_f):
     scale = 10.0 ** (np.array([20.0, 35.0, 50.0, 50.0]) / 10.0) / n_tx
     soi = 10.0 ** (np.array([10.0, 0.0, 10.0, 20.0]) / 10.0)
     received = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    received = received[None]
     block = spectral_weights(spectrum, scale, noise, soi)
-    estimate = block.estimate(received)
-    ls_taps = ls_estimate(received, symbols, n_taps)
-    ls_power = ls_residual_power(spectrum, scale, noise, soi)
+    estimate = block.estimate(received)[0]
+    ls_taps = ls_estimate(received, symbols[None], n_taps)[0]
+    ls_power = ls_residual_power(spectrum, scale, noise, soi)[0]
     for p in range(4):
-        single = spectral_weights(spectrum, scale[p], noise, soi[p])
-        alone = single.estimate(received[:, p])
+        point = scale[p : p + 1], noise, soi[p : p + 1]
+        single = spectral_weights(spectrum, *point)
+        alone = single.estimate(received[:, :, p : p + 1])[0, :, 0]
         assert np.linalg.norm(estimate[:, p] - alone) <= (
             1e-12 * np.linalg.norm(alone)
         )
         oracle, _ = optimal_weights(*_loaded(scale[p] * unit, noise, soi[p]))
-        expected = oracle @ received[:, p]
+        expected = oracle @ received[0, :, p]
         assert np.linalg.norm(estimate[:, p] - expected) <= (
             1e-9 * np.linalg.norm(expected)
         )
-        assert block.residual_power[p] == pytest.approx(
-            single.residual_power, rel=1e-12
+        assert block.residual_power[0, p] == pytest.approx(
+            single.residual_power[0, 0], rel=1e-12
         )
         assert ls_power[p] == pytest.approx(
-            ls_residual_power(spectrum, scale[p], noise, soi[p]), rel=1e-12
+            ls_residual_power(spectrum, *point)[0, 0], rel=1e-12
         )
-        assert_allclose(
-            ls_taps[:, p],
-            ls_estimate(received[:, p], symbols, n_taps),
-            rtol=1e-12,
-        )
-    with pytest.raises(ValueError, match="shape"):
-        block.estimate(received[:, 0])
+        taps = ls_estimate(received[:, :, p : p + 1], symbols[None], n_taps)
+        assert_allclose(ls_taps[:, p], taps[0, :, 0], rtol=1e-12)
+    with pytest.raises(ValueError, match=re.escape("(B, N, P)")):
+        block.estimate(received[:, :, 0])
 
 
 def test_block_failure_names_the_failing_point():
     # the estimator says what failed; the harness finds the point by replay
-    stats = EstimatorStatistics(np.ones(4), np.ones(2), 1)
-    spectrum = si_spectrum(-1.5 * np.eye(4), stats)
+    stats = EstimatorStatistics(np.ones((1, 4)), np.ones(2), 1)
+    spectrum = si_spectrum(-1.5 * np.eye(4)[None], stats)
     # min(lam) + noise + soi is > 0, = 0 and > 0 at the three points
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        spectral_weights(spectrum, 1.0, 1.0, np.array([0.6, 0.5, 0.6]))
+        spectral_weights(spectrum, np.ones(3), 1.0, np.array([0.6, 0.5, 0.6]))
     # the stacked tridiagonal solve fails in the last point's block
-    weights = spectral_weights(spectrum, 1.0, 1.0, np.array([0.6, 0.7, 0.8]))
+    weights = spectral_weights(
+        spectrum, np.ones(3), 1.0, np.array([0.6, 0.7, 0.8])
+    )
     diagonal = weights.received_diagonal.copy()
     diagonal[8:] = -1.0
     broken = dataclasses.replace(weights, received_diagonal=diagonal)
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        broken.estimate(np.ones((4, 3), dtype=np.complex128))
+        broken.estimate(np.ones((1, 4, 3), dtype=np.complex128))
 
 
 def test_spectral_weights_reject_indefinite_received():
-    stats = EstimatorStatistics(np.ones(4), np.ones(2), 1)
-    spectrum = si_spectrum(-1.5 * np.eye(4), stats)
+    stats = EstimatorStatistics(np.ones((1, 4)), np.ones(2), 1)
+    spectrum = si_spectrum(-1.5 * np.eye(4)[None], stats)
     # min(lam) + noise + soi = 0 and < 0
     for scale in (1.0, 2.0):
         with pytest.raises(SingularMatrixError):
-            spectral_weights(spectrum, scale, 1.0, 0.5)
-    spectral_weights(spectrum, 1.0, 1.0, 0.6)  # just above the boundary
+            spectral_weights(spectrum, np.array([scale]), 1.0, np.array([0.5]))
+    # just above the boundary
+    spectral_weights(spectrum, np.ones(1), 1.0, np.array([0.6]))
+
+
+def _layouts():
+    """A batch of two trials of eight subcarriers at three points, in the
+    layout the simulator sends, and the pieces the engine builds from it."""
+    rng = np.random.default_rng(70)
+    symbols = np.array([gen_bpsk_symbols(8, 1.0, rng) for _ in range(2)])
+    stats, table = _statistics(symbols, np.ones(2), 1, 1e-3)
+    cov = si_covariance(stats, table)
+    spectrum = si_spectrum(cov, stats)
+    points = np.ones(3)
+    return dict(
+        symbols=symbols,
+        cov=cov,
+        stats=stats,
+        spectrum=spectrum,
+        points=points,
+        weights=spectral_weights(spectrum, points, 1.0, points),
+        received=rng.standard_normal((2, 8, 3)) + 0j,
+        taps=rng.standard_normal((2, 2, 3)) + 0j,
+    )
+
+
+# Each entry point called with an unbatched vector, a single block or scalar
+# points, and the layout its error names.
+_OTHER_LAYOUTS = {
+    "statistics-vector": (
+        lambda x: EstimatorStatistics(x["symbols"][0], np.ones(2), 1),
+        "(B, N)",
+    ),
+    "spectrum-one-matrix": (
+        lambda x: si_spectrum(x["cov"][0], x["stats"]), "(B, N, N)"
+    ),
+    "weights-scalar-points": (
+        lambda x: spectral_weights(x["spectrum"], 1.0, 1.0, 1.0), "(P,)"
+    ),
+    "weights-scalar-scale": (
+        lambda x: spectral_weights(x["spectrum"], 1.0, 1.0, x["points"]),
+        "(P,)",
+    ),
+    "ls-power-scalar-points": (
+        lambda x: ls_residual_power(x["spectrum"], 1.0, 1.0, 1.0), "(P,)"
+    ),
+    "ls-power-scalar-soi": (
+        lambda x: ls_residual_power(x["spectrum"], x["points"], 1.0, 1.0),
+        "(P,)",
+    ),
+    "estimate-vector": (
+        lambda x: x["weights"].estimate(x["received"][0, :, 0]), "(B, N, P)"
+    ),
+    "estimate-block": (
+        lambda x: x["weights"].estimate(x["received"][0]), "(B, N, P)"
+    ),
+    "estimate-trial-vectors": (
+        lambda x: x["weights"].estimate(x["received"][:, :, 0]), "(B, N, P)"
+    ),
+    "ls-vector": (
+        lambda x: ls_estimate(x["received"][0, :, 0], x["symbols"][0], 2),
+        "(B, N, P)",
+    ),
+    "ls-block": (
+        lambda x: ls_estimate(x["received"][0], x["symbols"][0], 2),
+        "(B, N, P)",
+    ),
+    "ls-trial-vectors": (
+        lambda x: ls_estimate(x["received"][:, :, 0], x["symbols"], 2),
+        "(B, N, P)",
+    ),
+    "reconstruct-vector": (
+        lambda x: reconstruct_si(x["symbols"][0], x["taps"][0, :, 0]),
+        "(B, L, P)",
+    ),
+    "reconstruct-block": (
+        lambda x: reconstruct_si(x["symbols"][0], x["taps"][0]), "(B, L, P)"
+    ),
+    "reconstruct-trial-vectors": (
+        lambda x: reconstruct_si(x["symbols"], x["taps"][:, :, 0]),
+        "(B, L, P)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, expected", _OTHER_LAYOUTS.values(), ids=_OTHER_LAYOUTS.keys()
+)
+def test_entry_points_take_only_the_simulator_layout(call, expected):
+    # a batch of B trials and a block of P points is the one layout; the
+    # error names it
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        call(_layouts())
 
 
 @pytest.mark.parametrize("delta_f", [0.0, 1e-3, 0.1])

@@ -71,6 +71,12 @@ def test_config_defaults_describe_reference_node():
             for value in (math.nan, math.inf)
         ),
         pytest.param(dict(inr_db=-math.inf), id="inr_db-minus-inf"),
+        # finite powers beyond what the arithmetic resolves
+        *(
+            pytest.param({name: value}, id=f"{name}-{value}")
+            for name in ("inr_db", "snr_db")
+            for value in (300.5, -300.5)
+        ),
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -785,14 +791,13 @@ def test_sweep_reaches_the_high_inr_limits():
     pdp = pdp_profile(config, 1.0)
     table = pn_covariance_table(config.delta_f, config.n_subcarriers)
     rng = np.random.default_rng(5)
-    leakage = []
-    for _ in range(10):
-        symbols = gen_bpsk_symbols(config.n_subcarriers, 1.0, rng)
-        stats = EstimatorStatistics(symbols, pdp, config.n_tx)
-        spectrum = si_spectrum(si_covariance(stats, table), stats)
-        leakage.append(spectrum.ls_leakage)
+    symbols = np.array(
+        [gen_bpsk_symbols(config.n_subcarriers, 1.0, rng) for _ in range(10)]
+    )
+    stats = EstimatorStatistics(symbols, pdp, config.n_tx)
+    spectrum = si_spectrum(si_covariance(stats, table), stats)
     ceiling = 10.0 * np.log10(
-        config.n_subcarriers * config.n_tx / np.mean(leakage)
+        config.n_subcarriers * config.n_tx / np.mean(spectrum.ls_leakage)
     )
     for inr in (90.0, 110.0):
         optimal = cells[(inr, "optimal")]

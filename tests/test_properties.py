@@ -24,9 +24,9 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 def _unit_covariance(seed, delta_f, n_tx, n=N):
     """One trial's SI covariance at unit channel power, with its
-    statistics."""
+    statistics, as a batch of one."""
     rng = np.random.default_rng(seed)
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, 1.0, rng)[None]
     pdp = rng.uniform(0.1, 1.0, min(N_TAPS, n))
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp / pdp.sum(), n_tx=n_tx)
     return si_covariance(stats, pn_covariance_table(delta_f, n)), stats
@@ -56,8 +56,8 @@ def _power(db):
 @given(trial=sized_trials)
 def test_tridiagonal_eigenvalues_match_dense_solver(trial):
     cov, stats = trial
-    eigenvalues = si_spectrum(cov, stats).eigenvalues
-    dense = np.linalg.eigvalsh(cov)
+    eigenvalues = si_spectrum(cov, stats).eigenvalues[0]
+    dense = np.linalg.eigvalsh(cov[0])
     tolerance = 1e-12 * np.max(np.abs(dense))
     assert np.max(np.abs(eigenvalues - dense)) <= tolerance
 
@@ -74,7 +74,7 @@ def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
     block = spectral_weights(
         spectrum, _power(inr_db) * copies, 1.0, _power(snr_db) * copies
     )
-    weights = block.estimate(np.eye(N, dtype=np.complex128))
+    weights = block.estimate(np.eye(N, dtype=np.complex128)[None])[0]
     gains = np.linalg.eigvalsh((weights + weights.conj().T) / 2.0)
     assert gains.min() >= 0.0
     assert gains.max() < 1.0
@@ -85,9 +85,9 @@ def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
 def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
     cov, stats = trial
     spectrum = si_spectrum(cov, stats)
-    scale, soi = _power(inr_db), _power(snr_db)
-    optimal = spectral_weights(spectrum, scale, 1.0, soi).residual_power
-    assert optimal <= ls_residual_power(spectrum, scale, 1.0, soi) * (1 + 1e-12)
+    point = np.array([_power(inr_db)]), 1.0, np.array([_power(snr_db)])
+    optimal = spectral_weights(spectrum, *point).residual_power
+    assert optimal <= ls_residual_power(spectrum, *point) * (1 + 1e-12)
 
 
 @PROPERTY
@@ -99,14 +99,12 @@ def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
 def test_optimal_prediction_is_monotone_in_inr(trial, inr_db, snr_db):
     cov, stats = trial
     spectrum = si_spectrum(cov, stats)
-    unit_si_power = float(np.trace(cov).real)
-    abilities = []
-    for level in sorted(inr_db):
-        scale = _power(level)
-        residual = spectral_weights(
-            spectrum, scale, 1.0, _power(snr_db)
-        ).residual_power
-        abilities.append(
-            cancellation_ability(scale * unit_si_power, N * 1.0, residual)
-        )
+    unit_si_power = float(np.trace(cov[0]).real)
+    scales = _power(np.array(sorted(inr_db)))
+    soi = np.full(scales.size, _power(snr_db))
+    residuals = spectral_weights(spectrum, scales, 1.0, soi).residual_power
+    abilities = [
+        cancellation_ability(scale * unit_si_power, N * 1.0, residual)
+        for scale, residual in zip(scales, residuals[0])
+    ]
     assert np.all(np.diff(abilities) >= -1e-9)

@@ -358,8 +358,9 @@ def test_exact_order_samples_have_the_model_covariance():
         model_row[:] = synthesize_received(
             channel_outputs(symbols, taps), [trace[cp:] for trace in tx], rx
         )
-    stats = EstimatorStatistics(symbols, pdp, n_tx)
-    analytic = subcarrier_si_covariance(stats, pn_covariance_table(delta_f, n))
+    stats = EstimatorStatistics(symbols[None], pdp, n_tx)
+    table = pn_covariance_table(delta_f, n)
+    analytic = subcarrier_si_covariance(stats, table)[0]
     scale = np.max(np.abs(analytic))
     exact_gram = _streamed_gram((exact,), n)
     assert np.max(np.abs(exact_gram - analytic)) <= 0.06 * scale
@@ -426,15 +427,18 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
     residual = {"model": 0.0, "exact": 0.0}
     for _ in range(200):
         symbols, model, exact = _si_in_both_orders(rng, delta_f)
-        stats = EstimatorStatistics(symbols, _node_pdp(), NODE_TX)
+        stats = EstimatorStatistics(symbols[None], _node_pdp(), NODE_TX)
         spectrum = si_spectrum(si_covariance(stats, table), stats)
-        weights = spectral_weights(spectrum, scale, 1.0, soi)
+        weights = spectral_weights(
+            spectrum, np.array([scale]), 1.0, np.array([soi])
+        )
         # V's eigenvalues, the gains (lam + noise) / (lam + noise + soi)
-        si_noise = scale * spectrum.eigenvalues + 1.0
+        si_noise = scale * spectrum.eigenvalues[0] + 1.0
         gains = si_noise / (si_noise + soi)
         common = np.sum((1.0 - gains) ** 2) + soi * np.sum(gains**2)
         for order, si in (("model", model), ("exact", exact)):
-            si = np.sqrt(scale) * si
+            # one trial at one point: a (1, N, 1) stack
+            si = np.sqrt(scale) * si[None, :, None]
             leak = si - weights.estimate(si)
             residual[order] += np.sum(np.abs(leak) ** 2) + common
     si_power = NODE_N * NODE_TX * scale
