@@ -3,10 +3,11 @@
 The canceller forms an SI estimate as a linear map V of the received vector
 and is judged by the expected residual power
 
-    E_r(V) = N*noise + tr{A} + tr{V C conj(V).T} - 2 Re tr{V B},
+    E_r(V) = N + tr{A} + tr{V C conj(V).T} - 2 Re tr{V B},
 
 where A is the conditional SI covariance for the known transmit symbols,
-B = A + noise*I and C = B + soi*I.  Its minimizer is
+B = A + I and C = B + soi*I.  Every power is relative to the receiver
+noise, which has unit power on each subcarrier.  Its minimizer is
 V = conj(B).T @ inv(C) = I - soi * inv(C).
 
 The simulator reaches it through one spectral engine that works in the
@@ -15,10 +16,10 @@ unitary DFT U = F / sqrt(N) the unit-power covariance is A0 = U A_t U^H,
 where A_t = N * n_tx * (K o S) is the entrywise product of the oscillator
 phase correlation kernel K and the symbols' sample covariance S
 (si_covariance).  One Householder tridiagonalization A_t = Q T Q^H, with T
-real tridiagonal, serves every noise, SOI and channel power level.  The
+real tridiagonal, serves every SOI and channel power level.  The
 eigenvalues lam0 of T are those of A0 and give both the optimal and the
 least-squares expected residuals in closed form, and the SI estimate is
-V y = y - soi * U Q inv(s*T + (noise + soi)*I) Q^H U^H y, where U and U^H
+V y = y - soi * U Q inv(s*T + (1 + soi)*I) Q^H U^H y, where U and U^H
 are one FFT and one inverse FFT.  The subcarrier-domain A0 is never formed
 on this path; fdsic.validation builds it for the oracles.
 
@@ -348,7 +349,7 @@ class SpectralWeights:
     """Optimal weights V = I - soi * inv(C) at each of P operating points
     that share the spectrum, in each of its B trials.
 
-    Each point's C is held as the tridiagonal C' = scale*T + (noise + soi)*I
+    Each point's C is held as the tridiagonal C' = scale*T + (1 + soi)*I
     of C = (U Q) C' (U Q)^H, with U the unitary DFT that takes the sample
     domain of the spectrum to the subcarrier domain of the received
     vectors.  The B*P tridiagonals are stacked along one diagonal of length
@@ -412,34 +413,31 @@ def _points(
 
 
 def spectral_weights(
-    spectrum: SiSpectrum,
-    scale: np.ndarray,
-    noise_power: float,
-    soi_power: np.ndarray,
+    spectrum: SiSpectrum, scale: np.ndarray, soi_power: np.ndarray
 ) -> SpectralWeights:
     """Optimal weights for the SI covariance scale[p] * A0 with SOI power
-    soi_power[p] at each of P points, in each trial of the spectrum.
+    soi_power[p] at each of P points, in each trial of the spectrum, under
+    unit-power noise.
 
     Each eigenvalue lam of the scaled covariance gets the gain
-    (lam + noise) / (lam + noise + soi) and adds the non-negative term
-    (lam + noise) * soi / (lam + noise + soi) to the expected residual
-    power.  Their sum equals N*noise + tr{A} + sum_k f_k of the Cholesky
-    route without the cancellation between its large terms.  The estimate
-    itself never forms the eigenvectors: it solves with the shifted
-    tridiagonal scale*T + (noise + soi)*I.  A received covariance that is
-    not positive definite at any point of any trial raises
-    SingularMatrixError.
+    (lam + 1) / (lam + 1 + soi) and adds the non-negative term
+    (lam + 1) * soi / (lam + 1 + soi) to the expected residual power.
+    Their sum equals N + tr{A} + sum_k f_k of the Cholesky route without
+    the cancellation between its large terms.  The estimate itself never
+    forms the eigenvectors: it solves with the shifted tridiagonal
+    scale*T + (1 + soi)*I.  A received covariance that is not positive
+    definite at any point of any trial raises SingularMatrixError.
     """
     scale, soi_power = _points(scale, soi_power)
     # (trial, point, eigenvalue) axes
-    si_noise = scale[:, None] * spectrum.eigenvalues[:, None, :] + noise_power
+    si_noise = scale[:, None] * spectrum.eigenvalues[:, None, :] + 1.0
     received = si_noise + soi_power[:, None]
     if not received.min() > 0.0:
         raise SingularMatrixError(
             "received covariance is not positive definite"
         )
     diagonal = scale[:, None] * spectrum.diagonal[:, None, :] + (
-        noise_power + soi_power[:, None]
+        1.0 + soi_power[:, None]
     )
     # each point's off-diagonal, then a zero that decouples the next point
     coupling = np.zeros(diagonal.shape)
@@ -456,22 +454,20 @@ def spectral_weights(
 
 
 def ls_residual_power(
-    spectrum: SiSpectrum,
-    scale: np.ndarray,
-    noise_power: float,
-    soi_power: np.ndarray,
+    spectrum: SiSpectrum, scale: np.ndarray, soi_power: np.ndarray
 ) -> np.ndarray:
     """Expected residual power of least squares plus reconstruction at each
-    of P points, as a (B, P) array for the B trials of the spectrum.
+    of P points, as a (B, P) array for the B trials of the spectrum, under
+    unit-power noise.
 
     The LS weights are the Hermitian idempotent projector P of rank L, so
     the residual functional collapses to
-    (N - L)*noise + L*soi + scale * tr{(I - P) A0}.
+    (N - L) + L*soi + scale * tr{(I - P) A0}.
     """
     scale, soi_power = _points(scale, soi_power)
     n = spectrum.eigenvalues.shape[-1]
     value = (
-        (n - spectrum.n_taps) * noise_power
+        (n - spectrum.n_taps)
         + spectrum.n_taps * soi_power
         + scale * spectrum.ls_leakage[:, None]
     )

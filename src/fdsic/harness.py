@@ -1,15 +1,15 @@
 """Monte Carlo harness: scenario configuration, trial execution, sweeps and
 deterministic CSV / JSON emission.
 
-Powers are normalized to a unit per-subcarrier noise floor.  The INR setting
-fixes the total SI channel power and the SNR setting fixes the SOI power.
-Each trial draws one realization at unit scale (symbols, channels, phase
-walks, SOI and noise) from a stream derived only from
-(master_seed, trial_index), and every sweep point of that trial only
-rescales it.  A sweep runs its trials in memory-bounded chunks through the
-estimator as one batch; a trial's cells do not depend on the chunk it runs
-in.  Sweep points are therefore paired, and any (config, seed, trial)
-triple reproduces bit-identical output.
+Every power is relative to the receiver noise, unit power per subcarrier.
+The INR setting fixes the total SI channel power and the SNR setting fixes
+the SOI power.  Each trial draws one realization at unit scale (symbols,
+channels with the PDP_DECAY delay profile, phase walks, SOI and noise) from
+a stream derived only from (master_seed, trial_index), and every sweep
+point of that trial only rescales it.  A sweep runs its trials in
+memory-bounded chunks through the estimator as one batch; a trial's cells
+do not depend on the chunk it runs in.  Sweep points are therefore paired,
+and any (config, seed, trial) triple reproduces bit-identical output.
 """
 
 import csv
@@ -40,6 +40,7 @@ from .impairments import (
     gen_awgn,
     gen_si_channel,
     gen_wiener_phase,
+    phase_increment_variance,
     pn_covariance_table,
     synthesize_received,
 )
@@ -48,9 +49,8 @@ from .ofdm import gen_bpsk_symbols
 OSCILLATOR_MODES = ("per-antenna", "shared")
 _SWEEP_FIELDS = {"inr": "inr_db", "snr": "snr_db", "delta_f": "delta_f"}
 SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
-# Per-subcarrier receiver noise power: every other power is set relative
-# to it.
-NOISE_POWER = 1.0
+# Decay, in taps, of the SI channel's exponential power delay profile.
+PDP_DECAY = 4.0
 # Largest |INR| or |SNR| in dB: every cell matches its prediction at 300 dB,
 # while at 400 dB the unit noise floor drowns in round-off.
 _DB_LIMIT = 300.0
@@ -92,10 +92,9 @@ class SimConfig:
     n_trials: int = 500
     master_seed: int = 20260818
     oscillator_mode: str = "per-antenna"
-    pdp_decay: float = 4.0
 
     def __post_init__(self):
-        for name in ("inr_db", "snr_db", "delta_f", "pdp_decay"):
+        for name in ("inr_db", "snr_db", "delta_f"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -109,8 +108,10 @@ class SimConfig:
             raise ValueError(
                 f"oscillator_mode must be one of {OSCILLATOR_MODES}"
             )
-        if self.delta_f < 0.0 or self.pdp_decay <= 0.0:
-            raise ValueError("delta_f and pdp_decay out of range")
+        # rejects a negative delta_f; the pair's 8*pi*delta_f/N must be finite
+        pair = 2.0 * phase_increment_variance(self.delta_f, self.n_subcarriers)
+        if not math.isfinite(pair):
+            raise ValueError(f"delta_f={self.delta_f!r} overflows 8*pi*delta_f/N")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if self.master_seed < 0:
@@ -159,9 +160,9 @@ class SimConfig:
 
 
 def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
-    """Exponential tap power profile exp(-l / pdp_decay), summing to
+    """Exponential tap power profile exp(-l / PDP_DECAY), summing to
     total_power."""
-    weights = np.exp(-np.arange(config.n_taps) / config.pdp_decay)
+    weights = np.exp(-np.arange(config.n_taps) / PDP_DECAY)
     return total_power * weights / weights.sum()
 
 
@@ -171,8 +172,8 @@ class Scenario:
 
     channel_power is the per-antenna channel power that makes si_power,
     the mean SI power N * n_tx * sum(pdp) over one symbol of unit-power
-    symbols, hit the configured INR above the unit noise floor; soi_power
-    follows from the SNR.  The phase-noise table depends
+    symbols, hit the configured INR above the noise floor N of unit-power
+    noise; soi_power follows from the SNR.  The phase-noise table depends
     only on delta_f and N, so it is built once per distinct delta_f of a
     sweep (see _pn_tables), not per point.
     """
@@ -185,16 +186,14 @@ class Scenario:
 
     @classmethod
     def from_config(cls, config: SimConfig) -> "Scenario":
-        channel_power = float(
-            10.0 ** (config.inr_db / 10.0) * NOISE_POWER / config.n_tx
-        )
+        channel_power = float(10.0 ** (config.inr_db / 10.0) / config.n_tx)
         pdp = pdp_profile(config, channel_power)
         return cls(
             config=config,
             channel_power=channel_power,
             soi_power=float(10.0 ** (config.snr_db / 10.0)),
             si_power=float(config.n_subcarriers * config.n_tx * pdp.sum()),
-            noise_floor=config.n_subcarriers * NOISE_POWER,
+            noise_floor=float(config.n_subcarriers),
         )
 
 
@@ -234,12 +233,12 @@ def _run_trial(
     """
     n = config.n_subcarriers
     rng = np.random.default_rng([config.master_seed, trial_index])
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(config.n_tx, config.n_taps, unit_pdp, rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(config.n_tx, unit_pdp, rng)
     n_osc = config.n_tx if config.oscillator_mode == "per-antenna" else 1
     walks = [gen_wiener_phase(n, 1.0, rng) for _ in range(n_osc + 1)]
-    soi = gen_awgn(n, 1.0, rng)
-    noise = gen_awgn(n, NOISE_POWER, rng)
+    soi = gen_awgn(n, rng)
+    noise = gen_awgn(n, rng)
     return symbols, taps, walks, soi, noise
 
 
@@ -337,11 +336,11 @@ def _run_block(
 
     # The optimal method subtracts the weighted estimate directly; the LS
     # baseline reconstructs from its tap estimate.
-    weights = spectral_weights(spectrum, scale, NOISE_POWER, soi_power)
+    weights = spectral_weights(spectrum, scale, soi_power)
     residual_opt = received - weights.estimate(received) - soi
     taps_ls = ls_estimate(received, symbols, spectrum.n_taps)
     residual_ls = received - reconstruct_si(symbols, taps_ls) - soi
-    theo_ls = ls_residual_power(spectrum, scale, NOISE_POWER, soi_power)
+    theo_ls = ls_residual_power(spectrum, scale, soi_power)
     residuals = np.array([
         [_column_power(residual_ls), theo_ls],
         [_column_power(residual_opt), weights.residual_power],

@@ -88,34 +88,31 @@ def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable
 
 
 def gen_si_channel(
-    n_tx: int, n_taps: int, pdp: np.ndarray, rng: np.random.Generator
+    n_tx: int, pdp: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Independent circular complex Gaussian taps, shape (n_tx, n_taps); tap
-    l has variance pdp[l]."""
+    """Independent circular complex Gaussian taps, shape (n_tx, pdp.size);
+    tap l has variance pdp[l]."""
     pdp = np.asarray(pdp, dtype=np.float64)
-    if n_tx < 1 or n_taps < 1:
-        raise ValueError("n_tx and n_taps must be positive")
-    if pdp.shape != (n_taps,):
-        raise ValueError(f"pdp must have shape ({n_taps},)")
+    if n_tx < 1:
+        raise ValueError("n_tx must be positive")
+    if pdp.ndim != 1 or pdp.size == 0:
+        raise ValueError(f"pdp must be a non-empty vector, got shape {pdp.shape}")
     if np.any(pdp < 0.0):
         raise ValueError("pdp entries must be non-negative")
     scale = np.sqrt(pdp / 2.0)
     return scale[None, :] * (
-        rng.standard_normal((n_tx, n_taps))
-        + 1j * rng.standard_normal((n_tx, n_taps))
+        rng.standard_normal((n_tx, pdp.size))
+        + 1j * rng.standard_normal((n_tx, pdp.size))
     )
 
 
-def gen_awgn(n: int, power: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian vector with the given per-entry power."""
+def gen_awgn(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Circular complex Gaussian vector of unit per-entry power."""
     if n < 1:
         raise ValueError("n must be positive")
-    if power < 0.0:
-        raise ValueError("power must be non-negative")
-    scale = np.sqrt(power / 2.0)
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
-    return scale * (re + 1j * im)
+    return np.sqrt(0.5) * (re + 1j * im)
 
 
 def channel_outputs(freq_symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:

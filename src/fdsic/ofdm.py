@@ -8,13 +8,9 @@ factor.  np.fft matches this with its default norm.
 import numpy as np
 
 
-def gen_bpsk_symbols(
-    n_subcarriers: int, power: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one BPSK symbol per subcarrier, each +/- sqrt(power)."""
+def gen_bpsk_symbols(n_subcarriers: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one unit-power BPSK symbol, +/-1, per subcarrier."""
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be positive")
-    if power <= 0.0:
-        raise ValueError("power must be positive")
     bits = rng.integers(0, 2, n_subcarriers)
-    return (np.sqrt(power) * (2.0 * bits - 1.0)).astype(np.complex128)
+    return (2.0 * bits - 1.0).astype(np.complex128)

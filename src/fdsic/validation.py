@@ -463,7 +463,7 @@ def simulate_si_covariance(
     n = symbols.size
     n_taps = pdp.size
     sigma = np.sqrt(phase_increment_variance(delta_f, n))
-    taps = gen_si_channel(n_trials * n_tx, n_taps, pdp, rng).reshape(
+    taps = gen_si_channel(n_trials * n_tx, pdp, rng).reshape(
         n_trials, n_tx, n_taps
     )
     walks = _summed_wiener_phases((n_trials, n_tx, n), rng)
@@ -486,7 +486,7 @@ def check_si_covariance(
     entrywise within tolerance * max |entry|."""
     n_subcarriers, n_taps, n_tx, delta_f = 8, 2, 4, 1e-3
     rng = np.random.default_rng(7002)
-    symbols = gen_bpsk_symbols(n_subcarriers, 1.0, rng)
+    symbols = gen_bpsk_symbols(n_subcarriers, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
     analytic = subcarrier_si_covariance(
@@ -641,8 +641,8 @@ def check_model_equivalence(n_trials: int = 100) -> CheckResult:
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     worst = 0.0
     for _ in range(n_trials):
-        symbols = gen_bpsk_symbols(n_subcarriers, 1.0, rng)
-        taps = gen_si_channel(n_tx, n_taps, pdp, rng)
+        symbols = gen_bpsk_symbols(n_subcarriers, rng)
+        taps = gen_si_channel(n_tx, pdp, rng)
         tx_phases = [
             gen_wiener_phase(n_subcarriers, variance, rng) for _ in range(n_tx)
         ]

@@ -196,7 +196,7 @@ def test_criterion_8_optimality_and_closed_form():
         n_tx = int(rng.integers(1, 5))
         delta_f = float(10.0 ** rng.uniform(-5, -2))
         soi_power = float(10.0 ** rng.uniform(-1, 1))
-        symbols = gen_bpsk_symbols(n, 1.0, rng)
+        symbols = gen_bpsk_symbols(n, rng)
         pdp = rng.uniform(0.2, 1.0, n_taps)
         stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
         table = pn_covariance_table(delta_f, n)

@@ -31,7 +31,7 @@ from fdsic.validation import (
 def test_reconstruct_si_matches_basis_product():
     rng = np.random.default_rng(71)
     n, n_taps = 16, 3
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
     expected = (symbols[:, None] * dft_matrix(n, n_taps)) @ taps
     si = reconstruct_si(symbols[None], taps[None, :, None])
@@ -59,7 +59,7 @@ def test_residual_splits_into_leakage_and_soi_distortion():
 
 
 def _small_covariance(rng, n=16, n_taps=2, n_tx=2, delta_f=1e-3):
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
     return symbols, pdp, subcarrier_si_covariance(
@@ -94,14 +94,14 @@ def test_expected_residual_matches_monte_carlo():
     total = 0.0
     trials = 4000
     for _ in range(trials):
-        taps = gen_si_channel(n_tx, n_taps, pdp, rng)
+        taps = gen_si_channel(n_tx, pdp, rng)
         traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
-        soi = gen_awgn(n, 2.0, rng)
+        soi = np.sqrt(2.0) * gen_awgn(n, rng)
         received = (
             synthesize_received(channel_outputs(symbols, taps), traces, rx)
             + soi
-            + gen_awgn(n, 1.0, rng)
+            + gen_awgn(n, rng)
         )
         residual = received - weights @ received - soi
         total += np.vdot(residual, residual).real
@@ -119,7 +119,7 @@ def test_expected_residual_validation():
 def test_optimal_weights_beat_fixed_competitors():
     rng = np.random.default_rng(77)
     n, n_taps = 32, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=4)
     cov = subcarrier_si_covariance(stats, pn_covariance_table(1e-3, n))[0]

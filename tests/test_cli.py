@@ -1,10 +1,11 @@
 """Command line entry points, exercised in process through main()."""
 
 import json
+import warnings
 
 import pytest
 
-from fdsic import cli, validation
+from fdsic import cli, harness, validation
 from fdsic.cli import main
 from fdsic.harness import read_csv
 
@@ -166,13 +167,61 @@ def test_unresolvable_power_or_empty_values_fail_before_any_trial(
 
 
 @pytest.mark.parametrize(
-    "setting", [["--inr", "110"], ["--inr", "300"], ["--snr", "-300"]],
-    ids=["inr-110", "inr-300", "snr-minus-300"],
+    "setting",
+    [
+        ["--inr", "110"], ["--inr", "300"], ["--snr", "-300"],
+        # a bandwidth whose phase increment variance stays finite
+        ["--delta-f", "0.1"], ["--delta-f", "1e300"],
+    ],
+    ids=["inr-110", "inr-300", "snr-minus-300", "delta-f-0.1", "delta-f-1e300"],
 )
 def test_powers_within_the_limit_run(capsys, setting):
-    assert main(["single", "--fast", "--trials", "2", *setting]) == 0
+    # they run without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["single", "--fast", "--trials", "2", *setting])
+    assert code == 0
     out = capsys.readouterr().out
     assert "ls" in out and "optimal" in out
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["single", "--fast", "--delta-f", "1e308"], None,
+         "error: delta_f=1e+308 overflows"),
+        (["sweep-pn", "--fast", "--values", "0.001,1e308"], None,
+         "error: delta_f=1e+308 overflows"),
+        (["single", "--fast"], "delta_f = 1e308\n",
+         "node.cfg: delta_f=1e+308 overflows"),
+        # at N = 1 the pair's 8*pi*delta_f/N overflows while one
+        # oscillator's 4*pi*delta_f/N does not
+        (["single"], "n_subcarriers = 1\nn_taps = 1\ndelta_f = 1e307\n",
+         "node.cfg: delta_f=1e+307 overflows"),
+    ],
+    ids=["single-1e308", "sweep-pn-1e308", "config-1e308", "config-n1-1e307"],
+)
+def test_overflowing_phase_noise_bandwidth_fails_before_any_trial(
+    tmp_path, capsys, monkeypatch, argv, config, message
+):
+    # a bandwidth whose phase increment variance is not finite is a usage
+    # error, not a failure mid-run after floating-point warnings
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a trial ran before the input was rejected")
+
+    monkeypatch.setattr(harness, "_run_chunk", no_chunk)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "node.cfg").write_text(config)
+        argv = [*argv, "--config", "node.cfg"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert message in err
 
 
 def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
@@ -183,6 +232,8 @@ def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
         ("n_tx = 2\ncp_length = 16\n", "node.cfg:2: unknown key 'cp_length'"),
         ("symbol_power = 1.0\n", "node.cfg:1: unknown key 'symbol_power'"),
         ("pdp_shape = uniform\n", "node.cfg:1: unknown key 'pdp_shape'"),
+        # the delay profile's decay is fixed
+        ("n_tx = 2\npdp_decay = 4\n", "node.cfg:2: unknown key 'pdp_decay'"),
     ):
         cfg.write_text(text)
         with pytest.raises(SystemExit) as caught:

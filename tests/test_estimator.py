@@ -118,7 +118,7 @@ def _covariance_by_direct_sum(symbols, gamma, pdp, n_tx):
 def test_si_covariance_matches_direct_sum():
     rng = np.random.default_rng(41)
     n, n_taps, n_tx = 8, 3, 2
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     gamma = mixing_covariance(pn_covariance_table(1e-3, n).kernel)
     oracle = _covariance_by_direct_sum(symbols, gamma, pdp, n_tx)
@@ -129,7 +129,7 @@ def test_si_covariance_matches_direct_sum():
 def test_si_covariance_trace_equals_mean_si_power():
     rng = np.random.default_rng(42)
     n, n_taps, n_tx = 32, 5, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     cov = _engine_covariance(symbols, pdp, n_tx, 1e-3)
     assert np.trace(cov).real == pytest.approx(n * n_tx * pdp.sum(), rel=1e-12)
@@ -139,7 +139,7 @@ def test_si_covariance_without_phase_noise():
     # perfect oscillators: rank-L structure diag(x) R diag(x)^H
     rng = np.random.default_rng(43)
     n, n_taps, n_tx = 16, 3, 2
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.array([0.5, 0.3, 0.2])
     cov = _covariance(symbols, pdp, n_tx, 0.0)
     f = dft_matrix(n, n_taps)
@@ -150,7 +150,7 @@ def test_si_covariance_without_phase_noise():
 
 def test_si_covariance_is_positive_semidefinite():
     rng = np.random.default_rng(44)
-    symbols = gen_bpsk_symbols(24, 1.0, rng)
+    symbols = gen_bpsk_symbols(24, rng)
     cov = _engine_covariance(symbols, np.ones(4), 3, 1e-2)
     eigenvalues = np.linalg.eigvalsh(cov)
     assert eigenvalues.min() > -1e-10 * eigenvalues.max()
@@ -170,7 +170,7 @@ def test_si_covariance_is_fortran_ordered_per_trial(shape):
 
 def test_estimator_statistics_validation():
     rng = np.random.default_rng(45)
-    symbols = gen_bpsk_symbols(16, 1.0, rng)[None]
+    symbols = gen_bpsk_symbols(16, rng)[None]
     table = pn_covariance_table(1e-3, 16)
     with pytest.raises(ValueError, match="zero"):
         bad = symbols.copy()
@@ -188,7 +188,7 @@ def test_si_spectrum_rejects_a_covariance_of_other_statistics():
     # the spectrum reads the symbols, waveforms and tap count from the
     # statistics, so the covariance must be one N x N matrix per trial
     rng = np.random.default_rng(46)
-    symbols = np.array([gen_bpsk_symbols(8, 1.0, rng) for _ in range(2)])
+    symbols = np.array([gen_bpsk_symbols(8, rng) for _ in range(2)])
     stats = EstimatorStatistics(symbols, np.ones(2), 1)
     cov = si_covariance(stats, pn_covariance_table(1e-3, 8))
     one_trial = EstimatorStatistics(symbols[:1], np.ones(2), 1)
@@ -263,7 +263,7 @@ def test_solve_qp_rejects_indefinite_matrix():
 
 
 def _random_covariance(rng, n=12, n_taps=3, n_tx=2, delta_f=1e-3):
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     return symbols, _covariance(symbols, pdp, n_tx, delta_f)
 
@@ -330,8 +330,8 @@ def test_optimal_weights_closed_form_residual_consistency():
 def test_ls_estimate_recovers_clean_channel():
     rng = np.random.default_rng(60)
     n, n_taps = 32, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    channel = gen_si_channel(1, n_taps, np.ones(n_taps), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    channel = gen_si_channel(1, np.ones(n_taps), rng)
     quiet = gen_wiener_phase(n, 0.0, rng)
     outputs = channel_outputs(symbols, channel)
     received = synthesize_received(outputs, [quiet], quiet)
@@ -342,7 +342,7 @@ def test_ls_estimate_recovers_clean_channel():
 def test_ls_estimate_matches_lstsq():
     rng = np.random.default_rng(61)
     n, n_taps = 16, 5
-    symbols = gen_bpsk_symbols(n, 2.0, rng)
+    symbols = np.sqrt(2.0) * gen_bpsk_symbols(n, rng)
     received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     basis = symbols[:, None] * dft_matrix(n, n_taps)
     oracle = np.linalg.lstsq(basis, received, rcond=None)[0]
@@ -354,7 +354,7 @@ def test_ls_estimate_noise_variance():
     # white noise maps to tap errors of variance noise / (N * symbol_power)
     rng = np.random.default_rng(62)
     n, n_taps, trials = 32, 4, 3000
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     errors = np.empty((trials, n_taps), dtype=np.complex128)
     for t in range(trials):
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
@@ -389,7 +389,7 @@ def test_ls_estimate_rejects_unequal_moduli():
 def test_ls_weight_matrix_is_idempotent_projection():
     rng = np.random.default_rng(63)
     n, n_taps = 16, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     projector = ls_weight_matrix(symbols, n_taps)
     assert_allclose(projector @ projector, projector, atol=1e-10)
     basis = symbols[:, None] * dft_matrix(n, n_taps)
@@ -399,7 +399,7 @@ def test_ls_weight_matrix_is_idempotent_projection():
 def test_ls_weight_matrix_reproduces_ls_reconstruction():
     rng = np.random.default_rng(64)
     n, n_taps = 16, 3
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     received = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     taps = ls_estimate(_one(received), symbols[None], n_taps)
     via_taps = reconstruct_si(symbols[None], taps)
@@ -443,7 +443,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     # point, against the dense route on the covariance built at that point
     rng = np.random.default_rng(66)
     n, n_taps, noise, soi = 32, 4, 1.0, 10.0
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
     unit_pdp /= unit_pdp.sum()
     scale = 10.0 ** (inr_db / 10.0) * noise / n_tx
@@ -455,7 +455,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
         EstimatorStatistics(symbols[None], scale * unit_pdp, n_tx), table
     )[0]
     spectrum = si_spectrum(si_covariance(stats, table), stats)
-    point = np.array([scale]), noise, np.array([soi])
+    point = np.array([scale]), np.array([soi])
     solution = spectral_weights(spectrum, *point)
     weights = _engine_weights(solution, n)
     oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
@@ -472,7 +472,7 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     # a received symbol drawn in this oscillator mode
     n_osc = n_tx if mode == "per-antenna" else 1
     variance = table.increment_variance
-    taps = gen_si_channel(n_tx, n_taps, scale * unit_pdp, rng)
+    taps = gen_si_channel(n_tx, scale * unit_pdp, rng)
     tx = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
     received = synthesize_received(
         channel_outputs(symbols, taps), tx, gen_wiener_phase(n, variance, rng)
@@ -491,14 +491,14 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
     # N = 1 has no Householder reflector and an empty off-diagonal, N = 2
     # one reflector and a 2 x 2 tridiagonal
     rng = np.random.default_rng(67)
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     noise, soi, scale = 1.0, 10.0, 300.0
     for delta_f in (0.0, 0.1):
         unit = _covariance(symbols, np.ones(1), 4, delta_f)
         spectrum = _engine_spectrum(symbols, np.ones(1), 4, delta_f)
         assert spectrum.tau.size == n - 1
         solution = spectral_weights(
-            spectrum, np.array([scale]), noise, np.array([soi])
+            spectrum, np.array([scale]), np.array([soi])
         )
         oracle, _ = optimal_weights(*_loaded(scale * unit, noise, soi))
         assert_allclose(
@@ -520,7 +520,7 @@ def test_block_columns_match_single_points(delta_f):
     # route's estimate
     rng = np.random.default_rng(68)
     n, n_taps, n_tx, noise = 32, 4, 8, 1.0
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
     unit_pdp /= unit_pdp.sum()
     unit = _covariance(symbols, unit_pdp, n_tx, delta_f)
@@ -529,12 +529,12 @@ def test_block_columns_match_single_points(delta_f):
     soi = 10.0 ** (np.array([10.0, 0.0, 10.0, 20.0]) / 10.0)
     received = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     received = received[None]
-    block = spectral_weights(spectrum, scale, noise, soi)
+    block = spectral_weights(spectrum, scale, soi)
     estimate = block.estimate(received)[0]
     ls_taps = ls_estimate(received, symbols[None], n_taps)[0]
-    ls_power = ls_residual_power(spectrum, scale, noise, soi)[0]
+    ls_power = ls_residual_power(spectrum, scale, soi)[0]
     for p in range(4):
-        point = scale[p : p + 1], noise, soi[p : p + 1]
+        point = scale[p : p + 1], soi[p : p + 1]
         single = spectral_weights(spectrum, *point)
         alone = single.estimate(received[:, :, p : p + 1])[0, :, 0]
         assert np.linalg.norm(estimate[:, p] - alone) <= (
@@ -563,11 +563,9 @@ def test_block_failure_names_the_failing_point():
     spectrum = si_spectrum(-1.5 * np.eye(4)[None], stats)
     # min(lam) + noise + soi is > 0, = 0 and > 0 at the three points
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        spectral_weights(spectrum, np.ones(3), 1.0, np.array([0.6, 0.5, 0.6]))
+        spectral_weights(spectrum, np.ones(3), np.array([0.6, 0.5, 0.6]))
     # the stacked tridiagonal solve fails in the last point's block
-    weights = spectral_weights(
-        spectrum, np.ones(3), 1.0, np.array([0.6, 0.7, 0.8])
-    )
+    weights = spectral_weights(spectrum, np.ones(3), np.array([0.6, 0.7, 0.8]))
     diagonal = weights.received_diagonal.copy()
     diagonal[8:] = -1.0
     broken = dataclasses.replace(weights, received_diagonal=diagonal)
@@ -581,16 +579,16 @@ def test_spectral_weights_reject_indefinite_received():
     # min(lam) + noise + soi = 0 and < 0
     for scale in (1.0, 2.0):
         with pytest.raises(SingularMatrixError):
-            spectral_weights(spectrum, np.array([scale]), 1.0, np.array([0.5]))
+            spectral_weights(spectrum, np.array([scale]), np.array([0.5]))
     # just above the boundary
-    spectral_weights(spectrum, np.ones(1), 1.0, np.array([0.6]))
+    spectral_weights(spectrum, np.ones(1), np.array([0.6]))
 
 
 def _layouts():
     """A batch of two trials of eight subcarriers at three points, in the
     layout the simulator sends, and the pieces the engine builds from it."""
     rng = np.random.default_rng(70)
-    symbols = np.array([gen_bpsk_symbols(8, 1.0, rng) for _ in range(2)])
+    symbols = np.array([gen_bpsk_symbols(8, rng) for _ in range(2)])
     stats, table = _statistics(symbols, np.ones(2), 1, 1e-3)
     cov = si_covariance(stats, table)
     spectrum = si_spectrum(cov, stats)
@@ -601,7 +599,7 @@ def _layouts():
         stats=stats,
         spectrum=spectrum,
         points=points,
-        weights=spectral_weights(spectrum, points, 1.0, points),
+        weights=spectral_weights(spectrum, points, points),
         received=rng.standard_normal((2, 8, 3)) + 0j,
         taps=rng.standard_normal((2, 2, 3)) + 0j,
     )
@@ -618,17 +616,17 @@ _OTHER_LAYOUTS = {
         lambda x: si_spectrum(x["cov"][0], x["stats"]), "(B, N, N)"
     ),
     "weights-scalar-points": (
-        lambda x: spectral_weights(x["spectrum"], 1.0, 1.0, 1.0), "(P,)"
+        lambda x: spectral_weights(x["spectrum"], 1.0, 1.0), "(P,)"
     ),
     "weights-scalar-scale": (
-        lambda x: spectral_weights(x["spectrum"], 1.0, 1.0, x["points"]),
+        lambda x: spectral_weights(x["spectrum"], 1.0, x["points"]),
         "(P,)",
     ),
     "ls-power-scalar-points": (
-        lambda x: ls_residual_power(x["spectrum"], 1.0, 1.0, 1.0), "(P,)"
+        lambda x: ls_residual_power(x["spectrum"], 1.0, 1.0), "(P,)"
     ),
     "ls-power-scalar-soi": (
-        lambda x: ls_residual_power(x["spectrum"], x["points"], 1.0, 1.0),
+        lambda x: ls_residual_power(x["spectrum"], x["points"], 1.0),
         "(P,)",
     ),
     "estimate-vector": (
@@ -715,7 +713,9 @@ def test_engine_spectrum_matches_the_subcarrier_domain_matrix(delta_f):
     # the general-Gram LS projector.
     rng = np.random.default_rng(69)
     n, n_taps, n_tx = 24, 4, 8
-    symbols = np.array([gen_bpsk_symbols(n, 2.0, rng) for _ in range(3)])
+    symbols = np.sqrt(2.0) * np.array(
+        [gen_bpsk_symbols(n, rng) for _ in range(3)]
+    )
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     stats, table = _statistics(symbols, pdp / pdp.sum(), n_tx, delta_f)
     spectrum = si_spectrum(si_covariance(stats, table), stats)

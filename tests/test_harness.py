@@ -18,7 +18,6 @@ from fdsic.estimator import (
 )
 from fdsic.harness import (
     CSV_COLUMNS,
-    NOISE_POWER,
     Scenario,
     SimConfig,
     SweepRecord,
@@ -57,17 +56,18 @@ def test_config_defaults_describe_reference_node():
         dict(n_tx=0),
         dict(n_taps=200),
         dict(n_subcarriers=0),
-        dict(pdp_decay=0.0),
+        # the oscillator pair's increment variance 8*pi*delta_f/N overflows
+        dict(delta_f=1e308),
         dict(oscillator_mode="odd"),
         dict(n_taps=0),
         dict(delta_f=-1e-3),
-        dict(pdp_decay=-4.0),
+        dict(n_trials=-5),
         dict(n_trials=0),
         dict(master_seed=-1),
         # non-finite values fail up front, not deep inside a trial
         *(
             pytest.param({name: value}, id=f"{name}-{value}")
-            for name in ("inr_db", "snr_db", "delta_f", "pdp_decay")
+            for name in ("inr_db", "snr_db", "delta_f")
             for value in (math.nan, math.inf)
         ),
         pytest.param(dict(inr_db=-math.inf), id="inr_db-minus-inf"),
@@ -129,7 +129,8 @@ def test_config_from_file_rejects_unknown_key(tmp_path):
     # settings that changed no result are gone, and a file that still sets
     # one is told so rather than ignored
     for key, value in (
-        ("cp_length", "16"), ("symbol_power", "1.0"), ("pdp_shape", "uniform")
+        ("cp_length", "16"), ("symbol_power", "1.0"), ("pdp_shape", "uniform"),
+        ("pdp_decay", "4.0"),
     ):
         path.write_text(f"n_tx = 4\n{key} = {value}\n")
         with pytest.raises(
@@ -160,7 +161,8 @@ def test_config_from_file_rejects_a_repeated_key(tmp_path):
 
 def test_derive_powers_reference_point():
     scenario = Scenario.from_config(SimConfig())
-    assert NOISE_POWER == 1.0
+    # unit noise on each of the 128 subcarriers
+    assert scenario.noise_floor == 128.0
     assert scenario.soi_power == pytest.approx(10.0)
     # 10^4 total SI power split over 64 unit-power transmitters
     assert scenario.channel_power == pytest.approx(156.25)
@@ -171,7 +173,8 @@ def test_pdp_profile_shapes():
     pdp = pdp_profile(config, 8.0)
     assert pdp.sum() == pytest.approx(8.0)
     ratios = pdp[1:] / pdp[:-1]
-    np.testing.assert_allclose(ratios, np.exp(-1.0 / config.pdp_decay))
+    # the fixed exponential decay of 4 taps
+    np.testing.assert_allclose(ratios, np.exp(-1.0 / 4.0))
 
 
 def test_scenario_power_bookkeeping():
@@ -228,9 +231,9 @@ def test_failure_inside_a_block_names_its_point(monkeypatch):
     # own value wherever it sits in the block
     original = harness.spectral_weights
 
-    def indefinite_at_snr_10(spectrum, scale, noise_power, soi_power):
+    def indefinite_at_snr_10(spectrum, scale, soi_power):
         soi_power = np.where(soi_power == 10.0, -1e12, soi_power)
-        return original(spectrum, scale, noise_power, soi_power)
+        return original(spectrum, scale, soi_power)
 
     monkeypatch.setattr(harness, "spectral_weights", indefinite_at_snr_10)
     with pytest.raises(
@@ -273,8 +276,8 @@ def test_failure_at_a_later_trial_of_a_chunk_names_that_trial(monkeypatch):
         marked["rows"] = _rows_of(marked, stats.symbols)
         return spectrum_of(si_cov, stats)
 
-    def broken(spectrum, scale, noise_power, soi_power):
-        weights = weights_of(spectrum, scale, noise_power, soi_power)
+    def broken(spectrum, scale, soi_power):
+        weights = weights_of(spectrum, scale, soi_power)
         n = spectrum.eigenvalues.shape[-1]
         diagonal = weights.received_diagonal.reshape(-1, soi_power.size, n)
         diagonal[marked["rows"][:, None] & (soi_power == 10.0), 0] = -1.0
@@ -380,10 +383,10 @@ def test_block_only_failure_names_the_trial_at_its_first_point(monkeypatch):
     # raises alone, names the first trial at the block's first point
     original = harness.spectral_weights
 
-    def block_only(spectrum, scale, noise_power, soi_power):
+    def block_only(spectrum, scale, soi_power):
         if soi_power.size > 1:
             raise SingularMatrixError("synthetic failure")
-        return original(spectrum, scale, noise_power, soi_power)
+        return original(spectrum, scale, soi_power)
 
     monkeypatch.setattr(harness, "spectral_weights", block_only)
     with pytest.raises(
@@ -792,7 +795,7 @@ def test_sweep_reaches_the_high_inr_limits():
     table = pn_covariance_table(config.delta_f, config.n_subcarriers)
     rng = np.random.default_rng(5)
     symbols = np.array(
-        [gen_bpsk_symbols(config.n_subcarriers, 1.0, rng) for _ in range(10)]
+        [gen_bpsk_symbols(config.n_subcarriers, rng) for _ in range(10)]
     )
     stats = EstimatorStatistics(symbols, pdp, config.n_tx)
     spectrum = si_spectrum(si_covariance(stats, table), stats)

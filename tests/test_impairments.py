@@ -167,7 +167,7 @@ def test_pn_table_matches_monte_carlo():
 def test_si_channel_tap_powers_follow_profile():
     rng = np.random.default_rng(27)
     pdp = np.array([1.0, 0.5, 0.25])
-    taps = gen_si_channel(20_000, 3, pdp, rng)
+    taps = gen_si_channel(20_000, pdp, rng)
     assert taps.shape == (20_000, 3)
     assert_allclose((np.abs(taps) ** 2).mean(axis=0), pdp, rtol=0.05)
     assert np.max(np.abs(taps.mean(axis=0))) < 0.05
@@ -175,18 +175,22 @@ def test_si_channel_tap_powers_follow_profile():
 
 def test_si_channel_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        gen_si_channel(0, 2, np.ones(2), rng)
-    with pytest.raises(ValueError):
-        gen_si_channel(2, 2, np.ones(3), rng)
-    with pytest.raises(ValueError):
-        gen_si_channel(2, 2, np.array([1.0, -1.0]), rng)
+    with pytest.raises(ValueError, match="n_tx"):
+        gen_si_channel(0, np.ones(2), rng)
+    # the tap count is the profile's length, so the profile is a
+    # non-empty vector
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        gen_si_channel(2, np.ones((2, 3)), rng)
+    with pytest.raises(ValueError, match=r"shape \(0,\)"):
+        gen_si_channel(2, np.ones(0), rng)
+    with pytest.raises(ValueError, match="non-negative"):
+        gen_si_channel(2, np.array([1.0, -1.0]), rng)
 
 
 def test_awgn_power_and_circularity():
     rng = np.random.default_rng(28)
-    noise = gen_awgn(40_000, 3.0, rng)
-    assert (np.abs(noise) ** 2).mean() == pytest.approx(3.0, rel=0.05)
+    noise = gen_awgn(40_000, rng)
+    assert (np.abs(noise) ** 2).mean() == pytest.approx(1.0, rel=0.05)
     # circular symmetry: pseudo-variance E[z^2] vanishes
     assert abs((noise**2).mean()) < 0.05
 
@@ -194,9 +198,9 @@ def test_awgn_power_and_circularity():
 def test_synthesize_without_phase_noise_is_plain_channel_product():
     rng = np.random.default_rng(29)
     n, n_taps, n_tx = 32, 4, 3
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    taps = gen_si_channel(n_tx, n_taps, pdp, rng)
+    taps = gen_si_channel(n_tx, pdp, rng)
     quiet = [gen_wiener_phase(n, 0.0, rng) for _ in range(n_tx)]
     rx = gen_wiener_phase(n, 0.0, rng)
     si = synthesize_received(channel_outputs(symbols, taps), quiet, rx)
@@ -209,8 +213,8 @@ def test_synthesize_total_is_sum_of_parts():
     # which is what lets a sweep point rescale a unit-power realization
     rng = np.random.default_rng(30)
     n = 16
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(2, 2, np.ones(2), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(2, np.ones(2), rng)
     traces = [gen_wiener_phase(n, 1e-4, rng) for _ in range(2)]
     rx = gen_wiener_phase(n, 1e-4, rng)
     total = synthesize_received(channel_outputs(symbols, taps), traces, rx)
@@ -232,13 +236,13 @@ def test_synthesize_mean_si_power():
     # conditional mean power over one symbol is N * n_tx * sum(pdp) for BPSK
     rng = np.random.default_rng(31)
     n, n_taps, n_tx = 16, 3, 3
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     variance = phase_increment_variance(1e-3, n)
     total = 0.0
     trials = 3000
     for _ in range(trials):
-        taps = gen_si_channel(n_tx, n_taps, pdp, rng)
+        taps = gen_si_channel(n_tx, pdp, rng)
         traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
         si = synthesize_received(channel_outputs(symbols, taps), traces, rx)
@@ -250,8 +254,8 @@ def test_synthesize_mean_si_power():
 def test_synthesize_shared_trace_matches_replicated_traces():
     rng = np.random.default_rng(32)
     n, n_tx = 16, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(n_tx, 2, np.ones(2), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(n_tx, np.ones(2), rng)
     shared = gen_wiener_phase(n, 1e-3, rng)
     rx = gen_wiener_phase(n, 1e-3, rng)
     outputs = channel_outputs(symbols, taps)
@@ -263,8 +267,8 @@ def test_synthesize_shared_trace_matches_replicated_traces():
 def test_synthesize_validation():
     rng = np.random.default_rng(33)
     n = 16
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(3, 2, np.ones(2), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(3, np.ones(2), rng)
     trace = gen_wiener_phase(n, 1e-3, rng)
     short = gen_wiener_phase(n - 1, 1e-3, rng)
     outputs = channel_outputs(symbols, taps)
@@ -272,6 +276,6 @@ def test_synthesize_validation():
         synthesize_received(outputs, [trace, trace], trace)
     with pytest.raises(ValueError, match="length"):
         synthesize_received(outputs, [short], trace)
-    long_channel = gen_si_channel(1, n + 1, np.ones(n + 1), rng)
+    long_channel = gen_si_channel(1, np.ones(n + 1), rng)
     with pytest.raises(ValueError, match="longer"):
         channel_outputs(symbols, long_channel)

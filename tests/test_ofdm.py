@@ -32,27 +32,24 @@ def test_dft_matrix_rejects_bad_dimensions(n, n_taps):
 
 def test_bpsk_symbols_take_two_levels():
     rng = np.random.default_rng(12)
-    symbols = gen_bpsk_symbols(256, 2.0, rng)
+    symbols = gen_bpsk_symbols(256, rng)
     assert symbols.dtype == np.complex128
     assert_allclose(symbols.imag, 0.0)
-    assert set(np.round(symbols.real, 12)) <= {
-        round(np.sqrt(2.0), 12),
-        round(-np.sqrt(2.0), 12),
-    }
-    assert_allclose(np.abs(symbols) ** 2, 2.0)
+    # unit power: exactly +1 and -1
+    assert set(symbols.real) == {1.0, -1.0}
 
 
 def test_bpsk_symbols_are_balanced():
     rng = np.random.default_rng(13)
-    symbols = gen_bpsk_symbols(20_000, 1.0, rng)
+    symbols = gen_bpsk_symbols(20_000, rng)
     # sample mean of +/-1 draws, 4 sigma = 0.028
     assert abs(symbols.real.mean()) < 0.03
 
 
-@pytest.mark.parametrize("n, power", [(0, 1.0), (8, 0.0), (8, -1.0)])
-def test_bpsk_symbols_validation(n, power):
-    with pytest.raises(ValueError):
-        gen_bpsk_symbols(n, power, np.random.default_rng(0))
+@pytest.mark.parametrize("n", [0, -1])
+def test_bpsk_symbols_validation(n):
+    with pytest.raises(ValueError, match="n_subcarriers"):
+        gen_bpsk_symbols(n, np.random.default_rng(0))
 
 
 def test_modulate_prepends_cyclic_prefix():

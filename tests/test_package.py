@@ -1,5 +1,7 @@
-"""The package's public surface and the README's library sketch."""
+"""The package's public surface, and the README's library sketch and
+config-file example."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import fdsic
+from fdsic import SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +40,16 @@ def test_readme_library_sketch_runs():
     section = text.split("## Library sketch", 1)[1]
     sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(sketch, "README.md", "exec"), {})
+
+
+def test_readme_config_file_example_is_the_default_config(tmp_path):
+    # the example sets every field once, at its default, so the docs can
+    # neither name a key the config lacks nor leave one out
+    text = README.read_text()
+    section = text.split("### Config files", 1)[1]
+    example = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    keys = re.findall(r"^(\w+) =", example, re.M)
+    assert keys == [field.name for field in dataclasses.fields(SimConfig)]
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    assert SimConfig.from_file(path) == SimConfig()

@@ -26,7 +26,7 @@ def _unit_covariance(seed, delta_f, n_tx, n=N):
     """One trial's SI covariance at unit channel power, with its
     statistics, as a batch of one."""
     rng = np.random.default_rng(seed)
-    symbols = gen_bpsk_symbols(n, 1.0, rng)[None]
+    symbols = gen_bpsk_symbols(n, rng)[None]
     pdp = rng.uniform(0.1, 1.0, min(N_TAPS, n))
     stats = EstimatorStatistics(symbols=symbols, pdp=pdp / pdp.sum(), n_tx=n_tx)
     return si_covariance(stats, pn_covariance_table(delta_f, n)), stats
@@ -72,7 +72,7 @@ def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
     spectrum = si_spectrum(cov, stats)
     copies = np.ones(N)
     block = spectral_weights(
-        spectrum, _power(inr_db) * copies, 1.0, _power(snr_db) * copies
+        spectrum, _power(inr_db) * copies, _power(snr_db) * copies
     )
     weights = block.estimate(np.eye(N, dtype=np.complex128)[None])[0]
     gains = np.linalg.eigvalsh((weights + weights.conj().T) / 2.0)
@@ -85,7 +85,7 @@ def test_gains_lie_in_unit_interval(trial, inr_db, snr_db):
 def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
     cov, stats = trial
     spectrum = si_spectrum(cov, stats)
-    point = np.array([_power(inr_db)]), 1.0, np.array([_power(snr_db)])
+    point = np.array([_power(inr_db)]), np.array([_power(snr_db)])
     optimal = spectral_weights(spectrum, *point).residual_power
     assert optimal <= ls_residual_power(spectrum, *point) * (1 + 1e-12)
 
@@ -102,7 +102,7 @@ def test_optimal_prediction_is_monotone_in_inr(trial, inr_db, snr_db):
     unit_si_power = float(np.trace(cov[0]).real)
     scales = _power(np.array(sorted(inr_db)))
     soi = np.full(scales.size, _power(snr_db))
-    residuals = spectral_weights(spectrum, scales, 1.0, soi).residual_power
+    residuals = spectral_weights(spectrum, scales, soi).residual_power
     abilities = [
         cancellation_ability(scale * unit_si_power, N * 1.0, residual)
         for scale, residual in zip(scales, residuals[0])

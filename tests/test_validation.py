@@ -209,7 +209,7 @@ def test_streamed_oracles_match_the_one_shot_reduction(
         (gram,) = simulate_mixing_covariance((delta_f,), n, count, rng)
         rows = _one_shot_mixing_rows(delta_f, n, count, reference_rng)
     else:
-        symbols = gen_bpsk_symbols(n, 1.0, np.random.default_rng(91))
+        symbols = gen_bpsk_symbols(n, np.random.default_rng(91))
         pdp = np.exp(-np.arange(3) / 4.0)
         gram = simulate_si_covariance(symbols, pdp, n_tx, delta_f, count, rng)
         rows = _one_shot_si_rows(symbols, pdp, n_tx, delta_f, count, reference_rng)
@@ -282,7 +282,7 @@ def test_full_size_oracles_stream_within_50_mb():
     # Built on full-size arrays they peaked at 146 and 156 MB; streamed,
     # only the unit walks (25.6 MB) and the SI taps (12.8 MB) are full size.
     rng = np.random.default_rng(93)
-    symbols = gen_bpsk_symbols(8, 1.0, rng)
+    symbols = gen_bpsk_symbols(8, rng)
     pdp = np.exp(-np.arange(2) / 4.0)
     peaks = []
     tracemalloc.start()
@@ -300,8 +300,8 @@ def test_full_size_oracles_stream_within_50_mb():
 def test_time_domain_reference_needs_full_prefix():
     rng = np.random.default_rng(81)
     n = 16
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(1, 6, np.ones(6), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(1, np.ones(6), rng)
     trace = gen_wiener_phase(n, 1e-3, rng)
     with pytest.raises(ValueError, match="prefix"):
         time_domain_si_reference(symbols, taps, [trace], trace, 4)
@@ -310,8 +310,8 @@ def test_time_domain_reference_needs_full_prefix():
 def test_exact_order_reference_needs_prefixed_traces():
     rng = np.random.default_rng(82)
     n, cp = 16, 4
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(2, 3, np.ones(3), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(2, np.ones(3), rng)
     trace = gen_wiener_phase(n, 1e-3, rng)
     with pytest.raises(ValueError, match="prefixed"):
         exact_order_si_reference(symbols, taps, [trace], trace, cp)
@@ -322,8 +322,8 @@ def test_exact_order_reference_needs_prefixed_traces():
 def test_exact_order_matches_model_without_phase_noise():
     rng = np.random.default_rng(83)
     n, cp = 32, 6
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
-    taps = gen_si_channel(3, 4, np.ones(4), rng)
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(3, np.ones(4), rng)
     tx = [np.full(n + cp, 0.7)]
     rx = np.full(n, -0.2)
     exact = exact_order_si_reference(symbols, taps, tx, rx, cp)
@@ -346,12 +346,12 @@ def test_exact_order_samples_have_the_model_covariance():
     n, n_taps, n_tx, delta_f, draws = 8, 2, 4, 1e-2, 5_000
     cp = n_taps + 2
     variance = phase_increment_variance(delta_f, n)
-    symbols = gen_bpsk_symbols(n, 1.0, rng)
+    symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     exact = np.empty((draws, n), dtype=np.complex128)
     model = np.empty((draws, n), dtype=np.complex128)
     for exact_row, model_row in zip(exact, model):
-        taps = gen_si_channel(n_tx, n_taps, pdp, rng)
+        taps = gen_si_channel(n_tx, pdp, rng)
         tx = [gen_wiener_phase(n + cp, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
         exact_row[:] = exact_order_si_reference(symbols, taps, tx, rx, cp)
@@ -383,8 +383,8 @@ def _si_in_both_orders(rng, delta_f):
     synthesized by the model (transmit phase after the channel) and by the
     exact-order oracle on the same draws."""
     variance = phase_increment_variance(delta_f, NODE_N)
-    symbols = gen_bpsk_symbols(NODE_N, 1.0, rng)
-    taps = gen_si_channel(NODE_TX, NODE_L, _node_pdp(), rng)
+    symbols = gen_bpsk_symbols(NODE_N, rng)
+    taps = gen_si_channel(NODE_TX, _node_pdp(), rng)
     tx = [gen_wiener_phase(NODE_N + NODE_CP, variance, rng)
           for _ in range(NODE_TX)]
     rx = gen_wiener_phase(NODE_N, variance, rng)
@@ -429,9 +429,7 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
         symbols, model, exact = _si_in_both_orders(rng, delta_f)
         stats = EstimatorStatistics(symbols[None], _node_pdp(), NODE_TX)
         spectrum = si_spectrum(si_covariance(stats, table), stats)
-        weights = spectral_weights(
-            spectrum, np.array([scale]), 1.0, np.array([soi])
-        )
+        weights = spectral_weights(spectrum, np.array([scale]), np.array([soi]))
         # V's eigenvalues, the gains (lam + noise) / (lam + noise + soi)
         si_noise = scale * spectrum.eigenvalues[0] + 1.0
         gains = si_noise / (si_noise + soi)
