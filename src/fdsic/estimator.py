@@ -43,26 +43,62 @@ baseline, on each column of each trial's block.  The subcarrier-domain
 covariance and the dense Cholesky and real-embedded solves that the engine
 is checked against live in fdsic.validation.
 
-Every BLAS and LAPACK call here goes through scipy.linalg.  The numpy and
-scipy wheels each bundle their own multithreaded OpenBLAS, and alternating
-between the two thread pools on every trial costs more than the small
-matrix products themselves.  Those products are 128 x 128 or smaller, and
-none of them (zhetrd, dsterf, zgemm, zhemm, zunmqr) runs faster on a
-second thread, which only spins on another core.  So sweeps and the
-validation suites run inside one_blas_thread, which sets scipy's OpenBLAS
-to one thread and restores the previous count on exit; where scipy links
-some other BLAS, they run unchanged.
+Every BLAS and LAPACK call here goes to scipy's compiled wrapper modules
+scipy.linalg._fblas and scipy.linalg._flapack, whose routines are the very
+objects scipy.linalg.blas and scipy.linalg.lapack export.  They are loaded
+from their files under those names, without the scipy.linalg package:
+under scipy 1.17 and numpy 2.4 the package's import also pulls in
+numpy.f2py, numpy.testing and charset_normalizer, which cost a sweep about
+0.25 s of its 0.5 s start-up and 17 MB of its 64 MB peak memory on a
+2-vCPU machine.  A later import of scipy.linalg reuses the two modules
+(without binding them as its attributes); fdsic validate imports it for the
+oracles' Cholesky solves.
+
+The numpy and scipy wheels each bundle their own multithreaded OpenBLAS,
+and alternating between the two thread pools on every trial costs more
+than the small matrix products themselves.  Those products are 128 x 128
+or smaller, and none of them (zhetrd, dsterf, zgemm, zhemm, zunmqr) runs
+faster on a second thread, which only spins on another core.  So sweeps
+and the validation suites run inside one_blas_thread, which sets scipy's
+OpenBLAS to one thread and restores the previous count on exit; where
+scipy links some other BLAS, they run unchanged.
 """
 
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
 
 from .impairments import PnCovarianceTable
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy.linalg's compiled module `name`, loaded under its own name
+    without running the scipy.linalg package; the package import where no
+    file of it is found, as under an editable scipy."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.machinery.PathFinder.find_spec(
+        fullname, [os.path.join(path, "linalg") for path in scipy.__path__]
+    )
+    if spec is None:
+        return importlib.import_module(fullname)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+blas = _scipy_linalg_extension("_fblas")
+lapack = _scipy_linalg_extension("_flapack")
 
 
 @functools.cache
@@ -76,10 +112,8 @@ def _openblas_thread_functions():
     wrappers call.
     """
     try:
-        from scipy.linalg import _flapack
-
-        library = ctypes.CDLL(_flapack.__file__)
-    except (ImportError, OSError):
+        library = ctypes.CDLL(lapack.__file__)
+    except OSError:
         return None
     for prefix in ("scipy_openblas", "openblas"):
         try:

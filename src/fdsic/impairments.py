@@ -83,7 +83,11 @@ def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable
     sigma2 = phase_increment_variance(delta_f, n_subcarriers)
     combined = 2.0 * sigma2
     lags = np.arange(n_subcarriers)
-    kernel = np.exp(-combined * np.abs(lags[:, None] - lags[None, :]) / 2.0)
+    # a finite pair variance times a long lag may overflow; exp(-inf) = 0
+    # is then the right limit, full decorrelation, so the overflow is
+    # silent
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-combined * np.abs(lags[:, None] - lags[None, :]) / 2.0)
     return PnCovarianceTable(kernel=kernel, increment_variance=sigma2)
 
 

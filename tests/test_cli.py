@@ -87,12 +87,14 @@ def test_seed_flag_changes_results(tmp_path):
 
 def test_validate_fast_smoke(capsys, monkeypatch):
     results = []
+    run_all = validation.run_all
 
     def recording_run_all(fast):
-        results.extend(validation.run_all(fast=fast))
+        results.extend(run_all(fast=fast))
         return results
 
-    monkeypatch.setattr(cli, "run_all", recording_run_all)
+    # validate looks run_all up in fdsic.validation when it runs
+    monkeypatch.setattr(validation, "run_all", recording_run_all)
     code = main(["validate", "--fast"])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -170,10 +172,14 @@ def test_unresolvable_power_or_empty_values_fail_before_any_trial(
     "setting",
     [
         ["--inr", "110"], ["--inr", "300"], ["--snr", "-300"],
-        # a bandwidth whose phase increment variance stays finite
-        ["--delta-f", "0.1"], ["--delta-f", "1e300"],
+        # a bandwidth whose phase increment variance stays finite, also
+        # where its product with the longest lags overflows (1e307 at N = 32)
+        ["--delta-f", "0.1"], ["--delta-f", "1e300"], ["--delta-f", "1e307"],
     ],
-    ids=["inr-110", "inr-300", "snr-minus-300", "delta-f-0.1", "delta-f-1e300"],
+    ids=[
+        "inr-110", "inr-300", "snr-minus-300", "delta-f-0.1", "delta-f-1e300",
+        "delta-f-1e307",
+    ],
 )
 def test_powers_within_the_limit_run(capsys, setting):
     # they run without a floating-point warning

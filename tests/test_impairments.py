@@ -1,5 +1,7 @@
 """Phase-noise statistics, SI channel draws and received-symbol synthesis."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,16 @@ def test_pn_table_kernel_decay():
     combined = 2.0 * sigma2
     assert table.kernel[0, 5] == pytest.approx(np.exp(-combined * 5 / 2.0))
     assert table.kernel[7, 2] == pytest.approx(np.exp(-combined * 5 / 2.0))
+
+
+def test_pn_table_of_a_bandwidth_whose_long_lags_overflow_is_the_identity():
+    # at N = 32 the pair's variance for delta_f = 1e307 is finite, but not
+    # its product with the longest lags; those entries decorrelate fully,
+    # without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = pn_covariance_table(1e307, 32).kernel
+    assert np.array_equal(kernel, np.eye(32))
 
 
 def test_pn_table_matches_monte_carlo():

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fdsic
-from fdsic import SimConfig
+from fdsic import SimConfig, cli, estimator
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,17 +24,89 @@ def test_star_import_binds_every_exported_name():
     assert len(set(fdsic.__all__)) == len(fdsic.__all__)
 
 
-def test_import_leaves_the_oracles_unloaded():
-    # the production modules never import the checks of fdsic.validation
-    probe = "import sys, fdsic; print('fdsic.validation' in sys.modules)"
+def _probe(code: str) -> str:
+    """The last line a fresh interpreter prints after running code."""
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(Path(fdsic.__file__).parents[1])},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.splitlines()[-1]
+
+
+def test_import_leaves_the_oracles_unloaded(tmp_path):
+    # the production modules never import the checks of fdsic.validation,
+    # and a sweep runs on scipy's compiled BLAS and LAPACK modules without
+    # the scipy.linalg package
+    out = str(tmp_path / "snr.csv")
+    probe = (
+        "import sys, fdsic, fdsic.cli\n"
+        "fdsic.cli.main(['sweep-snr', '--fast', '--trials', '2', '--out', "
+        f"{out!r}])\n"
+        "print([name for name in ('fdsic.validation', 'scipy.linalg') "
+        "if name in sys.modules])"
+    )
+    assert _probe(probe) == "[]"
+
+
+@pytest.mark.parametrize("first", ["fdsic", "scipy.linalg"])
+def test_engine_routines_are_the_ones_scipy_linalg_exports(first):
+    # whichever of fdsic and scipy.linalg is imported first, the engine
+    # holds the one instance of each compiled module and calls the very
+    # objects scipy.linalg.blas and scipy.linalg.lapack export
+    source = Path(estimator.__file__).read_text()
+    routines = {
+        module: sorted(set(re.findall(rf"\b{module}\.(\w+)\(", source)))
+        for module in ("blas", "lapack")
+    }
+    assert routines == {
+        "blas": ["zgemm", "zhemm"],
+        "lapack": ["dptsv", "dsterf", "zhetrd", "zhetrd_lwork", "zunmqr"],
+    }
+    probe = (
+        f"import importlib; importlib.import_module({first!r})\n"
+        "import scipy.linalg\n"
+        "from fdsic import estimator\n"
+        f"routines = {routines!r}\n"
+        "print([module for module in routines if getattr(estimator, module) "
+        "is not getattr(getattr(scipy.linalg, module), '_f' + module)] + "
+        "[f'{module}.{name}' for module, names in routines.items() "
+        "for name in names if getattr(getattr(estimator, module), name) "
+        "is not getattr(getattr(scipy.linalg, module), name)])"
+    )
+    assert _probe(probe) == "[]"
+
+
+def test_loader_falls_back_to_the_package_import(tmp_path):
+    # where no file of the compiled modules is found beside scipy.linalg, as
+    # under an editable scipy, the loader imports them through the package,
+    # and a sweep writes the same bytes
+    argv = ["sweep-snr", "--fast", "--trials", "2"]
+    fallback_csv, plain_csv = tmp_path / "fallback.csv", tmp_path / "plain.csv"
+    probe = (
+        "import importlib.machinery, sys\n"
+        "find_spec = importlib.machinery.PathFinder.find_spec\n"
+        "refused = []\n"
+        "def find_no_file_before_the_package(fullname, path=None, target=None):\n"
+        "    if fullname.startswith('scipy.linalg._f') "
+        "and 'scipy.linalg' not in sys.modules:\n"
+        "        refused.append(fullname)\n"
+        "        return None\n"
+        "    return find_spec(fullname, path, target)\n"
+        "importlib.machinery.PathFinder.find_spec = "
+        "find_no_file_before_the_package\n"
+        "from fdsic import cli, estimator\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        f"cli.main({[*argv, '--out', str(fallback_csv)]!r})\n"
+        "print(refused, loaded, "
+        "estimator.blas is sys.modules['scipy.linalg._fblas'], "
+        "estimator.lapack is sys.modules['scipy.linalg._flapack'])"
+    )
+    assert _probe(probe) == "['scipy.linalg._fblas'] True True True"
+    assert cli.main([*argv, "--out", str(plain_csv)]) == 0
+    assert fallback_csv.read_bytes() == plain_csv.read_bytes()
 
 
 def test_readme_library_sketch_runs():
