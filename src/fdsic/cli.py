@@ -120,8 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        # the oracles import the scipy.linalg package; only validate pays
-        # for it
+        # only validate loads the oracles; the simulator never imports them
         from .validation import run_all
 
         results = run_all(fast=args.fast)

@@ -51,8 +51,9 @@ under scipy 1.17 and numpy 2.4 the package's import also pulls in
 numpy.f2py, numpy.testing and charset_normalizer, which cost a sweep about
 0.25 s of its 0.5 s start-up and 17 MB of its 64 MB peak memory on a
 2-vCPU machine.  A later import of scipy.linalg reuses the two modules
-(without binding them as its attributes); fdsic validate imports it for the
-oracles' Cholesky solves.
+(without binding them as its attributes).  fdsic.validation calls the same
+two modules for its oracles' products and Cholesky solves, so no fdsic
+command imports the package.
 
 The numpy and scipy wheels each bundle their own multithreaded OpenBLAS,
 and alternating between the two thread pools on every trial costs more

@@ -245,6 +245,17 @@ def test_real_qp_blocks_validation():
         real_qp_blocks(np.ones((3, 2), dtype=np.complex128), eye)
 
 
+def test_optimal_weights_validation():
+    # the shapes are checked before LAPACK sees the operands
+    eye = np.eye(3, dtype=np.complex128)
+    with pytest.raises(ValueError, match="square"):
+        optimal_weights(eye, np.eye(2, dtype=np.complex128))
+    with pytest.raises(ValueError, match="square"):
+        optimal_weights(np.ones((3, 2), dtype=np.complex128), eye)
+    with pytest.raises(ValueError, match="square"):
+        optimal_weights(np.complex128(1.0), np.complex128(1.0))
+
+
 def test_solve_qp_against_dense_solve():
     rng = np.random.default_rng(49)
     root = rng.standard_normal((8, 8))
@@ -255,6 +266,22 @@ def test_solve_qp_against_dense_solve():
     assert_allclose(v, expected, atol=1e-10)
     assert value == pytest.approx(-b @ expected)
     assert value <= 0.0
+
+
+def test_solve_qp_validation():
+    # one or two dimensional b only, matching phi: LAPACK never sees a
+    # mismatch
+    for b in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="sizes disagree"):
+            solve_qp(np.eye(2), b)
+
+
+def test_dense_solves_of_an_empty_system_are_empty():
+    empty = np.zeros((0, 0))
+    weights, values = optimal_weights(empty, empty)
+    assert (weights.shape, values.shape) == ((0, 0), (0,))
+    v, value = solve_qp(empty, np.zeros(0))
+    assert (v.shape, value) == ((0,), 0.0)
 
 
 def test_solve_qp_rejects_indefinite_matrix():
@@ -421,8 +448,13 @@ def test_qp_direct_use_matches_optimal_weights_row():
 
 def test_optimal_weights_rejects_indefinite_received():
     zeros = np.zeros((4, 4), dtype=np.complex128)
-    for route in (optimal_weights, real_qp_weights):
-        with pytest.raises(SingularMatrixError):
+    for route, name in (
+        (optimal_weights, "received covariance"),
+        (real_qp_weights, "quadratic-program matrix"),
+    ):
+        with pytest.raises(
+            SingularMatrixError, match=f"^{name} is not positive definite$"
+        ):
             route(zeros, zeros)
 
 

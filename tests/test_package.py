@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fdsic
-from fdsic import SimConfig, cli, estimator
+from fdsic import SimConfig, cli, estimator, validation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,6 +51,37 @@ def test_import_leaves_the_oracles_unloaded(tmp_path):
     assert _probe(probe) == "[]"
 
 
+def test_validate_runs_without_the_scipy_linalg_package():
+    # the oracles call the compiled modules the engine loads, so validate
+    # runs its checks without the scipy.linalg package too
+    probe = (
+        "import sys, fdsic.cli\n"
+        "status = fdsic.cli.main(['validate', '--fast'])\n"
+        "print(status, [name for name in ('fdsic.validation', 'scipy.linalg') "
+        "if name in sys.modules])"
+    )
+    assert _probe(probe) == "0 ['fdsic.validation']"
+
+
+def _foreign_routines(first: str, module: str, routines: dict) -> str:
+    """What a fresh interpreter that imports first and then scipy.linalg
+    finds in fdsic's module: its compiled modules and named routines that
+    are not the very objects scipy.linalg.blas and scipy.linalg.lapack
+    export, as a printed list."""
+    probe = (
+        f"import importlib; importlib.import_module({first!r})\n"
+        "import scipy.linalg\n"
+        f"from fdsic import {module} as holder\n"
+        f"routines = {routines!r}\n"
+        "print([module for module in routines if getattr(holder, module) "
+        "is not getattr(getattr(scipy.linalg, module), '_f' + module)] + "
+        "[f'{module}.{name}' for module, names in routines.items() "
+        "for name in names if getattr(getattr(holder, module), name) "
+        "is not getattr(getattr(scipy.linalg, module), name)])"
+    )
+    return _probe(probe)
+
+
 @pytest.mark.parametrize("first", ["fdsic", "scipy.linalg"])
 def test_engine_routines_are_the_ones_scipy_linalg_exports(first):
     # whichever of fdsic and scipy.linalg is imported first, the engine
@@ -65,18 +96,24 @@ def test_engine_routines_are_the_ones_scipy_linalg_exports(first):
         "blas": ["zgemm", "zhemm"],
         "lapack": ["dptsv", "dsterf", "zhetrd", "zhetrd_lwork", "zunmqr"],
     }
-    probe = (
-        f"import importlib; importlib.import_module({first!r})\n"
-        "import scipy.linalg\n"
-        "from fdsic import estimator\n"
-        f"routines = {routines!r}\n"
-        "print([module for module in routines if getattr(estimator, module) "
-        "is not getattr(getattr(scipy.linalg, module), '_f' + module)] + "
-        "[f'{module}.{name}' for module, names in routines.items() "
-        "for name in names if getattr(getattr(estimator, module), name) "
-        "is not getattr(getattr(scipy.linalg, module), name)])"
-    )
-    assert _probe(probe) == "[]"
+    assert _foreign_routines(first, "estimator", routines) == "[]"
+
+
+@pytest.mark.parametrize("first", ["fdsic", "scipy.linalg"])
+def test_oracle_routines_are_the_ones_scipy_linalg_exports(first):
+    # the oracles take every BLAS and LAPACK routine from the engine's two
+    # compiled modules; the Cholesky pairs are passed, not called, where
+    # they are named
+    source = Path(validation.__file__).read_text()
+    routines = {
+        module: sorted(set(re.findall(rf"\b{module}\.([a-z]\w*)", source)))
+        for module in ("blas", "lapack")
+    }
+    assert routines == {
+        "blas": ["zgemm", "zherk"],
+        "lapack": ["dpotrf", "dpotrs", "zpotrf", "zpotrs"],
+    }
+    assert _foreign_routines(first, "validation", routines) == "[]"
 
 
 def test_loader_falls_back_to_the_package_import(tmp_path):
