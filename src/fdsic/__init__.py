@@ -22,7 +22,6 @@ from .estimator import (
     spectral_weights,
 )
 from .harness import (
-    Scenario,
     SimConfig,
     SweepRecord,
     emit_csv,
@@ -35,7 +34,6 @@ from .ofdm import gen_bpsk_symbols
 
 __all__ = [
     "EstimatorStatistics",
-    "Scenario",
     "SimConfig",
     "SingularMatrixError",
     "SweepRecord",

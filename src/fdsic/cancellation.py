@@ -29,14 +29,12 @@ def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndar
     return symbols[:, :, None] * np.fft.fft(channel_estimate, n=n, axis=1)
 
 
-def cancellation_ability(
-    si_power: float, noise_floor: float, residual_power: float
-) -> float:
-    """Cancellation ability 10 log10((si_power + noise_floor) / residual) in
-    dB; +inf when the residual is not positive."""
-    if si_power < 0.0 or noise_floor < 0.0:
-        raise ValueError("powers must be non-negative")
+def cancellation_ability(pre_power: float, residual_power: float) -> float:
+    """Cancellation ability 10 log10(pre_power / residual) in dB, pre_power
+    being the SI-plus-noise power before cancellation; +inf when the
+    residual is not positive."""
+    if pre_power < 0.0:
+        raise ValueError("pre_power must be non-negative")
     if residual_power <= 0.0:
         return math.inf
-    return 10.0 * math.log10((si_power + noise_floor) / residual_power)
-
+    return 10.0 * math.log10(pre_power / residual_power)

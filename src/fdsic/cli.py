@@ -149,6 +149,18 @@ def main(argv: list[str] | None = None) -> int:
                 )
             if path.is_dir():
                 raise ValueError(f"cannot write {path}: it is a directory")
+        # a file that two flags name would be overwritten by the later write
+        named: dict[Path, str] = {}
+        for flag, path in (
+            ("--config", args.config),
+            ("--out", out),
+            ("--json-summary", args.json_summary),
+        ):
+            if path is None:
+                continue
+            other = named.setdefault(path.resolve(), flag)
+            if other != flag:
+                raise ValueError(f"{other} and {flag} name the same file {path}")
         records = sweep(config, variable, values)
     except ValueError as exc:
         parser.error(str(exc))

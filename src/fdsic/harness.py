@@ -168,47 +168,35 @@ def pdp_profile(config: SimConfig, total_power: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Per-sweep-point power bookkeeping shared by all trials.
+    """What every trial of one sweep point reads.
 
-    channel_power is the per-antenna channel power that makes si_power,
-    the mean SI power N * n_tx * sum(pdp) over one symbol of unit-power
-    symbols, hit the configured INR above the noise floor N of unit-power
-    noise; soi_power follows from the SNR.  The phase-noise table depends
-    only on delta_f and N, so it is built once per distinct delta_f of a
-    sweep (see _pn_tables), not per point.
+    channel_power is the per-antenna channel power that puts the mean SI
+    power N * n_tx * sum(pdp) over one symbol of unit-power symbols at the
+    configured INR above the unit-power noise floor N; soi_power follows
+    from the SNR.  pre_power, the SI-plus-noise power before cancellation,
+    is the numerator of the point's cancellation ability.  pn is the
+    point's phase-noise table, which depends only on delta_f and N, so a
+    sweep builds it once per distinct delta_f and shares it.
     """
 
     config: SimConfig
+    pn: PnCovarianceTable
     channel_power: float
     soi_power: float
-    si_power: float
-    noise_floor: float
+    pre_power: float
 
     @classmethod
-    def from_config(cls, config: SimConfig) -> "Scenario":
+    def from_config(cls, config: SimConfig, pn: PnCovarianceTable) -> "Scenario":
         channel_power = float(10.0 ** (config.inr_db / 10.0) / config.n_tx)
+        n = config.n_subcarriers
         pdp = pdp_profile(config, channel_power)
         return cls(
             config=config,
+            pn=pn,
             channel_power=channel_power,
             soi_power=float(10.0 ** (config.snr_db / 10.0)),
-            si_power=float(config.n_subcarriers * config.n_tx * pdp.sum()),
-            noise_floor=float(config.n_subcarriers),
+            pre_power=float(n * config.n_tx * pdp.sum()) + n,
         )
-
-
-def _pn_tables(
-    scenarios: Sequence[Scenario],
-) -> dict[float, PnCovarianceTable]:
-    """One phase-noise covariance table per distinct delta_f."""
-    tables = {}
-    for scenario in scenarios:
-        point = scenario.config
-        if point.delta_f not in tables:
-            tables[point.delta_f] = pn_covariance_table(
-                point.delta_f, point.n_subcarriers
-            )
-    return tables
 
 
 def _chunk_size(config: SimConfig) -> int:
@@ -243,22 +231,18 @@ def _run_trial(
 
 
 def _run_chunk(
-    scenarios: Sequence[Scenario],
-    trials: Sequence[int],
-    variable: str,
-    tables: dict[float, PnCovarianceTable],
+    scenarios: Sequence[Scenario], trials: Sequence[int], variable: str
 ) -> np.ndarray:
     """A chunk of trials at every sweep point, as one batch.
 
-    The scenarios differ only in the swept field; tables maps each of their
-    delta_f values to its phase-noise table.  Each trial draws its own
-    realization (_run_trial), and each point only rescales it: the channel
-    power scales the SI, the SOI power scales the SOI, and the phase-noise
-    bandwidth scales the walks.  The channel outputs and the symbols'
-    delayed waveforms and sample covariances are built once per chunk, the
-    SI vectors and the SI covariance decompositions once per distinct
-    delta_f, and the points that share a delta_f run through both
-    cancellers as one block.
+    The scenarios differ only in the swept field and what follows from it.
+    Each trial draws its own realization (_run_trial), and each point only
+    rescales it: the channel power scales the SI, the SOI power scales the
+    SOI, and the phase-noise bandwidth scales the walks.  The channel
+    outputs and the symbols' delayed waveforms and sample covariances are
+    built once per chunk, the SI vectors and the SI covariance
+    decompositions once per distinct delta_f, and the points that share a
+    delta_f run through both cancellers as one block.
 
     Returns residual powers of shape (2, 2, P, B): [m, 0] the empirical and
     [m, 1] the theoretical residual of method _METHODS[m], at point p in
@@ -291,8 +275,8 @@ def _run_chunk(
         # independent and zero-mean, so only same-antenna terms survive the
         # expectation.
         stats = EstimatorStatistics(symbols=symbols, pdp=unit_pdp, n_tx=cfg.n_tx)
-        for delta_f, group in groups.items():
-            pn = tables[delta_f]
+        for group in groups.values():
+            pn = scenarios[group[0]].pn
             phases = np.sqrt(pn.increment_variance) * walks
             si = synthesize_received(outputs, phases[:, :-1], phases[:, -1])
             spectrum = si_spectrum(si_covariance(stats, pn), stats)
@@ -304,10 +288,10 @@ def _run_chunk(
         if len(trials) > 1:
             which = f"trials {trials[0]}-{trials[-1]}"
             for trial in trials:
-                _run_chunk(scenarios, [trial], variable, tables)
+                _run_chunk(scenarios, [trial], variable)
         elif len(group) > 1:
             for index in group:
-                _run_chunk([scenarios[index]], trials, variable, tables)
+                _run_chunk([scenarios[index]], trials, variable)
         value = getattr(scenarios[group[0]].config, _SWEEP_FIELDS[variable])
         raise type(exc)(f"{which} at {variable}={value!r} failed: {exc}") from exc
     return residuals
@@ -390,17 +374,18 @@ def sweep(
             raise ValueError(f"sweep value {value!r} appears more than once")
         seen.add(value)
     field = _SWEEP_FIELDS[variable]
-    scenarios = [
-        Scenario.from_config(replace(config, **{field: float(value)}))
-        for value in values
-    ]
-    tables = _pn_tables(scenarios)
+    points = [replace(config, **{field: float(value)}) for value in values]
+    tables = {
+        delta_f: pn_covariance_table(delta_f, config.n_subcarriers)
+        for delta_f in dict.fromkeys(point.delta_f for point in points)
+    }
+    scenarios = [Scenario.from_config(p, tables[p.delta_f]) for p in points]
     chunk = _chunk_size(config)
     residuals = np.empty((len(_METHODS), 2, len(scenarios), config.n_trials))
     for start in range(0, config.n_trials, chunk):
         stop = min(start + chunk, config.n_trials)
         residuals[..., start:stop] = _run_chunk(
-            scenarios, range(start, stop), variable, tables
+            scenarios, range(start, stop), variable
         )
     records = [
         _aggregate(variable, value, method, *residuals[m, :, point], scenario)
@@ -421,19 +406,13 @@ def _aggregate(
 ) -> SweepRecord:
     """One (value, method) cell from its per-trial residual powers."""
     resid_mean = float(empirical.mean())
-    g_emp = cancellation_ability(
-        scenario.si_power, scenario.noise_floor, resid_mean
-    )
-    g_theo = cancellation_ability(
-        scenario.si_power, scenario.noise_floor, float(theoretical.mean())
-    )
+    pre_power = scenario.pre_power
+    g_emp = cancellation_ability(pre_power, resid_mean)
+    g_theo = cancellation_ability(pre_power, float(theoretical.mean()))
     trials = empirical.size
     if trials > 1:
         abilities = np.array(
-            [
-                cancellation_ability(scenario.si_power, scenario.noise_floor, r)
-                for r in empirical.tolist()
-            ]
+            [cancellation_ability(pre_power, r) for r in empirical.tolist()]
         )
         ci = float(1.96 * abilities.std(ddof=1) / np.sqrt(trials))
     else:

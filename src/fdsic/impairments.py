@@ -19,7 +19,6 @@ covariance.
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -121,24 +120,30 @@ def gen_awgn(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def channel_outputs(freq_symbols: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Per-antenna circular channel outputs (h_s (*) x)(n) of one symbol at
-    the receive sample instants, shape (n_tx, N), before any oscillator
-    rotation.
+    the receive sample instants, before any oscillator rotation: (B, N)
+    symbols of B trials with their (B, n_tx, L) taps give (B, n_tx, N).
 
-    taps has one row of channel taps per transmit antenna.  The outputs do
-    not depend on the oscillators, so one set serves every phase-noise
-    bandwidth of a trial (see synthesize_received).  They are linear in the
-    taps, so scaling them by c scales the result by c.  (B, N) symbols with
-    (B, n_tx, L) taps give the (B, n_tx, N) outputs of B trials.
+    The outputs do not depend on the oscillators, so one set serves every
+    phase-noise bandwidth of a trial (see synthesize_received).  They are
+    linear in the taps, so scaling them by c scales the result by c.
     """
     symbols = np.asarray(freq_symbols, dtype=np.complex128)
-    n = symbols.shape[-1]
-    n_taps = np.shape(taps)[-1]
-    if n == 0:
-        raise ValueError("freq_symbols must be non-empty")
-    if n_taps > n:
+    taps = np.asarray(taps)
+    if (
+        symbols.ndim != 2
+        or symbols.shape[1] == 0
+        or taps.ndim != 3
+        or taps.shape[0] != symbols.shape[0]
+    ):
+        raise ValueError(
+            f"symbols must be non-empty (B, N) and taps (B, n_tx, L), got "
+            f"{symbols.shape} and {taps.shape}"
+        )
+    n = symbols.shape[1]
+    if taps.shape[2] > n:
         raise ValueError("channel longer than the symbol body")
     response = np.fft.fft(taps, n=n, axis=-1)
-    return np.fft.ifft(symbols[..., None, :] * response, axis=-1)
+    return np.fft.ifft(symbols[:, None, :] * response, axis=-1)
 
 
 def unit_rotation(phases: np.ndarray) -> np.ndarray:
@@ -150,35 +155,31 @@ def unit_rotation(phases: np.ndarray) -> np.ndarray:
 
 
 def synthesize_received(
-    outputs: np.ndarray,
-    tx_phases: Sequence[np.ndarray],
-    rx_phases: np.ndarray,
+    outputs: np.ndarray, tx_phases: np.ndarray, rx_phases: np.ndarray
 ) -> np.ndarray:
-    """Noiseless SI part of one received symbol, in the subcarrier domain.
+    """Noiseless SI part of one received symbol of each of B trials, in the
+    subcarrier domain, shape (B, N).
 
-    outputs are the per-antenna channel outputs from channel_outputs, one
-    row per transmit antenna.  tx_phases holds one phase trace per transmit
-    antenna, or a single trace that is shared by all antennas
-    (shared-oscillator mode).  Trace lengths must equal the symbol body
-    length.  For B trials, outputs is (B, n_tx, N), tx_phases (B, 1, N) or
-    (B, n_tx, N) and rx_phases (B, N), and the result is (B, N).
+    outputs are the (B, n_tx, N) channel outputs from channel_outputs.
+    tx_phases is (B, n_tx, N), one trace per transmit antenna, or
+    (B, 1, N), one trace shared by all antennas (shared-oscillator mode);
+    rx_phases is (B, N).
     """
     outputs = np.asarray(outputs)
     tx_phases = np.asarray(tx_phases, dtype=np.float64)
     rx_phases = np.asarray(rx_phases, dtype=np.float64)
-    *batch, n_tx, n = outputs.shape
-    if tx_phases.ndim != outputs.ndim or tx_phases.shape[-2] not in (1, n_tx):
+    if outputs.ndim != 3:
+        raise ValueError(f"outputs must be (B, n_tx, N), got {outputs.shape}")
+    b, n_tx, n = outputs.shape
+    tx_shapes = ((b, 1, n), (b, n_tx, n))
+    if tx_phases.shape not in tx_shapes or rx_phases.shape != (b, n):
         raise ValueError(
-            f"need 1 or {n_tx} transmit traces, got shape {tx_phases.shape}"
+            f"tx_phases must be (B, 1 or n_tx, N) = ({b}, 1 or {n_tx}, {n}) "
+            f"and rx_phases (B, N) = ({b}, {n}), got {tx_phases.shape} and "
+            f"{rx_phases.shape}"
         )
-    if (
-        tx_phases.shape[:-2] != tuple(batch)
-        or tx_phases.shape[-1] != n
-        or rx_phases.shape != (*batch, n)
-    ):
-        raise ValueError("phase trace length must equal the symbol body")
 
     # The oscillator rotation at the receive instants; broadcasting covers
     # the shared-trace case.
-    rotation = unit_rotation(tx_phases + rx_phases[..., None, :])
-    return np.fft.fft((rotation * outputs).sum(axis=-2))
+    rotation = unit_rotation(tx_phases + rx_phases[:, None, :])
+    return np.fft.fft((rotation * outputs).sum(axis=1))

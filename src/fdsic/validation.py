@@ -672,8 +672,10 @@ def check_model_equivalence(n_trials: int = 100) -> CheckResult:
         ]
         rx_phases = gen_wiener_phase(n_subcarriers, variance, rng)
         si = synthesize_received(
-            channel_outputs(symbols, taps), tx_phases, rx_phases
-        )
+            channel_outputs(symbols[None], taps[None]),
+            np.array(tx_phases)[None],
+            rx_phases[None],
+        )[0]
         reference = time_domain_si_reference(
             symbols, taps, tx_phases, rx_phases, cp_length
         )

@@ -314,6 +314,40 @@ def test_output_path_is_checked_before_any_trial(
         assert f"cannot write {target}: {reason}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["single", "--out", "r.csv", "--json-summary", "./r.csv"],
+         "--out and --json-summary"),
+        (["single", "--config", "node.cfg", "--out", "node.cfg"],
+         "--config and --out"),
+        (["single", "--config", "node.cfg", "--json-summary", "sub/../node.cfg"],
+         "--config and --json-summary"),
+        # the CSV a sweep writes when --out is not given
+        (["sweep-inr", "--config", "sweep_inr.csv"], "--config and --out"),
+    ],
+    ids=["out-summary", "config-out", "config-summary", "config-default-out"],
+)
+def test_two_flags_naming_one_file_are_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, flags
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a trial ran before the paths were compared")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("node.cfg", "sweep_inr.csv"):
+        (tmp_path / name).write_text("n_tx = 4\n")
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--fast", "--trials", "1"])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert f"{flags} name the same file" in err
+    assert (tmp_path / "node.cfg").read_text() == "n_tx = 4\n"
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -360,8 +360,8 @@ def test_ls_estimate_recovers_clean_channel():
     symbols = gen_bpsk_symbols(n, rng)
     channel = gen_si_channel(1, np.ones(n_taps), rng)
     quiet = gen_wiener_phase(n, 0.0, rng)
-    outputs = channel_outputs(symbols, channel)
-    received = synthesize_received(outputs, [quiet], quiet)
+    outputs = channel_outputs(symbols[None], channel[None])
+    received = synthesize_received(outputs, quiet[None, None], quiet[None])[0]
     taps = ls_estimate(_one(received), symbols[None], n_taps)
     assert_allclose(taps, _one(channel[0]), atol=1e-10)
 
@@ -505,10 +505,11 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     n_osc = n_tx if mode == "per-antenna" else 1
     variance = table.increment_variance
     taps = gen_si_channel(n_tx, scale * unit_pdp, rng)
-    tx = [gen_wiener_phase(n, variance, rng) for _ in range(n_osc)]
+    tx = np.array([gen_wiener_phase(n, variance, rng) for _ in range(n_osc)])
+    rx = gen_wiener_phase(n, variance, rng)
     received = synthesize_received(
-        channel_outputs(symbols, taps), tx, gen_wiener_phase(n, variance, rng)
-    ) + np.sqrt(soi + noise) * (
+        channel_outputs(symbols[None], taps[None]), tx[None], rx[None]
+    )[0] + np.sqrt(soi + noise) * (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ) / np.sqrt(2.0)
     expected = oracle @ received

@@ -27,7 +27,7 @@ from fdsic.harness import (
     sweep,
     write_json_summary,
 )
-from fdsic.impairments import pn_covariance_table
+from fdsic.impairments import phase_increment_variance, pn_covariance_table
 from fdsic.ofdm import gen_bpsk_symbols
 
 SMALL = dict(
@@ -159,10 +159,17 @@ def test_config_from_file_rejects_a_repeated_key(tmp_path):
         SimConfig.from_file(path)
 
 
+def _scenario(config):
+    """config's sweep point with its own phase-noise table."""
+    table = pn_covariance_table(config.delta_f, config.n_subcarriers)
+    return Scenario.from_config(config, table)
+
+
 def test_derive_powers_reference_point():
-    scenario = Scenario.from_config(SimConfig())
-    # unit noise on each of the 128 subcarriers
-    assert scenario.noise_floor == 128.0
+    scenario = _scenario(SimConfig())
+    # unit noise on each of the 128 subcarriers under 40 dB of SI:
+    # N * (1 + 10^(INR/10))
+    assert scenario.pre_power == pytest.approx(128.0 * (1.0 + 1e4))
     assert scenario.soi_power == pytest.approx(10.0)
     # 10^4 total SI power split over 64 unit-power transmitters
     assert scenario.channel_power == pytest.approx(156.25)
@@ -179,23 +186,21 @@ def test_pdp_profile_shapes():
 
 def test_scenario_power_bookkeeping():
     config = SimConfig(**SMALL, inr_db=30.0)
-    scenario = Scenario.from_config(config)
-    # INR definition: mean SI power over the symbol / noise floor
-    assert scenario.si_power / scenario.noise_floor == pytest.approx(1e3)
-    assert scenario.noise_floor == config.n_subcarriers * 1.0
+    scenario = _scenario(config)
+    # INR definition: mean SI power over the symbol / noise floor N, so the
+    # SI plus the noise is N * (1 + 10^(INR/10))
+    n = config.n_subcarriers
+    assert scenario.pre_power == pytest.approx(n * (1.0 + 1e3))
+    assert scenario.pn.increment_variance == pytest.approx(
+        phase_increment_variance(config.delta_f, n)
+    )
 
 
 def _trial_cells(config, trial):
     """One trial's (2, 2) residual cells at config's point, run alone
     through the harness: [m, 0] empirical and [m, 1] theoretical residual
     power of method harness._METHODS[m]."""
-    scenario = Scenario.from_config(config)
-    return harness._run_chunk(
-        [scenario],
-        [trial],
-        "inr",
-        harness._pn_tables([scenario]),
-    )[:, :, 0, 0]
+    return harness._run_chunk([_scenario(config)], [trial], "inr")[:, :, 0, 0]
 
 
 def test_run_trial_is_deterministic():
@@ -407,16 +412,14 @@ def test_run_trial_ls_floor_without_phase_noise():
 
 def test_run_trial_reports_both_methods():
     config = SimConfig(**SMALL)
-    scenario = Scenario.from_config(config)
+    scenario = _scenario(config)
     cells = _trial_cells(config, 1)
     assert harness._METHODS == ("ls", "optimal")
     assert cells.shape == (2, 2)
     for empirical in cells[:, 0]:
         assert empirical > 0.0
         assert np.isfinite(
-            cancellation_ability(
-                scenario.si_power, scenario.noise_floor, empirical
-            )
+            cancellation_ability(scenario.pre_power, empirical)
         )
 
 
@@ -513,8 +516,8 @@ def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, val
     chunks = []
     original = harness._run_chunk
 
-    def recorded(scenarios, trials, *args):
-        cells = original(scenarios, trials, *args)
+    def recorded(scenarios, trials, variable):
+        cells = original(scenarios, trials, variable)
         chunks.append((list(trials), cells))
         return cells
 
@@ -525,14 +528,15 @@ def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, val
 
     field = harness._SWEEP_FIELDS[variable]
     scenarios = [
-        Scenario.from_config(dataclasses.replace(config, **{field: value}))
+        _scenario(dataclasses.replace(config, **{field: value}))
         for value in values
     ]
-    args = (variable, harness._pn_tables(scenarios))
     for trial in (0, 1, 31, 32, 39):
-        alone = original(scenarios, [trial], *args)[..., 0]
-        first = original(scenarios, range(trial, trial + 4), *args)[..., 0]
-        last = original(scenarios, range(max(trial - 3, 0), trial + 1), *args)
+        alone = original(scenarios, [trial], variable)[..., 0]
+        first = original(scenarios, range(trial, trial + 4), variable)[..., 0]
+        last = original(
+            scenarios, range(max(trial - 3, 0), trial + 1), variable
+        )
         for cells in (swept[..., trial], first, last[..., -1]):
             np.testing.assert_array_equal(cells, alone)
         if variable == "delta_f":
@@ -914,7 +918,8 @@ def test_json_summary(tmp_path):
     echo = payload["config"]
     assert set(echo) == {field.name for field in dataclasses.fields(SimConfig)}
     assert SimConfig(**echo) == config
-    assert len(payload["records"]) == 2
+    # the records round-trip losslessly
+    assert [SweepRecord(**r) for r in payload["records"]] == records
     assert "version" in payload
     # the thread count sweeps run with, read back from scipy's OpenBLAS
     assert payload["blas_threads"] == (None if BLAS_THREADS is None else 1)

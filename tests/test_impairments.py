@@ -1,5 +1,6 @@
 """Phase-noise statistics, SI channel draws and received-symbol synthesis."""
 
+import re
 import warnings
 
 import numpy as np
@@ -207,6 +208,15 @@ def test_awgn_power_and_circularity():
     assert abs((noise**2).mean()) < 0.05
 
 
+def _synthesize(symbols, taps, tx_traces, rx):
+    """One trial's SI through the batched layout: a batch of one."""
+    return synthesize_received(
+        channel_outputs(symbols[None], taps[None]),
+        np.array(tx_traces)[None],
+        rx[None],
+    )[0]
+
+
 def test_synthesize_without_phase_noise_is_plain_channel_product():
     rng = np.random.default_rng(29)
     n, n_taps, n_tx = 32, 4, 3
@@ -215,7 +225,7 @@ def test_synthesize_without_phase_noise_is_plain_channel_product():
     taps = gen_si_channel(n_tx, pdp, rng)
     quiet = [gen_wiener_phase(n, 0.0, rng) for _ in range(n_tx)]
     rx = gen_wiener_phase(n, 0.0, rng)
-    si = synthesize_received(channel_outputs(symbols, taps), quiet, rx)
+    si = _synthesize(symbols, taps, quiet, rx)
     response = np.fft.fft(taps, n=n, axis=1).sum(axis=0)
     assert_allclose(si, symbols * response, atol=1e-12)
 
@@ -229,18 +239,13 @@ def test_synthesize_total_is_sum_of_parts():
     taps = gen_si_channel(2, np.ones(2), rng)
     traces = [gen_wiener_phase(n, 1e-4, rng) for _ in range(2)]
     rx = gen_wiener_phase(n, 1e-4, rng)
-    total = synthesize_received(channel_outputs(symbols, taps), traces, rx)
+    total = _synthesize(symbols, taps, traces, rx)
     parts = [
-        synthesize_received(
-            channel_outputs(symbols, taps[[s]]), [traces[s]], rx
-        )
-        for s in range(2)
+        _synthesize(symbols, taps[[s]], [traces[s]], rx) for s in range(2)
     ]
     assert_allclose(total, parts[0] + parts[1], atol=1e-12)
     assert_allclose(
-        synthesize_received(channel_outputs(symbols, 3.0 * taps), traces, rx),
-        3.0 * total,
-        atol=1e-12,
+        _synthesize(symbols, 3.0 * taps, traces, rx), 3.0 * total, atol=1e-12
     )
 
 
@@ -257,7 +262,7 @@ def test_synthesize_mean_si_power():
         taps = gen_si_channel(n_tx, pdp, rng)
         traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
         rx = gen_wiener_phase(n, variance, rng)
-        si = synthesize_received(channel_outputs(symbols, taps), traces, rx)
+        si = _synthesize(symbols, taps, traces, rx)
         total += np.vdot(si, si).real
     expected = n * n_tx * pdp.sum()
     assert total / trials == pytest.approx(expected, rel=0.08)
@@ -270,24 +275,76 @@ def test_synthesize_shared_trace_matches_replicated_traces():
     taps = gen_si_channel(n_tx, np.ones(2), rng)
     shared = gen_wiener_phase(n, 1e-3, rng)
     rx = gen_wiener_phase(n, 1e-3, rng)
-    outputs = channel_outputs(symbols, taps)
-    one = synthesize_received(outputs, [shared], rx)
-    many = synthesize_received(outputs, [shared] * n_tx, rx)
+    one = _synthesize(symbols, taps, [shared], rx)
+    many = _synthesize(symbols, taps, [shared] * n_tx, rx)
     assert_allclose(one, many, atol=1e-12)
 
 
-def test_synthesize_validation():
+def _synthesis_inputs():
+    """A batch of one trial: (1, 16) symbols, (1, 3, 2) taps, their
+    (1, 3, 16) outputs, a (16,) trace and a (1, 16) receive trace."""
     rng = np.random.default_rng(33)
     n = 16
-    symbols = gen_bpsk_symbols(n, rng)
-    taps = gen_si_channel(3, np.ones(2), rng)
+    symbols = gen_bpsk_symbols(n, rng)[None]
+    taps = gen_si_channel(3, np.ones(2), rng)[None]
     trace = gen_wiener_phase(n, 1e-3, rng)
-    short = gen_wiener_phase(n - 1, 1e-3, rng)
-    outputs = channel_outputs(symbols, taps)
-    with pytest.raises(ValueError, match="transmit traces"):
-        synthesize_received(outputs, [trace, trace], trace)
-    with pytest.raises(ValueError, match="length"):
-        synthesize_received(outputs, [short], trace)
-    long_channel = gen_si_channel(1, np.ones(n + 1), rng)
-    with pytest.raises(ValueError, match="longer"):
-        channel_outputs(symbols, long_channel)
+    return {
+        "symbols": symbols,
+        "taps": taps,
+        "outputs": channel_outputs(symbols, taps),
+        "trace": trace,
+        "rx": trace[None],
+    }
+
+
+# Each refused layout, and the layout or limit its error names.
+_REFUSED_SYNTHESIS = {
+    "unbatched-symbols": (
+        lambda x: channel_outputs(x["symbols"][0], x["taps"][0]), "(B, N)"
+    ),
+    "channel-batch-mismatch": (
+        lambda x: channel_outputs(x["symbols"], np.concatenate([x["taps"]] * 2)),
+        "(B, n_tx, L)",
+    ),
+    "long-channel": (
+        lambda x: channel_outputs(x["symbols"], np.ones((1, 1, 17))), "longer"
+    ),
+    "list-of-traces": (
+        lambda x: synthesize_received(x["outputs"], [x["trace"]] * 3, x["rx"]),
+        "(B, 1 or n_tx, N)",
+    ),
+    "unbatched-outputs": (
+        lambda x: synthesize_received(
+            x["outputs"][0], x["trace"][None], x["trace"]
+        ),
+        "(B, n_tx, N)",
+    ),
+    "phase-batch-mismatch": (
+        lambda x: synthesize_received(
+            x["outputs"], np.stack([x["rx"]] * 2), x["rx"]
+        ),
+        "(B, 1 or n_tx, N)",
+    ),
+    "wrong-trace-count": (
+        lambda x: synthesize_received(
+            x["outputs"], np.stack([x["rx"]] * 2, axis=1), x["rx"]
+        ),
+        "(B, 1 or n_tx, N)",
+    ),
+    "short-trace": (
+        lambda x: synthesize_received(
+            x["outputs"], x["rx"][:, None, 1:], x["rx"]
+        ),
+        "(B, 1 or n_tx, N)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, expected", _REFUSED_SYNTHESIS.values(), ids=_REFUSED_SYNTHESIS.keys()
+)
+def test_synthesize_validation(call, expected):
+    # SI synthesis takes only the harness's batched layout; the error names
+    # what it expected
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        call(_synthesis_inputs())

@@ -104,7 +104,7 @@ def test_optimal_prediction_is_monotone_in_inr(trial, inr_db, snr_db):
     soi = np.full(scales.size, _power(snr_db))
     residuals = spectral_weights(spectrum, scales, soi).residual_power
     abilities = [
-        cancellation_ability(scale * unit_si_power, N * 1.0, residual)
+        cancellation_ability(scale * unit_si_power + N, residual)
         for scale, residual in zip(scales, residuals[0])
     ]
     assert np.all(np.diff(abilities) >= -1e-9)

@@ -265,7 +265,7 @@ def test_si_oracle_convolution_matches_channel_outputs(n_taps):
     direct = validation._direct_channel_outputs(
         taps, validation._delayed_waveforms(symbols, n_taps)
     )
-    reference = channel_outputs(symbols, taps)
+    reference = channel_outputs(np.tile(symbols, (shape[0], 1)), taps)
     assert direct.shape == reference.shape
     assert np.max(np.abs(direct - reference)) <= 1e-13 * np.max(
         np.abs(reference)
@@ -327,8 +327,8 @@ def test_exact_order_matches_model_without_phase_noise():
     tx = [np.full(n + cp, 0.7)]
     rx = np.full(n, -0.2)
     exact = exact_order_si_reference(symbols, taps, tx, rx, cp)
-    outputs = channel_outputs(symbols, taps)
-    model = synthesize_received(outputs, [tx[0][cp:]], rx)
+    outputs = channel_outputs(symbols[None], taps[None])
+    model = synthesize_received(outputs, tx[0][None, None, cp:], rx[None])[0]
     np.testing.assert_allclose(exact, model, rtol=1e-12, atol=1e-12)
 
 
@@ -356,8 +356,10 @@ def test_exact_order_samples_have_the_model_covariance():
         rx = gen_wiener_phase(n, variance, rng)
         exact_row[:] = exact_order_si_reference(symbols, taps, tx, rx, cp)
         model_row[:] = synthesize_received(
-            channel_outputs(symbols, taps), [trace[cp:] for trace in tx], rx
-        )
+            channel_outputs(symbols[None], taps[None]),
+            np.array(tx)[None, :, cp:],
+            rx[None],
+        )[0]
     stats = EstimatorStatistics(symbols[None], pdp, n_tx)
     table = pn_covariance_table(delta_f, n)
     analytic = subcarrier_si_covariance(stats, table)[0]
@@ -389,8 +391,10 @@ def _si_in_both_orders(rng, delta_f):
           for _ in range(NODE_TX)]
     rx = gen_wiener_phase(NODE_N, variance, rng)
     model = synthesize_received(
-        channel_outputs(symbols, taps), [trace[NODE_CP:] for trace in tx], rx
-    )
+        channel_outputs(symbols[None], taps[None]),
+        np.array(tx)[None, :, NODE_CP:],
+        rx[None],
+    )[0]
     return symbols, model, exact_order_si_reference(
         symbols, taps, tx, rx, NODE_CP
     )
@@ -439,9 +443,9 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
             si = np.sqrt(scale) * si[None, :, None]
             leak = si - weights.estimate(si)
             residual[order] += np.sum(np.abs(leak) ** 2) + common
-    si_power = NODE_N * NODE_TX * scale
+    pre_power = NODE_N * NODE_TX * scale + NODE_N
     ability = {
-        order: cancellation_ability(si_power, NODE_N, value / 200)
+        order: cancellation_ability(pre_power, value / 200)
         for order, value in residual.items()
     }
     assert ability["model"] == pytest.approx(40.5, abs=0.5)
