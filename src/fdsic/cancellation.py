@@ -32,9 +32,12 @@ def reconstruct_si(symbols: np.ndarray, channel_estimate: np.ndarray) -> np.ndar
 def cancellation_ability(pre_power: float, residual_power: float) -> float:
     """Cancellation ability 10 log10(pre_power / residual) in dB, pre_power
     being the SI-plus-noise power before cancellation; +inf when the
-    residual is not positive."""
-    if pre_power < 0.0:
-        raise ValueError("pre_power must be non-negative")
+    residual is not positive.  pre_power must be finite and positive, the
+    residual finite."""
+    if not (math.isfinite(pre_power) and pre_power > 0.0):
+        raise ValueError(f"pre_power must be finite and positive: {pre_power!r}")
+    if not math.isfinite(residual_power):
+        raise ValueError(f"residual_power must be finite: {residual_power!r}")
     if residual_power <= 0.0:
         return math.inf
     return 10.0 * math.log10(pre_power / residual_power)

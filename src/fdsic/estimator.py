@@ -77,8 +77,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .impairments import PnCovarianceTable
-
 
 def _scipy_linalg_extension(name: str):
     """scipy.linalg's compiled module `name`, loaded under its own name
@@ -201,13 +199,13 @@ class EstimatorStatistics:
         object.__setattr__(self, "pdp", pdp)
         if symbols.ndim != 2:
             raise ValueError(f"symbols must be (B, N), got {symbols.shape}")
-        if np.any(np.abs(symbols) == 0.0):
-            raise ValueError("symbols must have no zero entries")
+        if not np.all(np.isfinite(symbols) & (symbols != 0.0)):
+            raise ValueError("symbols must be finite with no zero entries")
         n = symbols.shape[-1]
         if pdp.ndim != 1 or pdp.size == 0 or pdp.size > n:
             raise ValueError("pdp must be a vector no longer than symbols")
-        if np.any(pdp < 0.0):
-            raise ValueError("pdp entries must be non-negative")
+        if not np.all(np.isfinite(pdp) & (pdp >= 0.0)):
+            raise ValueError("pdp entries must be finite and non-negative")
         if self.n_tx < 1:
             raise ValueError("n_tx must be positive")
         shifted = _shifted_waveforms(symbols, pdp.size)
@@ -228,19 +226,17 @@ class EstimatorStatistics:
         object.__setattr__(self, "sample_covariance", sample_covariance)
 
 
-def si_covariance(
-    stats: EstimatorStatistics, pn: PnCovarianceTable
-) -> np.ndarray:
-    """Conditional covariance of the received SI given the symbols, for the
-    oscillator statistics pn, in the sample domain.
+def si_covariance(stats: EstimatorStatistics, kernel: np.ndarray) -> np.ndarray:
+    """Conditional covariance of the received SI given the symbols, in the
+    sample domain, for the (N, N) phase correlation kernel K of one
+    transmit/receive oscillator pair (fdsic.impairments.pn_covariance_table).
 
     Returns A_t = N * n_tx * (K o S): the symbols' sample covariance S
-    (stats.sample_covariance) weighted entrywise by the oscillator phase
-    correlation kernel K.  With the unitary DFT U = F / sqrt(N), the
-    subcarrier-domain covariance of the received SI vector is
-    A0 = U A_t U^H, so A_t has A0's eigenvalues and trace, and the spectral
-    engine works on A_t without transforming it.  The product costs O(N^2)
-    per oscillator quality on top of the O(L*N^2) sample covariance.
+    (stats.sample_covariance) weighted entrywise by K.  With the unitary DFT
+    U = F / sqrt(N), the subcarrier-domain covariance of the received SI
+    vector is A0 = U A_t U^H, so A_t has A0's eigenvalues and trace, and the
+    spectral engine works on A_t without transforming it.  The product costs
+    O(N^2) per oscillator quality on top of the O(L*N^2) sample covariance.
     Channels are independent across antennas, so the result scales linearly
     with n_tx in both oscillator modes.  The result is a (B, N, N) stack,
     one covariance per trial, whose lower triangles define the Hermitian
@@ -249,11 +245,12 @@ def si_covariance(
     transposing copy.
     """
     n = stats.symbols.shape[-1]
-    if n != pn.kernel.shape[-1]:
-        raise ValueError("symbols and covariance table disagree on N")
+    kernel = np.asarray(kernel)
+    if kernel.shape != (n, n):
+        raise ValueError(f"kernel must be (N, N) = {(n, n)}, got {kernel.shape}")
     # K depends on |n1 - n2| only, so K.T is K in the sample covariance's
     # Fortran order, and the product keeps that order
-    return pn.kernel.T * stats.sample_covariance * (n * stats.n_tx)
+    return kernel.T * stats.sample_covariance * (n * stats.n_tx)
 
 
 def _constant_modulus_power(symbols: np.ndarray) -> np.ndarray:
@@ -439,11 +436,15 @@ class SpectralWeights:
 def _points(
     scale: np.ndarray, soi_power: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The channel and SOI powers of P operating points, as floats."""
+    """The finite, non-negative channel and SOI powers of P operating
+    points, as floats."""
     scale = np.asarray(scale, dtype=np.float64)
     soi_power = np.asarray(soi_power, dtype=np.float64)
     if scale.ndim != 1 or soi_power.shape != scale.shape:
         raise ValueError("scale and soi_power must be two (P,) vectors")
+    for name, power in (("scale", scale), ("soi_power", soi_power)):
+        if not np.all(np.isfinite(power) & (power >= 0.0)):
+            raise ValueError(f"{name} must be finite and non-negative")
     return scale, soi_power
 
 

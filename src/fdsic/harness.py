@@ -35,7 +35,6 @@ from .estimator import (
     spectral_weights,
 )
 from .impairments import (
-    PnCovarianceTable,
     channel_outputs,
     gen_awgn,
     gen_si_channel,
@@ -175,18 +174,19 @@ class Scenario:
     configured INR above the unit-power noise floor N; soi_power follows
     from the SNR.  pre_power, the SI-plus-noise power before cancellation,
     is the numerator of the point's cancellation ability.  pn is the
-    point's phase-noise table, which depends only on delta_f and N, so a
-    sweep builds it once per distinct delta_f and shares it.
+    point's (N, N) phase correlation kernel (pn_covariance_table), which
+    depends only on delta_f and N, so a sweep builds it once per distinct
+    delta_f and shares it; it takes no part in repr, == or hash.
     """
 
     config: SimConfig
-    pn: PnCovarianceTable
+    pn: np.ndarray = dataclasses.field(repr=False, compare=False)
     channel_power: float
     soi_power: float
     pre_power: float
 
     @classmethod
-    def from_config(cls, config: SimConfig, pn: PnCovarianceTable) -> "Scenario":
+    def from_config(cls, config: SimConfig, pn: np.ndarray) -> "Scenario":
         channel_power = float(10.0 ** (config.inr_db / 10.0) / config.n_tx)
         n = config.n_subcarriers
         pdp = pdp_profile(config, channel_power)
@@ -224,7 +224,7 @@ def _run_trial(
     symbols = gen_bpsk_symbols(n, rng)
     taps = gen_si_channel(config.n_tx, unit_pdp, rng)
     n_osc = config.n_tx if config.oscillator_mode == "per-antenna" else 1
-    walks = [gen_wiener_phase(n, 1.0, rng) for _ in range(n_osc + 1)]
+    walks = [gen_wiener_phase(n, rng) for _ in range(n_osc + 1)]
     soi = gen_awgn(n, rng)
     noise = gen_awgn(n, rng)
     return symbols, taps, walks, soi, noise
@@ -275,11 +275,12 @@ def _run_chunk(
         # independent and zero-mean, so only same-antenna terms survive the
         # expectation.
         stats = EstimatorStatistics(symbols=symbols, pdp=unit_pdp, n_tx=cfg.n_tx)
-        for group in groups.values():
-            pn = scenarios[group[0]].pn
-            phases = np.sqrt(pn.increment_variance) * walks
+        for delta_f, group in groups.items():
+            sigma = np.sqrt(phase_increment_variance(delta_f, cfg.n_subcarriers))
+            phases = sigma * walks
             si = synthesize_received(outputs, phases[:, :-1], phases[:, -1])
-            spectrum = si_spectrum(si_covariance(stats, pn), stats)
+            kernel = scenarios[group[0]].pn
+            spectrum = si_spectrum(si_covariance(stats, kernel), stats)
             residuals[:, :, group] = _run_block(
                 [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )

@@ -18,7 +18,7 @@ fdsic.validation build the coefficients (ici_coefficients) and their
 covariance.
 """
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -28,66 +28,53 @@ def phase_increment_variance(delta_f: float, n_subcarriers: int) -> float:
 
     delta_f is the phase-noise bandwidth relative to the subcarrier spacing,
     so one oscillator accumulates variance 4*pi*delta_f over a symbol body of
-    n_subcarriers samples.
+    n_subcarriers samples.  A delta_f that is negative or not finite, or
+    whose variance overflows, raises ValueError.
     """
-    if delta_f < 0.0:
-        raise ValueError("delta_f must be non-negative")
+    if not (math.isfinite(delta_f) and delta_f >= 0.0):
+        raise ValueError(
+            f"delta_f must be finite and non-negative, got {delta_f!r}"
+        )
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be positive")
-    return 4.0 * np.pi * delta_f / n_subcarriers
+    variance = 4.0 * np.pi * delta_f / n_subcarriers
+    if not math.isfinite(variance):
+        raise ValueError(f"delta_f={delta_f!r} overflows 4*pi*delta_f/N")
+    return variance
 
 
-def gen_wiener_phase(
-    n_samples: int, increment_variance: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sampled phase trajectory of one oscillator: a random walk with
-    phases[0] = 0, then independent Gaussian increments of the given
-    variance."""
+def gen_wiener_phase(n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Sampled phase trajectory of one oscillator at unit scale: a random
+    walk with phases[0] = 0, then independent standard Gaussian increments.
+    A walk whose increments have variance v is sqrt(v) times it."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if increment_variance < 0.0:
-        raise ValueError("increment_variance must be non-negative")
-    steps = np.sqrt(increment_variance) * rng.standard_normal(n_samples - 1)
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    return np.concatenate(([0.0], np.cumsum(rng.standard_normal(n_samples - 1))))
 
 
-@dataclass(frozen=True)
-class PnCovarianceTable:
-    """Second-order statistics of the mixing coefficients of one oscillator
-    pair (transmit plus receive).
+def pn_covariance_table(delta_f: float, n_subcarriers: int) -> np.ndarray:
+    """Phase correlation kernel K[n1, n2] = E[exp(j*(phi(n1) - phi(n2)))]
+    of one independent Wiener transmit/receive oscillator pair, (N, N).
 
-    kernel holds the sample-domain phase correlation
-    E[exp(j*(phi(n1) - phi(n2)))] = exp(-increment_variance * |n1 - n2|):
-    the summed pair's increments have variance 2 * increment_variance.
-    Its two-sided transform is the subcarrier mixing covariance
-    E[delta_a * conj(delta_b)], which fdsic.validation.mixing_covariance
-    builds for the checks; the SI covariance needs only the kernel.
-    """
-
-    kernel: np.ndarray = field(repr=False)
-    increment_variance: float
-
-
-def pn_covariance_table(delta_f: float, n_subcarriers: int) -> PnCovarianceTable:
-    """Closed-form phase statistics of independent Wiener oscillator pairs.
-
-    The phase difference phi(n1) - phi(n2) of the combined transmit+receive
-    process is Gaussian with variance 2 * sigma2 * |n1 - n2|, sigma2 being
-    one oscillator's increment variance, so its characteristic function is
-    the decaying exponential kernel.  The table describes a single
-    transmit/receive pair, so it serves both oscillator modes: whether the
-    antennas share one transmit oscillator changes only the draws, not the
-    SI covariance, because the channels are independent and zero-mean.
+    The pair's phase difference is Gaussian with variance
+    2 * sigma2 * |n1 - n2|, sigma2 being one oscillator's increment variance,
+    so K = exp(-sigma2 * |n1 - n2|).  Its two-sided transform is the
+    subcarrier mixing covariance, which fdsic.validation.mixing_covariance
+    builds for the checks.  One pair serves both oscillator modes: sharing
+    the transmit oscillator changes the draws, not the SI covariance, since
+    the channels are independent and zero-mean.  A pair variance that
+    overflows raises ValueError.
     """
     sigma2 = phase_increment_variance(delta_f, n_subcarriers)
     combined = 2.0 * sigma2
+    if not math.isfinite(combined):
+        raise ValueError(f"delta_f={delta_f!r} overflows 8*pi*delta_f/N")
     lags = np.arange(n_subcarriers)
     # a finite pair variance times a long lag may overflow; exp(-inf) = 0
     # is then the right limit, full decorrelation, so the overflow is
     # silent
     with np.errstate(over="ignore"):
-        kernel = np.exp(-combined * np.abs(lags[:, None] - lags[None, :]) / 2.0)
-    return PnCovarianceTable(kernel=kernel, increment_variance=sigma2)
+        return np.exp(-combined * np.abs(lags[:, None] - lags[None, :]) / 2.0)
 
 
 def gen_si_channel(

@@ -69,7 +69,6 @@ from .estimator import (
     one_blas_thread,
 )
 from .impairments import (
-    PnCovarianceTable,
     channel_outputs,
     gen_si_channel,
     gen_wiener_phase,
@@ -257,23 +256,25 @@ def ls_weight_matrix(symbols: np.ndarray, n_taps: int) -> np.ndarray:
 
 
 def subcarrier_si_covariance(
-    stats: EstimatorStatistics, pn: PnCovarianceTable
+    stats: EstimatorStatistics, kernel: np.ndarray
 ) -> np.ndarray:
     """Conditional covariance A0 of the received SI vector in the
     subcarrier domain, the matrix the dense oracles take.
 
-    The sample covariance weighted by the phase correlation kernel is
-    carried to the subcarrier domain by a 2-D FFT and symmetrized.  This is
-    algebraically identical to the direct fourfold sum of the mixing
-    covariance against the symbol outer product and the profile spectrum,
-    and to U A_t U^H with A_t = fdsic.estimator.si_covariance and the
-    unitary DFT U, which the simulator's engine uses without forming A0.  The
-    B trials of stats give a (B, N, N) stack.
+    The sample covariance weighted by the (N, N) phase correlation kernel
+    of pn_covariance_table is carried to the subcarrier domain by a 2-D FFT
+    and symmetrized.  This is algebraically identical to the direct
+    fourfold sum of the mixing covariance against the symbol outer product
+    and the profile spectrum, and to U A_t U^H with
+    A_t = fdsic.estimator.si_covariance and the unitary DFT U, which the
+    simulator's engine uses without forming A0.  The B trials of stats give
+    a (B, N, N) stack.
     """
     n = stats.symbols.shape[-1]
-    if n != pn.kernel.shape[-1]:
-        raise ValueError("symbols and covariance table disagree on N")
-    weighted = pn.kernel * stats.sample_covariance * stats.n_tx
+    kernel = np.asarray(kernel)
+    if kernel.shape != (n, n):
+        raise ValueError(f"kernel must be (N, N) = {(n, n)}, got {kernel.shape}")
+    weighted = kernel * stats.sample_covariance * stats.n_tx
     cov = np.fft.ifft(np.fft.fft(weighted, axis=-2), axis=-1) * n
     return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
@@ -282,7 +283,7 @@ def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
     """Closed-form mixing covariance gamma[a, b] = E[delta_a conj(delta_b)]
     of one oscillator pair, on circular offsets: the two-sided transform of
     the sample-domain phase correlation kernel that pn_covariance_table
-    holds.  gamma is Hermitian with unit trace, and a perfect oscillator
+    returns.  gamma is Hermitian with unit trace, and a perfect oscillator
     (kernel of ones) gives a single spike at (0, 0)."""
     kernel = np.asarray(kernel, dtype=np.float64)
     n = kernel.shape[0]
@@ -418,10 +419,8 @@ def check_pn_covariance(
     )
     results = []
     for delta_f, estimate in zip(delta_fs, estimates):
-        table = pn_covariance_table(delta_f, n_subcarriers)
-        worst = float(
-            np.max(np.abs(estimate - mixing_covariance(table.kernel)))
-        )
+        kernel = pn_covariance_table(delta_f, n_subcarriers)
+        worst = float(np.max(np.abs(estimate - mixing_covariance(kernel))))
         results.append(
             CheckResult(
                 name="pn-covariance",
@@ -661,16 +660,16 @@ def check_model_equivalence(n_trials: int = 100) -> CheckResult:
     tolerance = 1e-8
     rng = np.random.default_rng(7004)
     cp_length = n_taps + 2
-    variance = phase_increment_variance(delta_f, n_subcarriers)
+    sigma = np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     worst = 0.0
     for _ in range(n_trials):
         symbols = gen_bpsk_symbols(n_subcarriers, rng)
         taps = gen_si_channel(n_tx, pdp, rng)
         tx_phases = [
-            gen_wiener_phase(n_subcarriers, variance, rng) for _ in range(n_tx)
+            sigma * gen_wiener_phase(n_subcarriers, rng) for _ in range(n_tx)
         ]
-        rx_phases = gen_wiener_phase(n_subcarriers, variance, rng)
+        rx_phases = sigma * gen_wiener_phase(n_subcarriers, rng)
         si = synthesize_received(
             channel_outputs(symbols[None], taps[None]),
             np.array(tx_phases)[None],

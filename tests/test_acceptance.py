@@ -199,8 +199,8 @@ def test_criterion_8_optimality_and_closed_form():
         symbols = gen_bpsk_symbols(n, rng)
         pdp = rng.uniform(0.2, 1.0, n_taps)
         stats = EstimatorStatistics(symbols=symbols[None], pdp=pdp, n_tx=n_tx)
-        table = pn_covariance_table(delta_f, n)
-        cov = subcarrier_si_covariance(stats, table)[0]
+        kernel = pn_covariance_table(delta_f, n)
+        cov = subcarrier_si_covariance(stats, kernel)[0]
         si_noise = cov + 1.0 * np.eye(n)
         weights, opt_values = optimal_weights(
             si_noise + soi_power * np.eye(n), si_noise

@@ -90,13 +90,13 @@ def test_expected_residual_matches_monte_carlo():
     symbols, pdp, cov = _small_covariance(rng, n, n_taps, n_tx)
     weights = ls_weight_matrix(symbols, n_taps)
     predicted = expected_residual_power(cov, weights, 1.0, 2.0)
-    variance = phase_increment_variance(1e-3, n)
+    sigma = np.sqrt(phase_increment_variance(1e-3, n))
     total = 0.0
     trials = 4000
     for _ in range(trials):
         taps = gen_si_channel(n_tx, pdp, rng)
-        traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
-        rx = gen_wiener_phase(n, variance, rng)
+        traces = [sigma * gen_wiener_phase(n, rng) for _ in range(n_tx)]
+        rx = sigma * gen_wiener_phase(n, rng)
         soi = np.sqrt(2.0) * gen_awgn(n, rng)
         received = (
             synthesize_received(
@@ -144,6 +144,20 @@ def test_cancellation_ability_known_ratio():
     assert cancellation_ability(1000.0, 10.0) == pytest.approx(20.0)
     assert cancellation_ability(1000.0, 1000.0) == pytest.approx(0.0)
     assert cancellation_ability(1.0, 0.0) == math.inf
-    with pytest.raises(ValueError):
-        cancellation_ability(-1.0, 1.0)
+    assert cancellation_ability(1.0, -1.0) == math.inf
+    # a power that is not finite, or a pre-cancellation power that is not
+    # positive, raises naming its argument rather than a math domain error
+    # or a NaN ability
+    nan, inf = math.nan, math.inf
+    for pre, residual, name in [
+        (-1.0, 1.0, "pre_power"),
+        (0.0, 1.0, "pre_power"),
+        (nan, 1.0, "pre_power"),
+        (inf, 1.0, "pre_power"),
+        (1.0, inf, "residual_power"),
+        (1.0, -inf, "residual_power"),
+        (1.0, nan, "residual_power"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            cancellation_ability(pre, residual)
 

@@ -10,6 +10,7 @@ point runs as a batch of one with a block of one."""
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from fdsic.impairments import (
     channel_outputs,
     gen_si_channel,
     gen_wiener_phase,
+    phase_increment_variance,
     pn_covariance_table,
     synthesize_received,
 )
@@ -50,7 +52,8 @@ from fdsic.validation import (
 
 
 def _statistics(symbols, pdp, n_tx, delta_f):
-    """Statistics of a (B, N) batch of symbols and their phase-noise table."""
+    """Statistics of a (B, N) batch of symbols and their phase correlation
+    kernel."""
     return (
         EstimatorStatistics(symbols=symbols, pdp=pdp, n_tx=n_tx),
         pn_covariance_table(delta_f, symbols.shape[-1]),
@@ -60,8 +63,8 @@ def _statistics(symbols, pdp, n_tx, delta_f):
 def _covariance(symbols, pdp, n_tx, delta_f):
     """The subcarrier-domain A0 of one trial's (N,) symbols, the matrix the
     dense oracles take."""
-    stats, table = _statistics(symbols[None], pdp, n_tx, delta_f)
-    return subcarrier_si_covariance(stats, table)[0]
+    stats, kernel = _statistics(symbols[None], pdp, n_tx, delta_f)
+    return subcarrier_si_covariance(stats, kernel)[0]
 
 
 def _engine_covariance(symbols, pdp, n_tx, delta_f):
@@ -72,8 +75,8 @@ def _engine_covariance(symbols, pdp, n_tx, delta_f):
 def _engine_spectrum(symbols, pdp, n_tx, delta_f):
     """The spectral engine's tridiagonalization of one trial's A_t, as the
     spectrum of a batch of one."""
-    stats, table = _statistics(symbols[None], pdp, n_tx, delta_f)
-    return si_spectrum(si_covariance(stats, table), stats)
+    stats, kernel = _statistics(symbols[None], pdp, n_tx, delta_f)
+    return si_spectrum(si_covariance(stats, kernel), stats)
 
 
 def _one(vector):
@@ -120,7 +123,7 @@ def test_si_covariance_matches_direct_sum():
     n, n_taps, n_tx = 8, 3, 2
     symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    gamma = mixing_covariance(pn_covariance_table(1e-3, n).kernel)
+    gamma = mixing_covariance(pn_covariance_table(1e-3, n))
     oracle = _covariance_by_direct_sum(symbols, gamma, pdp, n_tx)
     cov = _covariance(symbols, pdp, n_tx, 1e-3)
     assert np.max(np.abs(cov - oracle)) < 1e-10 * np.max(np.abs(oracle))
@@ -171,15 +174,25 @@ def test_si_covariance_is_fortran_ordered_per_trial(shape):
 def test_estimator_statistics_validation():
     rng = np.random.default_rng(45)
     symbols = gen_bpsk_symbols(16, rng)[None]
-    table = pn_covariance_table(1e-3, 16)
+    kernel = pn_covariance_table(1e-3, 16)
     with pytest.raises(ValueError, match="zero"):
         bad = symbols.copy()
         bad[0, 3] = 0.0
         EstimatorStatistics(bad, np.ones(2), 1)
-    with pytest.raises(ValueError, match="disagree"):
-        si_covariance(EstimatorStatistics(symbols[:, :8], np.ones(2), 1), table)
+    # a non-finite symbol would carry NaN into the LS estimate
+    for value in (np.nan, np.inf, complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="symbols must be finite"):
+            bad = symbols.copy()
+            bad[0, 3] = value
+            EstimatorStatistics(bad, np.ones(2), 1)
+    with pytest.raises(ValueError, match=re.escape("(N, N) = (8, 8)")):
+        si_covariance(EstimatorStatistics(symbols[:, :8], np.ones(2), 1), kernel)
     with pytest.raises(ValueError, match="non-negative"):
         EstimatorStatistics(symbols, np.array([1.0, -0.1]), 1)
+    # a non-finite profile entry would make every covariance NaN
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="pdp entries must be finite"):
+            EstimatorStatistics(symbols, np.array([1.0, value]), 1)
     with pytest.raises(ValueError, match="n_tx"):
         EstimatorStatistics(symbols, np.ones(2), 0)
 
@@ -359,7 +372,7 @@ def test_ls_estimate_recovers_clean_channel():
     n, n_taps = 32, 4
     symbols = gen_bpsk_symbols(n, rng)
     channel = gen_si_channel(1, np.ones(n_taps), rng)
-    quiet = gen_wiener_phase(n, 0.0, rng)
+    quiet = np.zeros(n)
     outputs = channel_outputs(symbols[None], channel[None])
     received = synthesize_received(outputs, quiet[None, None], quiet[None])[0]
     taps = ls_estimate(_one(received), symbols[None], n_taps)
@@ -479,14 +492,14 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     unit_pdp = np.exp(-np.arange(n_taps) / 4.0)
     unit_pdp /= unit_pdp.sum()
     scale = 10.0 ** (inr_db / 10.0) * noise / n_tx
-    # one table serves both oscillator modes
-    table = pn_covariance_table(delta_f, n)
+    # one kernel serves both oscillator modes
+    kernel = pn_covariance_table(delta_f, n)
 
     stats = EstimatorStatistics(symbols[None], unit_pdp, n_tx)
     cov = subcarrier_si_covariance(
-        EstimatorStatistics(symbols[None], scale * unit_pdp, n_tx), table
+        EstimatorStatistics(symbols[None], scale * unit_pdp, n_tx), kernel
     )[0]
-    spectrum = si_spectrum(si_covariance(stats, table), stats)
+    spectrum = si_spectrum(si_covariance(stats, kernel), stats)
     point = np.array([scale]), np.array([soi])
     solution = spectral_weights(spectrum, *point)
     weights = _engine_weights(solution, n)
@@ -503,10 +516,10 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     )
     # a received symbol drawn in this oscillator mode
     n_osc = n_tx if mode == "per-antenna" else 1
-    variance = table.increment_variance
+    sigma = np.sqrt(phase_increment_variance(delta_f, n))
     taps = gen_si_channel(n_tx, scale * unit_pdp, rng)
-    tx = np.array([gen_wiener_phase(n, variance, rng) for _ in range(n_osc)])
-    rx = gen_wiener_phase(n, variance, rng)
+    tx = sigma * np.array([gen_wiener_phase(n, rng) for _ in range(n_osc)])
+    rx = sigma * gen_wiener_phase(n, rng)
     received = synthesize_received(
         channel_outputs(symbols[None], taps[None]), tx[None], rx[None]
     )[0] + np.sqrt(soi + noise) * (
@@ -606,6 +619,32 @@ def test_block_failure_names_the_failing_point():
         broken.estimate(np.ones((1, 4, 3), dtype=np.complex128))
 
 
+# A negative or non-finite channel or SOI power would give an impossible
+# (negative) or NaN expected residual; zero stays legal.
+@pytest.mark.parametrize("evaluate", [spectral_weights, ls_residual_power])
+@pytest.mark.parametrize(
+    "scale, soi_power, name",
+    [
+        (-1.0, 1.0, "scale"),
+        (np.nan, 1.0, "scale"),
+        (np.inf, 1.0, "scale"),
+        (1.0, -0.5, "soi_power"),
+        (1.0, np.nan, "soi_power"),
+        (1.0, np.inf, "soi_power"),
+    ],
+)
+def test_operating_points_must_be_finite_and_non_negative(
+    evaluate, scale, soi_power, name
+):
+    stats, kernel = _statistics(np.ones((1, 4)), np.ones(2), 1, 1e-3)
+    spectrum = si_spectrum(si_covariance(stats, kernel), stats)
+    evaluate(spectrum, np.zeros(1), np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            evaluate(spectrum, np.array([scale]), np.array([soi_power]))
+
+
 def test_spectral_weights_reject_indefinite_received():
     stats = EstimatorStatistics(np.ones((1, 4)), np.ones(2), 1)
     spectrum = si_spectrum(-1.5 * np.eye(4)[None], stats)
@@ -622,8 +661,8 @@ def _layouts():
     layout the simulator sends, and the pieces the engine builds from it."""
     rng = np.random.default_rng(70)
     symbols = np.array([gen_bpsk_symbols(8, rng) for _ in range(2)])
-    stats, table = _statistics(symbols, np.ones(2), 1, 1e-3)
-    cov = si_covariance(stats, table)
+    stats, kernel = _statistics(symbols, np.ones(2), 1, 1e-3)
+    cov = si_covariance(stats, kernel)
     spectrum = si_spectrum(cov, stats)
     points = np.ones(3)
     return dict(
@@ -750,9 +789,9 @@ def test_engine_spectrum_matches_the_subcarrier_domain_matrix(delta_f):
         [gen_bpsk_symbols(n, rng) for _ in range(3)]
     )
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    stats, table = _statistics(symbols, pdp / pdp.sum(), n_tx, delta_f)
-    spectrum = si_spectrum(si_covariance(stats, table), stats)
-    oracle = subcarrier_si_covariance(stats, table)
+    stats, kernel = _statistics(symbols, pdp / pdp.sum(), n_tx, delta_f)
+    spectrum = si_spectrum(si_covariance(stats, kernel), stats)
+    oracle = subcarrier_si_covariance(stats, kernel)
     for trial in range(3):
         dense = np.linalg.eigvalsh(oracle[trial])
         tolerance = 1e-12 * np.max(np.abs(dense))

@@ -27,7 +27,7 @@ from fdsic.harness import (
     sweep,
     write_json_summary,
 )
-from fdsic.impairments import phase_increment_variance, pn_covariance_table
+from fdsic.impairments import pn_covariance_table
 from fdsic.ofdm import gen_bpsk_symbols
 
 SMALL = dict(
@@ -160,9 +160,9 @@ def test_config_from_file_rejects_a_repeated_key(tmp_path):
 
 
 def _scenario(config):
-    """config's sweep point with its own phase-noise table."""
-    table = pn_covariance_table(config.delta_f, config.n_subcarriers)
-    return Scenario.from_config(config, table)
+    """config's sweep point with its own phase-noise kernel."""
+    kernel = pn_covariance_table(config.delta_f, config.n_subcarriers)
+    return Scenario.from_config(config, kernel)
 
 
 def test_derive_powers_reference_point():
@@ -191,9 +191,12 @@ def test_scenario_power_bookkeeping():
     # SI plus the noise is N * (1 + 10^(INR/10))
     n = config.n_subcarriers
     assert scenario.pre_power == pytest.approx(n * (1.0 + 1e3))
-    assert scenario.pn.increment_variance == pytest.approx(
-        phase_increment_variance(config.delta_f, n)
-    )
+    kernel = pn_covariance_table(config.delta_f, n)
+    assert np.array_equal(scenario.pn, kernel)
+    # the kernel array takes no part in repr, == or hash
+    assert "pn=" not in repr(scenario)
+    assert scenario == dataclasses.replace(scenario, pn=np.eye(n))
+    assert hash(scenario) == hash(dataclasses.replace(scenario, pn=kernel))
 
 
 def _trial_cells(config, trial):
@@ -234,10 +237,15 @@ def test_failure_inside_a_block_names_its_point(monkeypatch):
     # the points of a trial that share delta_f run as one block; a point
     # whose received covariance is not positive definite is named by its
     # own value wherever it sits in the block
+    # (a negative SOI power is refused before the covariance is checked,
+    # so the block that holds snr=10 gets an indefinite SI spectrum)
     original = harness.spectral_weights
 
     def indefinite_at_snr_10(spectrum, scale, soi_power):
-        soi_power = np.where(soi_power == 10.0, -1e12, soi_power)
+        if 10.0 in soi_power:
+            spectrum = dataclasses.replace(
+                spectrum, eigenvalues=spectrum.eigenvalues - 1e12
+            )
         return original(spectrum, scale, soi_power)
 
     monkeypatch.setattr(harness, "spectral_weights", indefinite_at_snr_10)
@@ -365,12 +373,12 @@ def test_failure_at_a_later_bandwidth_names_its_trial_and_point(monkeypatch):
     config = dataclasses.replace(SimConfig().fast(), n_trials=5)
     assert harness._chunk_size(config) == 5
     marked = _mark_trial(monkeypatch, 3)
-    widest = pn_covariance_table(0.1, config.n_subcarriers).increment_variance
+    widest = pn_covariance_table(0.1, config.n_subcarriers)
     covariance_of = harness.si_covariance
 
-    def negated_trial(stats, pn):
-        si_cov = covariance_of(stats, pn)
-        if pn.increment_variance == widest:
+    def negated_trial(stats, kernel):
+        si_cov = covariance_of(stats, kernel)
+        if np.array_equal(kernel, widest):
             rows = _rows_of(marked, stats.symbols)
             si_cov[rows] = -si_cov[rows]
         return si_cov
@@ -553,7 +561,7 @@ def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, val
 
 
 def test_sweep_builds_one_pn_table_per_delta_f(monkeypatch):
-    # the table depends only on delta_f and N: an INR sweep shares one, a
+    # the kernel depends only on delta_f and N: an INR sweep shares one, a
     # delta_f sweep needs one per value, and none outlives the sweep call
     calls = []
     original = harness.pn_covariance_table
@@ -796,13 +804,13 @@ def test_sweep_reaches_the_high_inr_limits():
     records = sweep(config, "inr", [90.0, 110.0])
     cells = {(r.value, r.method): r for r in records}
     pdp = pdp_profile(config, 1.0)
-    table = pn_covariance_table(config.delta_f, config.n_subcarriers)
+    kernel = pn_covariance_table(config.delta_f, config.n_subcarriers)
     rng = np.random.default_rng(5)
     symbols = np.array(
         [gen_bpsk_symbols(config.n_subcarriers, rng) for _ in range(10)]
     )
     stats = EstimatorStatistics(symbols, pdp, config.n_tx)
-    spectrum = si_spectrum(si_covariance(stats, table), stats)
+    spectrum = si_spectrum(si_covariance(stats, kernel), stats)
     ceiling = 10.0 * np.log10(
         config.n_subcarriers * config.n_tx / np.mean(spectrum.ls_leakage)
     )

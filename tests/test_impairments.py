@@ -34,39 +34,50 @@ def test_phase_increment_variance_accumulates_over_symbol():
 
 
 def test_phase_increment_variance_validation():
-    with pytest.raises(ValueError):
-        phase_increment_variance(-1e-3, 8)
-    with pytest.raises(ValueError):
-        phase_increment_variance(1e-3, 0)
+    # a negative or non-finite bandwidth, or one whose one-oscillator or
+    # pair variance overflows, raises ValueError without a floating-point
+    # warning; the kernel would otherwise have a NaN diagonal
+    nan, inf = float("nan"), float("inf")
+    for build, delta_f, n in [
+        (phase_increment_variance, -1e-3, 8),
+        (phase_increment_variance, 1e-3, 0),
+        (phase_increment_variance, nan, 8),
+        (phase_increment_variance, inf, 8),
+        (phase_increment_variance, 1e308, 4),
+        (pn_covariance_table, nan, 4),
+        (pn_covariance_table, inf, 4),
+        (pn_covariance_table, 1e308, 4),
+        # one oscillator's variance is finite, the pair's 2*sigma2 is not
+        (pn_covariance_table, 1e307, 1),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta_f|n_subcarriers"):
+                build(delta_f, n)
 
 
 def test_wiener_phase_starts_at_initial_value():
-    # every trace starts at phase 0 and a zero-variance trace stays there
-    rng = np.random.default_rng(21)
-    trace = gen_wiener_phase(64, 1e-4, rng)
+    # every trace starts at phase 0, then sums the stream's standard normals
+    trace = gen_wiener_phase(64, np.random.default_rng(21))
     assert trace[0] == 0.0
     assert trace.shape == (64,)
-    frozen = gen_wiener_phase(64, 0.0, rng)
-    assert_allclose(frozen, 0.0)
+    steps = np.random.default_rng(21).standard_normal(63)
+    assert np.array_equal(trace[1:], np.cumsum(steps))
 
 
 def test_wiener_phase_variance_grows_linearly():
+    # unit-step walks: the variance after idx steps is idx
     rng = np.random.default_rng(22)
-    sigma2 = 1e-3
-    traces = np.array(
-        [gen_wiener_phase(32, sigma2, rng) for _ in range(4000)]
-    )
+    traces = np.array([gen_wiener_phase(32, rng) for _ in range(4000)])
     for idx in (8, 31):
         observed = traces[:, idx].var()
-        assert observed == pytest.approx(idx * sigma2, rel=0.15)
+        assert observed == pytest.approx(idx, rel=0.15)
 
 
 def test_wiener_phase_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        gen_wiener_phase(0, 1e-3, rng)
-    with pytest.raises(ValueError):
-        gen_wiener_phase(8, -1.0, rng)
+        gen_wiener_phase(0, rng)
 
 
 def test_ici_constant_phase_is_pure_common_rotation():
@@ -94,7 +105,7 @@ def test_ici_frequency_offset_appears_at_negative_index():
 def test_ici_coefficients_conserve_energy(n, variance, seed):
     # Parseval: sum_m |delta_m|^2 = 1 for every trace length and increment
     # variance
-    trace = gen_wiener_phase(n, variance, np.random.default_rng(seed))
+    trace = np.sqrt(variance) * gen_wiener_phase(n, np.random.default_rng(seed))
     delta = ici_coefficients(trace)
     assert np.sum(np.abs(delta) ** 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -102,7 +113,7 @@ def test_ici_coefficients_conserve_energy(n, variance, seed):
 def test_ici_coefficients_of_a_stack_match_each_trace():
     # the Monte Carlo oracle transforms blocks of traces at once
     rng = np.random.default_rng(27)
-    traces = np.array([gen_wiener_phase(20, 1e-2, rng) for _ in range(3)])
+    traces = 0.1 * np.array([gen_wiener_phase(20, rng) for _ in range(3)])
     stacked = ici_coefficients(traces)
     assert stacked.shape == (3, 20)
     for trace, delta in zip(traces, stacked):
@@ -113,7 +124,7 @@ def test_mixing_is_circulant_in_the_coefficients():
     # rotating the body samples mixes subcarriers with offsets delta[i - k]
     rng = np.random.default_rng(24)
     n = 24
-    trace = gen_wiener_phase(n, 1e-2, rng)
+    trace = 0.1 * gen_wiener_phase(n, rng)
     spectrum = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     direct = np.fft.fft(np.exp(1j * trace) * np.fft.ifft(spectrum))
     delta = ici_coefficients(trace)
@@ -131,33 +142,33 @@ def test_tone_rotation_shifts_bins_upward():
 
 
 def test_pn_table_trace_is_unit():
-    gamma = mixing_covariance(pn_covariance_table(1e-3, 64).kernel)
+    gamma = mixing_covariance(pn_covariance_table(1e-3, 64))
     assert np.trace(gamma).real == pytest.approx(1.0, rel=1e-12)
     assert abs(np.trace(gamma).imag) < 1e-14
 
 
 def test_pn_table_is_hermitian():
-    gamma = mixing_covariance(pn_covariance_table(1e-2, 32).kernel)
+    gamma = mixing_covariance(pn_covariance_table(1e-2, 32))
     assert_allclose(gamma, gamma.conj().T, atol=1e-14)
 
 
 def test_pn_table_perfect_oscillator_is_deterministic():
-    table = pn_covariance_table(0.0, 16)
+    kernel = pn_covariance_table(0.0, 16)
     expected = np.zeros((16, 16), dtype=np.complex128)
     expected[0, 0] = 1.0
-    assert_allclose(mixing_covariance(table.kernel), expected, atol=1e-14)
-    assert_allclose(table.kernel, 1.0)
+    assert_allclose(mixing_covariance(kernel), expected, atol=1e-14)
+    assert_allclose(kernel, 1.0)
 
 
 def test_pn_table_kernel_decay():
-    table = pn_covariance_table(1e-3, 32)
+    kernel = pn_covariance_table(1e-3, 32)
     sigma2 = phase_increment_variance(1e-3, 32)
-    assert table.increment_variance == sigma2
+    assert kernel.shape == (32, 32)
     # the transmit plus receive pair accumulates twice one oscillator's
     # increment variance per sample
     combined = 2.0 * sigma2
-    assert table.kernel[0, 5] == pytest.approx(np.exp(-combined * 5 / 2.0))
-    assert table.kernel[7, 2] == pytest.approx(np.exp(-combined * 5 / 2.0))
+    assert kernel[0, 5] == pytest.approx(np.exp(-combined * 5 / 2.0))
+    assert kernel[7, 2] == pytest.approx(np.exp(-combined * 5 / 2.0))
 
 
 def test_pn_table_of_a_bandwidth_whose_long_lags_overflow_is_the_identity():
@@ -166,13 +177,13 @@ def test_pn_table_of_a_bandwidth_whose_long_lags_overflow_is_the_identity():
     # without a floating-point warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kernel = pn_covariance_table(1e307, 32).kernel
+        kernel = pn_covariance_table(1e307, 32)
     assert np.array_equal(kernel, np.eye(32))
 
 
 def test_pn_table_matches_monte_carlo():
     rng = np.random.default_rng(26)
-    gamma = mixing_covariance(pn_covariance_table(1e-3, 16).kernel)
+    gamma = mixing_covariance(pn_covariance_table(1e-3, 16))
     (estimate,) = simulate_mixing_covariance((1e-3,), 16, 20_000, rng)
     assert np.max(np.abs(estimate - gamma)) < 5e-3
 
@@ -223,8 +234,8 @@ def test_synthesize_without_phase_noise_is_plain_channel_product():
     symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     taps = gen_si_channel(n_tx, pdp, rng)
-    quiet = [gen_wiener_phase(n, 0.0, rng) for _ in range(n_tx)]
-    rx = gen_wiener_phase(n, 0.0, rng)
+    quiet = np.zeros((n_tx, n))
+    rx = np.zeros(n)
     si = _synthesize(symbols, taps, quiet, rx)
     response = np.fft.fft(taps, n=n, axis=1).sum(axis=0)
     assert_allclose(si, symbols * response, atol=1e-12)
@@ -237,8 +248,8 @@ def test_synthesize_total_is_sum_of_parts():
     n = 16
     symbols = gen_bpsk_symbols(n, rng)
     taps = gen_si_channel(2, np.ones(2), rng)
-    traces = [gen_wiener_phase(n, 1e-4, rng) for _ in range(2)]
-    rx = gen_wiener_phase(n, 1e-4, rng)
+    traces = [1e-2 * gen_wiener_phase(n, rng) for _ in range(2)]
+    rx = 1e-2 * gen_wiener_phase(n, rng)
     total = _synthesize(symbols, taps, traces, rx)
     parts = [
         _synthesize(symbols, taps[[s]], [traces[s]], rx) for s in range(2)
@@ -255,13 +266,13 @@ def test_synthesize_mean_si_power():
     n, n_taps, n_tx = 16, 3, 3
     symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
-    variance = phase_increment_variance(1e-3, n)
+    sigma = np.sqrt(phase_increment_variance(1e-3, n))
     total = 0.0
     trials = 3000
     for _ in range(trials):
         taps = gen_si_channel(n_tx, pdp, rng)
-        traces = [gen_wiener_phase(n, variance, rng) for _ in range(n_tx)]
-        rx = gen_wiener_phase(n, variance, rng)
+        traces = [sigma * gen_wiener_phase(n, rng) for _ in range(n_tx)]
+        rx = sigma * gen_wiener_phase(n, rng)
         si = _synthesize(symbols, taps, traces, rx)
         total += np.vdot(si, si).real
     expected = n * n_tx * pdp.sum()
@@ -273,8 +284,8 @@ def test_synthesize_shared_trace_matches_replicated_traces():
     n, n_tx = 16, 4
     symbols = gen_bpsk_symbols(n, rng)
     taps = gen_si_channel(n_tx, np.ones(2), rng)
-    shared = gen_wiener_phase(n, 1e-3, rng)
-    rx = gen_wiener_phase(n, 1e-3, rng)
+    shared = np.sqrt(1e-3) * gen_wiener_phase(n, rng)
+    rx = np.sqrt(1e-3) * gen_wiener_phase(n, rng)
     one = _synthesize(symbols, taps, [shared], rx)
     many = _synthesize(symbols, taps, [shared] * n_tx, rx)
     assert_allclose(one, many, atol=1e-12)
@@ -287,7 +298,7 @@ def _synthesis_inputs():
     n = 16
     symbols = gen_bpsk_symbols(n, rng)[None]
     taps = gen_si_channel(3, np.ones(2), rng)[None]
-    trace = gen_wiener_phase(n, 1e-3, rng)
+    trace = np.sqrt(1e-3) * gen_wiener_phase(n, rng)
     return {
         "symbols": symbols,
         "taps": taps,

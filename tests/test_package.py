@@ -1,6 +1,7 @@
 """The package's public surface, and the README's library sketch and
 config-file example."""
 
+import ast
 import dataclasses
 import os
 import re
@@ -61,6 +62,24 @@ def test_validate_runs_without_the_scipy_linalg_package():
         "if name in sys.modules])"
     )
     assert _probe(probe) == "0 ['fdsic.validation']"
+
+
+def test_estimator_imports_nothing_from_fdsic():
+    # the estimator takes the phase statistics as a plain kernel array, so
+    # it depends on numpy and scipy alone, never on the simulator
+    tree = ast.parse(Path(estimator.__file__).read_text())
+    imported = [
+        (node.level, node.module) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ] + [
+        (0, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+    ]
+    assert imported
+    assert [
+        (level, name) for level, name in imported
+        if level > 0 or (name or "").split(".")[0] == "fdsic"
+    ] == []
 
 
 def _foreign_routines(first: str, module: str, routines: dict) -> str:

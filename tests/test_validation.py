@@ -302,7 +302,7 @@ def test_time_domain_reference_needs_full_prefix():
     n = 16
     symbols = gen_bpsk_symbols(n, rng)
     taps = gen_si_channel(1, np.ones(6), rng)
-    trace = gen_wiener_phase(n, 1e-3, rng)
+    trace = np.sqrt(1e-3) * gen_wiener_phase(n, rng)
     with pytest.raises(ValueError, match="prefix"):
         time_domain_si_reference(symbols, taps, [trace], trace, 4)
 
@@ -312,7 +312,7 @@ def test_exact_order_reference_needs_prefixed_traces():
     n, cp = 16, 4
     symbols = gen_bpsk_symbols(n, rng)
     taps = gen_si_channel(2, np.ones(3), rng)
-    trace = gen_wiener_phase(n, 1e-3, rng)
+    trace = np.sqrt(1e-3) * gen_wiener_phase(n, rng)
     with pytest.raises(ValueError, match="prefixed"):
         exact_order_si_reference(symbols, taps, [trace], trace, cp)
     with pytest.raises(ValueError, match="prefix"):
@@ -345,15 +345,15 @@ def test_exact_order_samples_have_the_model_covariance():
     rng = np.random.default_rng(88)
     n, n_taps, n_tx, delta_f, draws = 8, 2, 4, 1e-2, 5_000
     cp = n_taps + 2
-    variance = phase_increment_variance(delta_f, n)
+    sigma = np.sqrt(phase_increment_variance(delta_f, n))
     symbols = gen_bpsk_symbols(n, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
     exact = np.empty((draws, n), dtype=np.complex128)
     model = np.empty((draws, n), dtype=np.complex128)
     for exact_row, model_row in zip(exact, model):
         taps = gen_si_channel(n_tx, pdp, rng)
-        tx = [gen_wiener_phase(n + cp, variance, rng) for _ in range(n_tx)]
-        rx = gen_wiener_phase(n, variance, rng)
+        tx = [sigma * gen_wiener_phase(n + cp, rng) for _ in range(n_tx)]
+        rx = sigma * gen_wiener_phase(n, rng)
         exact_row[:] = exact_order_si_reference(symbols, taps, tx, rx, cp)
         model_row[:] = synthesize_received(
             channel_outputs(symbols[None], taps[None]),
@@ -361,8 +361,8 @@ def test_exact_order_samples_have_the_model_covariance():
             rx[None],
         )[0]
     stats = EstimatorStatistics(symbols[None], pdp, n_tx)
-    table = pn_covariance_table(delta_f, n)
-    analytic = subcarrier_si_covariance(stats, table)[0]
+    kernel = pn_covariance_table(delta_f, n)
+    analytic = subcarrier_si_covariance(stats, kernel)[0]
     scale = np.max(np.abs(analytic))
     exact_gram = _streamed_gram((exact,), n)
     assert np.max(np.abs(exact_gram - analytic)) <= 0.06 * scale
@@ -384,12 +384,12 @@ def _si_in_both_orders(rng, delta_f):
     """Symbols and the unit-power SI of one symbol of the reference node,
     synthesized by the model (transmit phase after the channel) and by the
     exact-order oracle on the same draws."""
-    variance = phase_increment_variance(delta_f, NODE_N)
+    sigma = np.sqrt(phase_increment_variance(delta_f, NODE_N))
     symbols = gen_bpsk_symbols(NODE_N, rng)
     taps = gen_si_channel(NODE_TX, _node_pdp(), rng)
-    tx = [gen_wiener_phase(NODE_N + NODE_CP, variance, rng)
+    tx = [sigma * gen_wiener_phase(NODE_N + NODE_CP, rng)
           for _ in range(NODE_TX)]
-    rx = gen_wiener_phase(NODE_N, variance, rng)
+    rx = sigma * gen_wiener_phase(NODE_N, rng)
     model = synthesize_received(
         channel_outputs(symbols[None], taps[None]),
         np.array(tx)[None, :, NODE_CP:],
@@ -427,12 +427,12 @@ def test_model_order_barely_moves_optimal_ability_at_inr_50():
     # error of about 0.0035 dB over 200 symbols.
     rng = np.random.default_rng(85)
     delta_f, scale, soi = 1e-3, 1e5 / NODE_TX, 10.0
-    table = pn_covariance_table(delta_f, NODE_N)
+    kernel = pn_covariance_table(delta_f, NODE_N)
     residual = {"model": 0.0, "exact": 0.0}
     for _ in range(200):
         symbols, model, exact = _si_in_both_orders(rng, delta_f)
         stats = EstimatorStatistics(symbols[None], _node_pdp(), NODE_TX)
-        spectrum = si_spectrum(si_covariance(stats, table), stats)
+        spectrum = si_spectrum(si_covariance(stats, kernel), stats)
         weights = spectral_weights(spectrum, np.array([scale]), np.array([soi]))
         # V's eigenvalues, the gains (lam + noise) / (lam + noise + soi)
         si_noise = scale * spectrum.eigenvalues[0] + 1.0
