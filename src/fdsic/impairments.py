@@ -89,11 +89,13 @@ def gen_si_channel(
         raise ValueError(f"pdp must be a non-empty vector, got shape {pdp.shape}")
     if np.any(pdp < 0.0):
         raise ValueError("pdp entries must be non-negative")
-    scale = np.sqrt(pdp / 2.0)
-    return scale[None, :] * (
-        rng.standard_normal((n_tx, pdp.size))
-        + 1j * rng.standard_normal((n_tx, pdp.size))
-    )
+    # built in place: the same bits as sqrt(pdp / 2) * (re + 1j * im), with
+    # one real draw as the only temporary
+    taps = np.empty((n_tx, pdp.size), dtype=np.complex128)
+    taps.real = rng.standard_normal((n_tx, pdp.size))
+    taps.imag = rng.standard_normal((n_tx, pdp.size))
+    taps *= np.sqrt(pdp / 2.0)
+    return taps
 
 
 def gen_awgn(n: int, rng: np.random.Generator) -> np.ndarray:

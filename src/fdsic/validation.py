@@ -21,18 +21,23 @@ coefficients of phase traces (ici_coefficients) and cyclic-prefix
 modulation (modulate).  The simulator imports nothing from this module.
 
 Both Monte Carlo oracles stream their samples through fixed-size blocks of
-rows: the oscillator walks are drawn block by block at unit step, and each
+rows: the oscillator walks come one block at a time at unit step, and each
 block is scaled to its bandwidth, rotated and transformed on its own and
-folded into one running BLAS-3 Hermitian rank-k update (zherk), so their
-memory is bounded by the full-size walk array (and the SI oracle's taps)
-rather than by a stack of full-size temporaries.  Because only the scale
-depends on the bandwidth, the mixing oracle serves every bandwidth of a
-check from one draw.  The SI oracle forms its channel outputs by direct
-circular convolution with the delayed symbol waveforms, a route independent
-of the simulator's FFT-based channel_outputs.  Their random draws are part
-of the contract: the same seed draws the same numbers in the same order and
-shapes, block after block, so the reported worst errors change only in the
-last digits when the arithmetic around the draws changes.
+folded into a running BLAS-3 Hermitian rank-k update (zherk), so no walk or
+temporary exists at full size.  The mixing oracle's memory is bounded by
+one block, the SI oracle's by its full-size taps (drawn by the simulator's
+own gen_si_channel) and one block.  Because only the scale depends on the
+bandwidth, the mixing oracle serves every bandwidth of a check from one
+pass of the walks, folding each block into one triangle per bandwidth.
+The SI oracle forms its channel outputs by direct circular convolution
+with the delayed symbol waveforms, a route independent of the simulator's
+FFT-based channel_outputs.  Their random draws are part of the contract:
+the same seed draws the same numbers in the same order and shapes, as if
+each oscillator's steps were one full-size draw, and leaves the generator
+in the same state; a skip pass over the first oscillator's steps lets each
+block of both oscillators be drawn together without changing a draw.  So
+the reported worst errors change only in the last digits when the
+arithmetic around the draws changes.
 
 run_all runs the suites in two processes.  The four checks are independent
 and separately seeded, so a forked child runs the mixing oracle while the
@@ -53,6 +58,7 @@ its start-up and 15 MB of its peak memory.  scipy.linalg's cho_factor and
 cho_solve wrap the same two routines, so the results are the same bits.
 """
 
+import copy
 import ctypes
 import functools
 import multiprocessing
@@ -290,8 +296,10 @@ def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(kernel, axis=1), axis=0) / n
 
 
-# Rows per block of the Monte Carlo oracles: each block's temporaries hold
-# at most this many complex entries (2 MiB), unless one row alone is larger.
+# Rows per block of the Monte Carlo oracles: each block's walks and
+# temporaries hold at most this many entries (2 MiB complex), unless one row
+# alone is larger.  With the walks streamed too, this bounds the mixing
+# oracle's working set (about 10 MB at any trace count).
 _BLOCK_ENTRIES = 2**17
 
 
@@ -308,50 +316,93 @@ def _require_samples(count: int, name: str) -> None:
         raise ValueError(f"{name} must be at least 1, got {count}")
 
 
-def _streamed_gram(blocks, n: int) -> np.ndarray:
-    """Sample second moment sum_t r_t conj(r_t).T / T of the T rows of a
-    sequence of (rows, n) blocks.
+def _streamed_grams(steps, n: int) -> list[np.ndarray]:
+    """Sample second moments sum_t r_t conj(r_t).T / T of several streams
+    of T rows each, passed together: each step of steps is a sequence of
+    (rows, n) blocks, one per stream, all with the same rows.
 
-    Each block is folded into one running upper triangle by a BLAS-3
-    rank-k update (zherk with beta = 1); the sum is divided by T and
-    mirrored once at the end, so the result is exactly Hermitian.  rows.T
-    of a C-ordered block is the Fortran-ordered operand zherk reads, so
-    neither a copy nor a conjugate of the samples is made.
+    Each block is folded into its stream's running upper triangle by a
+    BLAS-3 rank-k update (zherk with beta = 1); each sum is divided by T
+    and mirrored once at the end, so every result is exactly Hermitian.
+    rows.T of a C-ordered block is the Fortran-ordered operand zherk reads,
+    so neither a copy nor a conjugate of the samples is made.  A stream's
+    blocks are consumed one at a time, so a lazy sequence holds only one.
     """
-    # zherk never touches the strictly lower triangle, which stays zero
-    upper = np.zeros((n, n), dtype=np.complex128, order="F")
+    uppers = []
     count = 0
-    for rows in blocks:
-        upper = blas.zherk(1.0, rows.T, beta=1.0, c=upper, overwrite_c=1)
+    for blocks in steps:
+        for stream, rows in enumerate(blocks):
+            if stream == len(uppers):
+                # zherk never touches the strictly lower triangle, which
+                # stays zero
+                uppers.append(np.zeros((n, n), dtype=np.complex128, order="F"))
+            uppers[stream] = blas.zherk(
+                1.0, rows.T, beta=1.0, c=uppers[stream], overwrite_c=1
+            )
         count += rows.shape[0]
-    upper /= count
-    return upper + np.triu(upper, 1).conj().T
+    grams = []
+    for upper in uppers:
+        upper /= count
+        grams.append(upper + np.triu(upper, 1).conj().T)
+    return grams
 
 
-def _summed_wiener_phases(
-    shape: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
+def _streamed_gram(blocks, n: int) -> np.ndarray:
+    """Sample second moment of the rows of one sequence of (rows, n)
+    blocks, as _streamed_grams computes it."""
+    (gram,) = _streamed_grams(((rows,) for rows in blocks), n)
+    return gram
+
+
+def _cumsum_last_axis(values: np.ndarray) -> None:
+    """np.cumsum(values, axis=-1, out=values), the same sequential sums and
+    so the same bits, adding one column to the next over all rows at once.
+    The oracles' blocks have thousands of rows and at most a few dozen
+    columns, where this is about twice as fast as cumsum's loop over
+    rows."""
+    for column in range(1, values.shape[-1]):
+        np.add(
+            values[..., column - 1], values[..., column],
+            out=values[..., column],
+        )
+
+
+def _summed_wiener_phases(shape: tuple[int, ...], rng: np.random.Generator):
     """Phases of two independent Wiener oscillators summed, one trace along
-    the last axis of shape, each starting at zero with unit-variance steps.
+    the last axis of shape, each starting at zero with unit-variance steps,
+    yielded one row block of the leading axis at a time as (rows,
+    phases[rows]).
 
     A walk with steps of standard deviation sigma is sigma times this unit
-    walk, so one draw serves every bandwidth: callers scale one row block
-    at a time and only the returned array exists at full size.  The steps
-    are drawn as two (shape[0], ..., N - 1) arrays, first oscillator first,
-    but block by block along the leading axis: standard_normal fills C
-    order sequentially, so consecutive blocks receive the numbers one full
-    draw would.
+    walk, so one draw serves every bandwidth.  The steps are those of two
+    (shape[0], ..., N - 1) draws, first oscillator first, and rng ends where
+    those two draws leave it.  standard_normal fills C order sequentially,
+    so consecutive blocks receive the numbers one full draw would.  A copy
+    of rng taken at the first oscillator's start draws its blocks, while
+    rng, advanced past them by a skip pass through the block's step
+    buffer, draws the second oscillator's; each block is summed as
+    0 + a + b, as a full-size sum would be.  So the walks are the same bits
+    and only one block of them exists, at the cost of drawing the first
+    oscillator's normals twice.  Each yielded block is a view of one buffer
+    that the next block overwrites, and rng must not be drawn from
+    elsewhere until the walks are exhausted.
     """
-    phases = np.zeros(shape)
     row_entries = int(np.prod(shape[1:]))
-    for _ in range(2):
-        for rows in _row_blocks(shape[0], row_entries):
-            steps = rng.standard_normal(
-                (rows.stop - rows.start,) + shape[1:-1] + (shape[-1] - 1,)
-            )
-            np.cumsum(steps, axis=-1, out=steps)
-            phases[rows, ..., 1:] += steps
-    return phases
+    block_rows = next(_row_blocks(shape[0], row_entries)).stop
+    phases = np.zeros((block_rows,) + shape[1:])
+    steps = np.empty((block_rows,) + shape[1:-1] + (shape[-1] - 1,))
+    first = copy.deepcopy(rng)
+    for rows in _row_blocks(shape[0], row_entries):
+        rng.standard_normal(out=steps[: rows.stop - rows.start])
+    for rows in _row_blocks(shape[0], row_entries):
+        block = phases[: rows.stop - rows.start]
+        block_steps = steps[: rows.stop - rows.start]
+        block[..., 1:] = 0.0
+        for source in (first, rng):
+            source.standard_normal(out=block_steps)
+            _cumsum_last_axis(block_steps)
+            block[..., 1:] += block_steps
+        yield rows, block
 
 
 def ici_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -378,14 +429,14 @@ def simulate_mixing_covariance(
     receive Wiener traces, by direct transform of the rotation samples, one
     estimate per phase-noise bandwidth in delta_fs.
 
-    All bandwidths share one draw of unit-step walks, each scaled to its
-    bandwidth one block of traces at a time.  Every trace is transformed on
-    its own by ici_coefficients, so the oracle checks the closed form's
-    transform convention, and the traces enter only through their sample
-    Gram, which is streamed over blocks of traces.  The rng draws (two
-    blocks of n_traces x (n_subcarriers - 1) normals, whatever the number
-    of bandwidths) are part of the oracle's contract: a given rng state
-    always yields the same traces.
+    All bandwidths share one pass of unit-step walks: each block of traces
+    is scaled to every bandwidth in turn and folded into that bandwidth's
+    running Gram.  Every trace is transformed on its own by
+    ici_coefficients, so the oracle checks the closed form's transform
+    convention, and the traces enter only through their sample Gram.  The
+    rng draws (two blocks of n_traces x (n_subcarriers - 1) normals,
+    whatever the number of bandwidths) are part of the oracle's contract: a
+    given rng state always yields the same traces.
     """
     if len(delta_fs) == 0:
         raise ValueError("delta_fs must name at least one bandwidth")
@@ -395,14 +446,13 @@ def simulate_mixing_covariance(
         for delta_f in delta_fs
     ]
     walks = _summed_wiener_phases((n_traces, n_subcarriers), rng)
-
-    def coefficients(sigma: float):
-        for rows in _row_blocks(n_traces, n_subcarriers):
-            yield ici_coefficients(sigma * walks[rows])
-
-    return [
-        _streamed_gram(coefficients(sigma), n_subcarriers) for sigma in sigmas
-    ]
+    return _streamed_grams(
+        (
+            (ici_coefficients(sigma * phases) for sigma in sigmas)
+            for _, phases in walks
+        ),
+        n_subcarriers,
+    )
 
 
 def check_pn_covariance(
@@ -475,12 +525,12 @@ def simulate_si_covariance(
     simulator's own gen_si_channel.  The channel outputs come from direct
     circular convolution of the taps with the delayed symbol waveforms
     rather than from the FFT pair of channel_outputs, so the oracle shares
-    no route with it.  The unit-step walks are scaled to the bandwidth, and
-    the rotated outputs summed over antennas and transformed, one block of
-    trials at a time; they enter only through their sample Gram.  The rng
-    draws (taps, then two blocks of oscillator steps) keep their order,
-    shapes and count: a given rng state always yields the same channels and
-    traces.
+    no route with it.  The unit-step walks come one block of trials at a
+    time and are scaled to the bandwidth, and the rotated outputs summed
+    over antennas and transformed; they enter only through their sample
+    Gram, so only the taps exist at full size.  The rng draws (taps, then
+    two blocks of oscillator steps) keep their order, shapes and count: a
+    given rng state always yields the same channels and traces.
     """
     _require_samples(n_trials, "n_trials")
     n = symbols.size
@@ -489,17 +539,15 @@ def simulate_si_covariance(
     taps = gen_si_channel(n_trials * n_tx, pdp, rng).reshape(
         n_trials, n_tx, n_taps
     )
-    walks = _summed_wiener_phases((n_trials, n_tx, n), rng)
     delayed = _delayed_waveforms(symbols, n_taps)
 
-    def si_vectors(rows: slice) -> np.ndarray:
-        outputs = _direct_channel_outputs(taps[rows], delayed)
-        outputs *= unit_rotation(sigma * walks[rows])
-        return np.fft.fft(outputs.sum(axis=1), axis=1)
+    def si_vectors():
+        for rows, phases in _summed_wiener_phases((n_trials, n_tx, n), rng):
+            outputs = _direct_channel_outputs(taps[rows], delayed)
+            outputs *= unit_rotation(sigma * phases)
+            yield np.fft.fft(outputs.sum(axis=1), axis=1)
 
-    return _streamed_gram(
-        (si_vectors(rows) for rows in _row_blocks(n_trials, n_tx * n)), n
-    )
+    return _streamed_gram(si_vectors(), n)
 
 
 def check_si_covariance(

@@ -145,6 +145,9 @@ def test_cancellation_ability_known_ratio():
     assert cancellation_ability(1000.0, 1000.0) == pytest.approx(0.0)
     assert cancellation_ability(1.0, 0.0) == math.inf
     assert cancellation_ability(1.0, -1.0) == math.inf
+    # finite positive powers whose ratio leaves the float range
+    assert cancellation_ability(1e-300, 1e300) == pytest.approx(-6000.0)
+    assert cancellation_ability(1e300, 1e-300) == pytest.approx(6000.0)
     # a power that is not finite, or a pre-cancellation power that is not
     # positive, raises naming its argument rather than a math domain error
     # or a NaN ability

@@ -197,6 +197,20 @@ def test_si_channel_tap_powers_follow_profile():
     assert np.max(np.abs(taps.mean(axis=0))) < 0.05
 
 
+@pytest.mark.parametrize("n_tx", [1, 5])
+def test_si_channel_taps_are_the_scaled_pair_of_draws(n_tx):
+    # the taps are built in place, bit for bit the product of the scale and
+    # the complex pair of draws, a zero-power tap included
+    pdp = np.array([1.0, 0.0, 0.25])
+    taps = gen_si_channel(n_tx, pdp, np.random.default_rng(29))
+    rng = np.random.default_rng(29)
+    re = rng.standard_normal((n_tx, pdp.size))
+    im = rng.standard_normal((n_tx, pdp.size))
+    assert taps.dtype == np.complex128
+    assert np.array_equal(taps, np.sqrt(pdp / 2.0) * (re + 1j * im))
+    assert np.array_equal(taps[:, 1], np.zeros(n_tx))
+
+
 def test_si_channel_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="n_tx"):

@@ -220,6 +220,60 @@ def test_streamed_oracles_match_the_one_shot_reduction(
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+# One trace of N = 1 (no steps), a sample count below one block, two
+# blocks and a remainder on MT19937, and rows larger than a block; with
+# 128-entry blocks of N = 8 a block holds 16 rows.
+@pytest.mark.parametrize(
+    "bit_generator, shape",
+    [
+        (np.random.PCG64, (1, 1)),
+        (np.random.PCG64, (10, 8)),
+        (np.random.MT19937, (37, 8)),
+        (np.random.PCG64, (3, 24, 8)),
+    ],
+)
+def test_streamed_walks_match_one_full_size_draw(
+    monkeypatch, bit_generator, shape
+):
+    monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
+    rng = np.random.Generator(bit_generator(98))
+    reference_rng = np.random.Generator(bit_generator(98))
+    reference = np.zeros(shape)
+    for _ in range(2):
+        steps = reference_rng.standard_normal(shape[:-1] + (shape[-1] - 1,))
+        reference[..., 1:] += np.cumsum(steps, axis=-1)
+    # each block is overwritten by the next, so keep copies
+    walks = [
+        (rows, phases.copy())
+        for rows, phases in validation._summed_wiener_phases(shape, rng)
+    ]
+    starts = [rows.start for rows, _ in walks]
+    stops = [rows.stop for rows, _ in walks]
+    assert starts == [0] + stops[:-1] and stops[-1] == shape[0]
+    streamed = np.concatenate([phases for _, phases in walks])
+    assert np.array_equal(streamed, reference)
+    assert _same_state(
+        rng.bit_generator.state, reference_rng.bit_generator.state
+    )
+
+
+@pytest.mark.parametrize("shape", [(3, 40), (40, 3), (7, 5, 9), (4, 0)])
+def test_column_cumsum_is_numpy_cumsum(shape):
+    values = np.random.default_rng(97).standard_normal(shape)
+    summed = values.copy()
+    validation._cumsum_last_axis(summed)
+    assert np.array_equal(summed, np.cumsum(values, axis=-1))
+
+
+def _same_state(state, other):
+    # MT19937 keeps its key as an array inside the state dictionary
+    if isinstance(state, dict):
+        return state.keys() == other.keys() and all(
+            _same_state(state[key], other[key]) for key in state
+        )
+    return np.array_equal(state, other)
+
+
 def test_mixing_oracle_rejects_zero_traces():
     with pytest.raises(ValueError, match="n_traces"):
         simulate_mixing_covariance((1e-3,), 16, 0, np.random.default_rng(92))
@@ -295,6 +349,31 @@ def test_full_size_oracles_stream_within_50_mb():
     finally:
         tracemalloc.stop()
     assert max(peaks) < 50e6, peaks
+
+
+def test_oracle_memory_does_not_grow_with_the_sample_count():
+    # The walks come one block at a time, so the mixing oracle's peak is
+    # the same at 20k and 100k traces (about 10 MB; a full-size walk array
+    # took it to 33 MB), and the SI oracle's is its full-size taps and one
+    # block (about 21 MB; 44 MB with full-size walks).
+    rng = np.random.default_rng(99)
+    symbols = gen_bpsk_symbols(8, rng)
+    pdp = np.exp(-np.arange(2) / 4.0)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for n_traces in (20_000, 100_000):
+            tracemalloc.reset_peak()
+            simulate_mixing_covariance((1e-4, 1e-3), 32, n_traces, rng)
+            peaks[n_traces] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        simulate_si_covariance(symbols, pdp, 4, 1e-3, 100_000, rng)
+        peaks["si"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[100_000] <= 16e6, peaks
+    assert peaks[100_000] <= 1.2 * peaks[20_000], peaks
+    assert peaks["si"] <= 28e6, peaks
 
 
 def test_time_domain_reference_needs_full_prefix():
