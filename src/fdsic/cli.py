@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    _SWEEP_FIELDS,
     SimConfig,
     SweepRecord,
     emit_csv,
@@ -91,12 +92,10 @@ def _load_config(args: argparse.Namespace) -> SimConfig:
         overrides["master_seed"] = args.seed
     if args.trials is not None:
         overrides["n_trials"] = args.trials
-    if getattr(args, "inr", None) is not None:
-        overrides["inr_db"] = args.inr
-    if getattr(args, "snr", None) is not None:
-        overrides["snr_db"] = args.snr
-    if getattr(args, "delta_f", None) is not None:
-        overrides["delta_f"] = args.delta_f
+    # single's --inr, --snr and --delta-f are the sweep variables' dests
+    for variable, field in _SWEEP_FIELDS.items():
+        if getattr(args, variable, None) is not None:
+            overrides[field] = getattr(args, variable)
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config

@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -60,6 +61,7 @@ _CHUNK_ENTRIES = 2**15
 # The methods along the first axis of a sweep's residual array; its second
 # axis holds the empirical and the theoretical residual power.
 _METHODS = ("ls", "optimal")
+# The CSV names of SweepRecord's fields, in field order (JSON keeps theirs).
 CSV_COLUMNS = (
     "sweep_var",
     "value",
@@ -69,12 +71,6 @@ CSV_COLUMNS = (
     "resid_mean",
     "trials",
     "ci_db",
-)
-# How read_csv parses each column, in SweepRecord's field order; an empty
-# g_theo_db cell (CSVs written before LS had a prediction) reads as None.
-_CSV_PARSERS = (
-    str, float, str, float, lambda cell: None if cell == "" else float(cell),
-    float, int, float,
 )
 
 
@@ -431,32 +427,30 @@ def _aggregate(
 
 
 def emit_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
-    """Write sweep records as CSV, sorted by (value, method), full float
-    precision so a round trip through read_csv is lossless."""
+    """Write sweep records as CSV, sorted by (value, method).  The columns
+    are SweepRecord's fields in order, named by CSV_COLUMNS, so a new
+    column is one field and one name.  A float cell is written with repr,
+    full precision so a round trip through read_csv is lossless, None as
+    an empty cell, and a str or int as it is."""
     ordered = sorted(records, key=lambda r: (r.value, r.method))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for record in ordered:
-            writer.writerow(
-                [
-                    record.sweep_variable,
-                    repr(record.value),
-                    record.method,
-                    repr(record.g_empirical_db),
-                    "" if record.g_theoretical_db is None
-                    else repr(record.g_theoretical_db),
-                    repr(record.residual_power_mean),
-                    record.trials,
-                    repr(record.ci_halfwidth_db),
-                ]
-            )
+        writer.writerows(
+            ["" if c is None else repr(c) if isinstance(c, float) else c
+             for c in dataclasses.astuple(record)]
+            for record in ordered
+        )
 
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
-    """Parse a CSV written by emit_csv back into records.  A row with more
-    or fewer fields than the header raises ValueError naming its line, and
-    a cell that does not parse one naming its line and column."""
+    """Parse a CSV written by emit_csv, whose header must be CSV_COLUMNS
+    exactly, back into records.  Each cell is parsed by its field's type,
+    and an `X | None` field reads an empty cell as None (g_theo_db is empty
+    in CSVs written before LS had a prediction).  A row with more or fewer
+    fields than the header raises ValueError naming its line, and a cell
+    that does not parse one naming its line and column."""
+    fields = dataclasses.fields(SweepRecord)
     records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -470,9 +464,11 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
                     f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
                 )
             cells = []
-            for column, parse, cell in zip(CSV_COLUMNS, _CSV_PARSERS, row):
+            for column, field, cell in zip(CSV_COLUMNS, fields, row, strict=True):
+                # kind of an `X | None` field is X, and rest is (NoneType,)
+                kind, *rest = typing.get_args(field.type) or (field.type,)
                 try:
-                    cells.append(parse(cell))
+                    cells.append(None if rest and cell == "" else kind(cell))
                 except ValueError as exc:
                     raise ValueError(f"{where}: {column}: {exc}") from exc
             records.append(SweepRecord(*cells))

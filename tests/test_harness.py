@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -859,6 +860,31 @@ def test_csv_roundtrip_is_lossless(tmp_path):
     path = tmp_path / "out.csv"
     emit_csv(records, path)
     assert read_csv(path) == records
+    # no prediction is an empty cell, and LS's clamped zero residual an
+    # infinite ability
+    record = dataclasses.replace(
+        records[0], g_theoretical_db=None, g_empirical_db=math.inf
+    )
+    emit_csv([record], path)
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[CSV_COLUMNS.index("g_theo_db")] == ""
+    assert row[CSV_COLUMNS.index("g_emp_db")] == "inf"
+    assert read_csv(path) == [record]
+
+
+def test_reference_csvs_reread_byte_for_byte(tmp_path):
+    # the benchmark's committed reference outputs, with their empty LS
+    # g_theo_db cells, come back unchanged through read_csv and emit_csv
+    root = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    paths = sorted(root.glob("*/*.csv"))
+    assert len(paths) == 48
+    empty_cells = 0
+    for path in paths:
+        records = read_csv(path)
+        empty_cells += sum(r.g_theoretical_db is None for r in records)
+        emit_csv(records, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path
+    assert empty_cells > 0
 
 
 def test_csv_emission_is_byte_stable(tmp_path):

@@ -257,14 +257,6 @@ def test_streamed_walks_match_one_full_size_draw(
     )
 
 
-@pytest.mark.parametrize("shape", [(3, 40), (40, 3), (7, 5, 9), (4, 0)])
-def test_column_cumsum_is_numpy_cumsum(shape):
-    values = np.random.default_rng(97).standard_normal(shape)
-    summed = values.copy()
-    validation._cumsum_last_axis(summed)
-    assert np.array_equal(summed, np.cumsum(values, axis=-1))
-
-
 def _same_state(state, other):
     # MT19937 keeps its key as an array inside the state dictionary
     if isinstance(state, dict):
