@@ -49,7 +49,11 @@ def gen_wiener_phase(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     A walk whose increments have variance v is sqrt(v) times it."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    return np.concatenate(([0.0], np.cumsum(rng.standard_normal(n_samples - 1))))
+    walk = np.empty(n_samples)
+    walk[0] = 0.0
+    rng.standard_normal(out=walk[1:])
+    np.cumsum(walk[1:], out=walk[1:])
+    return walk
 
 
 def pn_covariance_table(delta_f: float, n_subcarriers: int) -> np.ndarray:

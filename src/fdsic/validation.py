@@ -21,23 +21,23 @@ coefficients of phase traces (ici_coefficients) and cyclic-prefix
 modulation (modulate).  The simulator imports nothing from this module.
 
 Both Monte Carlo oracles stream their samples through fixed-size blocks of
-rows: the oscillator walks come one block at a time at unit step, and each
-block is scaled to its bandwidth, rotated and transformed on its own and
-folded into a running BLAS-3 Hermitian rank-k update (zherk), so no walk or
-temporary exists at full size.  The mixing oracle's memory is bounded by
-one block, the SI oracle's by its full-size taps (drawn by the simulator's
-own gen_si_channel) and one block.  Because only the scale depends on the
-bandwidth, the mixing oracle serves every bandwidth of a check from one
-pass of the walks, folding each block into one triangle per bandwidth.
-The SI oracle forms its channel outputs by direct circular convolution
-with the delayed symbol waveforms, a route independent of the simulator's
-FFT-based channel_outputs.  Their random draws are part of the contract:
-the same seed draws the same numbers in the same order and shapes, as if
-each oscillator's steps were one full-size draw, and leaves the generator
-in the same state; a skip pass over the first oscillator's steps lets each
-block of both oscillators be drawn together without changing a draw.  So
-the reported worst errors change only in the last digits when the
-arithmetic around the draws changes.
+rows: the SI oracle's channel taps and both oracles' oscillator walks come
+one block at a time, the walks at unit step, and each block is scaled to
+its bandwidth, rotated and transformed on its own and folded into a
+running BLAS-3 Hermitian rank-k update (zherk), so no draw, walk or
+temporary exists at full size and each oracle's memory is bounded by one
+block.  Because only the scale depends on the bandwidth, the mixing oracle
+serves every bandwidth of a check from one pass of the walks, folding each
+block into one triangle per bandwidth.  The SI oracle forms its channel
+outputs by direct circular convolution with the delayed symbol waveforms,
+a route independent of the simulator's FFT-based channel_outputs.  Their
+random draws are part of the contract: the same seed draws the same
+numbers in the same order and shapes, as if the taps (as the simulator's
+gen_si_channel draws them) and each oscillator's steps were full-size
+draws, and leaves the generator in the same state; a skip pass over every
+draw but the last lets each block of all of them be drawn together without
+changing a draw.  So the reported worst errors change only in the last
+digits when the arithmetic around the draws changes.
 
 run_all runs the suites in two processes.  The four checks are independent
 and separately seeded, so a forked child runs the mixing oracle while the
@@ -296,10 +296,10 @@ def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(kernel, axis=1), axis=0) / n
 
 
-# Rows per block of the Monte Carlo oracles: each block's walks and
+# Rows per block of the Monte Carlo oracles: each block's draws, walks and
 # temporaries hold at most this many entries (2 MiB complex), unless one row
-# alone is larger.  With the walks streamed too, this bounds the mixing
-# oracle's working set (about 10 MB at any trace count).
+# alone is larger.  With the draws streamed too, this bounds both oracles'
+# working sets (about 11 MB mixing, 9 MB SI, at any sample count).
 _BLOCK_ENTRIES = 2**17
 
 
@@ -354,6 +354,43 @@ def _streamed_gram(blocks, n: int) -> np.ndarray:
     return gram
 
 
+def _streamed_normals(n_rows: int, row_entries: int, row_shapes, rng):
+    """Consecutive full-size draws rng.standard_normal((n_rows,) + shape),
+    one per shape of row_shapes in order, yielded together one row block of
+    _row_blocks(n_rows, row_entries) at a time as (rows, [draw[rows], ...]).
+
+    standard_normal fills C order sequentially, so consecutive blocks of a
+    draw get the numbers its full-size draw would.  A copy of rng taken at
+    each draw's start, reached by skip passes through that draw's block
+    buffer, draws its blocks, and rng itself the last draw's, so it ends
+    where the full-size draws leave it; every draw but the last is drawn
+    twice.  Each block is a view of a buffer the next block overwrites, and
+    rng must not be drawn from elsewhere until the blocks are exhausted.
+    """
+    block_rows = next(_row_blocks(n_rows, row_entries)).stop
+    buffers = [np.empty((block_rows,) + tuple(shape)) for shape in row_shapes]
+    sources = []
+    for buffer in buffers[:-1]:
+        sources.append(copy.deepcopy(rng))
+        for rows in _row_blocks(n_rows, row_entries):
+            rng.standard_normal(out=buffer[: rows.stop - rows.start])
+    sources.append(rng)
+    for rows in _row_blocks(n_rows, row_entries):
+        blocks = [buffer[: rows.stop - rows.start] for buffer in buffers]
+        for source, block in zip(sources, blocks):
+            source.standard_normal(out=block)
+        yield rows, blocks
+
+
+def _add_walks(phases: np.ndarray, steps) -> None:
+    """phases[..., 1:] = 0 + cumsum(a) + cumsum(b) + ... over the blocks of
+    steps, each cumulated in place, as a full-size sum would be."""
+    phases[..., 1:] = 0.0
+    for block_steps in steps:
+        np.cumsum(block_steps, axis=-1, out=block_steps)
+        phases[..., 1:] += block_steps
+
+
 def _summed_wiener_phases(shape: tuple[int, ...], rng: np.random.Generator):
     """Phases of two independent Wiener oscillators summed, one trace along
     the last axis of shape, each starting at zero with unit-variance steps,
@@ -361,34 +398,17 @@ def _summed_wiener_phases(shape: tuple[int, ...], rng: np.random.Generator):
     phases[rows]).
 
     A walk with steps of standard deviation sigma is sigma times this unit
-    walk, so one draw serves every bandwidth.  The steps are those of two
-    (shape[0], ..., N - 1) draws, first oscillator first, and rng ends where
-    those two draws leave it.  standard_normal fills C order sequentially,
-    so consecutive blocks receive the numbers one full draw would.  A copy
-    of rng taken at the first oscillator's start draws its blocks, while
-    rng, advanced past them by a skip pass through the block's step
-    buffer, draws the second oscillator's; each block is summed as
-    0 + a + b, as a full-size sum would be.  So the walks are the same bits
-    and only one block of them exists, at the cost of drawing the first
-    oscillator's normals twice.  Each yielded block is a view of one buffer
-    that the next block overwrites, and rng must not be drawn from
-    elsewhere until the walks are exhausted.
+    walk, so one draw serves every bandwidth.  The steps are two
+    (shape[0], ..., N - 1) draws, first oscillator first, streamed by
+    _streamed_normals, whose contract on rng and on the blocks holds here.
     """
     row_entries = int(np.prod(shape[1:]))
     block_rows = next(_row_blocks(shape[0], row_entries)).stop
     phases = np.zeros((block_rows,) + shape[1:])
-    steps = np.empty((block_rows,) + shape[1:-1] + (shape[-1] - 1,))
-    first = copy.deepcopy(rng)
-    for rows in _row_blocks(shape[0], row_entries):
-        rng.standard_normal(out=steps[: rows.stop - rows.start])
-    for rows in _row_blocks(shape[0], row_entries):
+    steps = [shape[1:-1] + (shape[-1] - 1,)] * 2
+    for rows, blocks in _streamed_normals(shape[0], row_entries, steps, rng):
         block = phases[: rows.stop - rows.start]
-        block_steps = steps[: rows.stop - rows.start]
-        block[..., 1:] = 0.0
-        for source in (first, rng):
-            source.standard_normal(out=block_steps)
-            np.cumsum(block_steps, axis=-1, out=block_steps)
-            block[..., 1:] += block_steps
+        _add_walks(block, blocks)
         yield rows, block
 
 
@@ -508,30 +528,40 @@ def simulate_si_covariance(
     """Sample covariance of synthesized SI vectors for fixed symbols.
 
     Vectorized mirror of synthesize_received: fresh channels and
-    per-antenna oscillator pairs each trial, the taps drawn by the
-    simulator's own gen_si_channel.  The channel outputs come from direct
-    circular convolution of the taps with the delayed symbol waveforms
-    rather than from the FFT pair of channel_outputs, so the oracle shares
-    no route with it.  The unit-step walks come one block of trials at a
-    time and are scaled to the bandwidth, and the rotated outputs summed
-    over antennas and transformed; they enter only through their sample
-    Gram, so only the taps exist at full size.  The rng draws (taps, then
-    two blocks of oscillator steps) keep their order, shapes and count: a
-    given rng state always yields the same channels and traces.
+    per-antenna oscillator pairs each trial.  The channel outputs come from
+    direct circular convolution of the taps with the delayed symbol
+    waveforms rather than from the FFT pair of channel_outputs, so the
+    oracle shares no route with it.  The taps, built as gen_si_channel
+    builds them, and the unit-step walks, scaled to the bandwidth, come one
+    block of trials at a time; the rotated outputs are summed over antennas
+    and transformed and enter only through their sample Gram, so nothing
+    exists at full size.  The rng draws (those of gen_si_channel(n_trials *
+    n_tx, pdp, rng), then two blocks of oscillator steps) keep their order,
+    shapes and count: a given rng state always yields the same channels and
+    traces.
     """
     _require_samples(n_trials, "n_trials")
     n = symbols.size
-    n_taps = pdp.size
     sigma = np.sqrt(phase_increment_variance(delta_f, n))
-    taps = gen_si_channel(n_trials * n_tx, pdp, rng).reshape(
-        n_trials, n_tx, n_taps
-    )
-    delayed = _delayed_waveforms(symbols, n_taps)
+    scale = np.sqrt(pdp / 2.0)
+    delayed = _delayed_waveforms(symbols, pdp.size)
+    block_rows = next(_row_blocks(n_trials, n_tx * n)).stop
+    taps = np.empty((block_rows, n_tx, pdp.size), dtype=np.complex128)
+    phases = np.zeros((block_rows, n_tx, n))
+    shapes = [(n_tx, pdp.size)] * 2 + [(n_tx, n - 1)] * 2
 
     def si_vectors():
-        for rows, phases in _summed_wiener_phases((n_trials, n_tx, n), rng):
-            outputs = _direct_channel_outputs(taps[rows], delayed)
-            outputs *= unit_rotation(sigma * phases)
+        draws = _streamed_normals(n_trials, n_tx * n, shapes, rng)
+        for rows, (real, imag, *steps) in draws:
+            block_taps = taps[: rows.stop - rows.start]
+            block_taps.real = real
+            block_taps.imag = imag
+            block_taps *= scale
+            block = phases[: rows.stop - rows.start]
+            _add_walks(block, steps)
+            block *= sigma
+            outputs = _direct_channel_outputs(block_taps, delayed)
+            outputs *= unit_rotation(block)
             yield np.fft.fft(outputs.sum(axis=1), axis=1)
 
     return _streamed_gram(si_vectors(), n)

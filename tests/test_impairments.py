@@ -65,6 +65,20 @@ def test_wiener_phase_starts_at_initial_value():
     assert np.array_equal(trace[1:], np.cumsum(steps))
 
 
+@pytest.mark.parametrize("n", [1, 2, 32])
+def test_wiener_phase_built_in_place_keeps_the_draws(n):
+    # the walk is built in one array, the same bits and generator state as
+    # the zero prepended to the cumulated draw
+    rng = np.random.Generator(np.random.PCG64(23))
+    reference_rng = np.random.Generator(np.random.PCG64(23))
+    for _ in range(5):
+        reference = np.concatenate(
+            ([0.0], np.cumsum(reference_rng.standard_normal(n - 1)))
+        )
+        assert np.array_equal(gen_wiener_phase(n, rng), reference)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_wiener_phase_variance_grows_linearly():
     # unit-step walks: the variance after idx steps is idx
     rng = np.random.default_rng(22)

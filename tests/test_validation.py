@@ -257,6 +257,68 @@ def test_streamed_walks_match_one_full_size_draw(
     )
 
 
+# With 128-entry blocks and rows of n_tx * N = 16 entries a block holds 8
+# rows: counts below one block, exactly two blocks, and two blocks and a
+# remainder; 24 antennas make a row larger than a block.  The draws' rows
+# are taps of (n_tx, L) and steps of (n_tx, N - 1), with L = 3 and N = 8.
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("n_draws", [1, 2, 4])
+@pytest.mark.parametrize("n_tx, count", [(2, 5), (2, 16), (2, 19), (24, 3)])
+def test_streamed_normals_are_consecutive_full_size_draws(
+    monkeypatch, bit_generator, n_draws, n_tx, count
+):
+    monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
+    n = 8
+    row_shapes = ([(n_tx, 3), (n_tx, n - 1)] * 2)[-n_draws:]
+    rng = np.random.Generator(bit_generator(97))
+    reference_rng = np.random.Generator(bit_generator(97))
+    references = [
+        reference_rng.standard_normal((count,) + shape) for shape in row_shapes
+    ]
+    # each block is overwritten by the next, so keep copies
+    streamed = [
+        (rows, [block.copy() for block in blocks])
+        for rows, blocks in validation._streamed_normals(
+            count, n_tx * n, row_shapes, rng
+        )
+    ]
+    starts = [rows.start for rows, _ in streamed]
+    stops = [rows.stop for rows, _ in streamed]
+    assert starts == [0] + stops[:-1] and stops[-1] == count
+    for draw, reference in enumerate(references):
+        blocks = [blocks[draw] for _, blocks in streamed]
+        assert np.array_equal(np.concatenate(blocks), reference)
+    assert _same_state(
+        rng.bit_generator.state, reference_rng.bit_generator.state
+    )
+
+
+@pytest.mark.parametrize("n_tx, count", [(2, 5), (2, 19), (24, 3)])
+def test_si_oracle_taps_are_the_simulator_channel_draw(
+    monkeypatch, n_tx, count
+):
+    # the taps the SI oracle convolves, block by block, are bit for bit one
+    # gen_si_channel draw of count * n_tx channels
+    monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
+    convolve = validation._direct_channel_outputs
+    seen = []
+
+    def recording(taps, delayed):
+        seen.append(taps.copy())
+        return convolve(taps, delayed)
+
+    monkeypatch.setattr(validation, "_direct_channel_outputs", recording)
+    pdp = np.array([1.0, 0.0, 0.25])
+    symbols = gen_bpsk_symbols(8, np.random.default_rng(91))
+    simulate_si_covariance(
+        symbols, pdp, n_tx, 1e-2, count, np.random.default_rng(89)
+    )
+    reference = gen_si_channel(
+        count * n_tx, pdp, np.random.default_rng(89)
+    ).reshape(count, n_tx, pdp.size)
+    assert np.array_equal(np.concatenate(seen), reference)
+
+
 def _same_state(state, other):
     # MT19937 keeps its key as an array inside the state dictionary
     if isinstance(state, dict):
@@ -323,10 +385,11 @@ def test_si_oracle_rejects_zero_trials():
         check_si_covariance(n_trials=0)
 
 
-def test_full_size_oracles_stream_within_50_mb():
+def test_full_size_oracles_stream_within_16_mb():
     # One full-size call of each oracle, as `fdsic validate` makes them.
     # Built on full-size arrays they peaked at 146 and 156 MB; streamed,
-    # only the unit walks (25.6 MB) and the SI taps (12.8 MB) are full size.
+    # with the walks and the SI taps drawn one block at a time, nothing is
+    # full size and they peak at about 11 and 9 MB.
     rng = np.random.default_rng(93)
     symbols = gen_bpsk_symbols(8, rng)
     pdp = np.exp(-np.arange(2) / 4.0)
@@ -340,32 +403,33 @@ def test_full_size_oracles_stream_within_50_mb():
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert max(peaks) < 50e6, peaks
+    assert max(peaks) < 16e6, peaks
 
 
 def test_oracle_memory_does_not_grow_with_the_sample_count():
-    # The walks come one block at a time, so the mixing oracle's peak is
-    # the same at 20k and 100k traces (about 10 MB; a full-size walk array
-    # took it to 33 MB), and the SI oracle's is its full-size taps and one
-    # block (about 21 MB; 44 MB with full-size walks).
+    # The walks and the SI taps come one block at a time, so each oracle's
+    # peak is the same at 20k and 100k samples: about 11 MB for the mixing
+    # oracle (33 MB with a full-size walk array) and 9 MB for the SI oracle
+    # (21 MB with full-size taps, 44 MB with full-size walks too).
     rng = np.random.default_rng(99)
     symbols = gen_bpsk_symbols(8, rng)
     pdp = np.exp(-np.arange(2) / 4.0)
-    peaks = {}
+    mixing, si = {}, {}
     tracemalloc.start()
     try:
-        for n_traces in (20_000, 100_000):
+        for count in (20_000, 100_000):
             tracemalloc.reset_peak()
-            simulate_mixing_covariance((1e-4, 1e-3), 32, n_traces, rng)
-            peaks[n_traces] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        simulate_si_covariance(symbols, pdp, 4, 1e-3, 100_000, rng)
-        peaks["si"] = tracemalloc.get_traced_memory()[1]
+            simulate_mixing_covariance((1e-4, 1e-3), 32, count, rng)
+            mixing[count] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            simulate_si_covariance(symbols, pdp, 4, 1e-3, count, rng)
+            si[count] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peaks[100_000] <= 16e6, peaks
-    assert peaks[100_000] <= 1.2 * peaks[20_000], peaks
-    assert peaks["si"] <= 28e6, peaks
+    assert mixing[100_000] <= 16e6, mixing
+    assert mixing[100_000] <= 1.2 * mixing[20_000], mixing
+    assert si[100_000] <= 12e6, si
+    assert si[100_000] <= 1.2 * si[20_000], si
 
 
 def test_time_domain_reference_needs_full_prefix():
