@@ -47,8 +47,9 @@ Threads cannot overlap them: the RNG fills and scipy's BLAS and LAPACK
 wrappers hold the interpreter lock (on two threads standard_normal ran
 1.09x, zhetrd 1.02x and zherk 0.80x as fast as on one).  A spawned child
 would spend longer importing numpy and scipy than the mixing oracle takes.
-On two CPUs a full-size run takes about 0.5 s instead of 0.8 s; on one CPU
-the two processes take turns, at 0.98 to 1.09 times the serial wall time.
+On two CPUs a full-size run takes about 0.4 s instead of 0.7 s; on one CPU
+the two processes take turns, at a median 1.09 times the serial wall time
+(0.97 to 1.5 times in ten pairs).
 
 Every BLAS and LAPACK call here (zherk and zgemm for the oracles' products,
 potrf and potrs for the Cholesky solves) goes to the compiled modules
@@ -297,10 +298,16 @@ def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
 
 
 # Rows per block of the Monte Carlo oracles: each block's draws, walks and
-# temporaries hold at most this many entries (2 MiB complex), unless one row
-# alone is larger.  With the draws streamed too, this bounds both oracles'
-# working sets (about 11 MB mixing, 9 MB SI, at any sample count).
-_BLOCK_ENTRIES = 2**17
+# temporaries hold at most this many entries (512 KiB complex), unless one
+# row alone is larger.  With the draws streamed too, this bounds both
+# oracles' working sets (about 2.6 MB mixing, 2.2 MB SI, at any sample
+# count).  A block's buffers then fit a 2 MiB per-core L2 cache.  The
+# constant is a pure performance setting: no draw, generator state or
+# printed digit depends on it.  Swept over 2**12 to 2**17 in alternation
+# (2 vCPU, OpenBLAS on one thread, BENCH_28.json), the median times of
+# both full-size checks were lowest, or within 1% of it, at 2**15, and 6
+# to 9% higher at 2**17; below 2**14 per-block overhead takes over.
+_BLOCK_ENTRIES = 2**15
 
 
 def _row_blocks(n_rows: int, row_entries: int):
