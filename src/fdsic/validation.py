@@ -5,9 +5,9 @@ These back the `fdsic validate` command and the heavier regression tests:
 the phase-noise mixing covariance against simulated traces, the SI covariance
 against the sample covariance of synthesized symbols, the real-embedded
 quadratic programs against the complex normal equations, and the
-subcarrier-domain synthesis against a sample-domain FIR reference.  A second
-sample-domain reference applies the transmit phase before the channel, in
-its physical order, and measures the error of the model's ordering.
+subcarrier-domain synthesis against a sample-domain FIR reference.  The
+same reference can apply the transmit phase before the channel, in its
+physical order, and so measures the error of the model's ordering.
 
 The module also holds the dense oracles the spectral engine of
 fdsic.estimator is tested against: the subcarrier-domain SI covariance, the
@@ -31,13 +31,15 @@ serves every bandwidth of a check from one pass of the walks, folding each
 block into one triangle per bandwidth.  The SI oracle forms its channel
 outputs by direct circular convolution with the delayed symbol waveforms,
 a route independent of the simulator's FFT-based channel_outputs.  Their
-random draws are part of the contract: the same seed draws the same
-numbers in the same order and shapes, as if the taps (as the simulator's
-gen_si_channel draws them) and each oscillator's steps were full-size
-draws, and leaves the generator in the same state; a skip pass over every
-draw but the last lets each block of all of them be drawn together without
-changing a draw.  So the reported worst errors change only in the last
-digits when the arithmetic around the draws changes.
+random draws are part of the contract: each oracle's normals are one
+full-size draw rng.standard_normal((n_rows, S)) whose row t holds all of
+sample t's normals (the SI oracle's tap real parts, tap imaginary parts,
+then both oscillators' steps; the mixing oracle's two oscillators' steps).
+standard_normal fills C order, so each block of rows is drawn by one call
+and gets exactly those rows of the full-size draw, whatever the block
+size, every normal is drawn once and the generator ends where the
+full-size draw leaves it.  So the reported worst errors change only in the
+last digits when the arithmetic around the draws changes.
 
 run_all runs the suites in two processes.  The four checks are independent
 and separately seeded, so a forked child runs the mixing oracle while the
@@ -59,7 +61,6 @@ its start-up and 15 MB of its peak memory.  scipy.linalg's cho_factor and
 cho_solve wrap the same two routines, so the results are the same bits.
 """
 
-import copy
 import ctypes
 import functools
 import multiprocessing
@@ -361,62 +362,51 @@ def _streamed_gram(blocks, n: int) -> np.ndarray:
     return gram
 
 
-def _streamed_normals(n_rows: int, row_entries: int, row_shapes, rng):
-    """Consecutive full-size draws rng.standard_normal((n_rows,) + shape),
-    one per shape of row_shapes in order, yielded together one row block of
-    _row_blocks(n_rows, row_entries) at a time as (rows, [draw[rows], ...]).
+def _streamed_normals(n_rows: int, row_entries: int, row_size: int, rng):
+    """The rows of one full-size draw rng.standard_normal((n_rows,
+    row_size)), yielded one row block of _row_blocks(n_rows, row_entries)
+    at a time as (rows, draw[rows]).
 
-    standard_normal fills C order sequentially, so consecutive blocks of a
-    draw get the numbers its full-size draw would.  A copy of rng taken at
-    each draw's start, reached by skip passes through that draw's block
-    buffer, draws its blocks, and rng itself the last draw's, so it ends
-    where the full-size draws leave it; every draw but the last is drawn
-    twice.  Each block is a view of a buffer the next block overwrites, and
+    standard_normal fills C order, so one call per block draws exactly
+    those rows of the full-size draw, and rng ends where that draw leaves
+    it.  Each block is a view of one buffer the next block overwrites, and
     rng must not be drawn from elsewhere until the blocks are exhausted.
     """
     block_rows = next(_row_blocks(n_rows, row_entries)).stop
-    buffers = [np.empty((block_rows,) + tuple(shape)) for shape in row_shapes]
-    sources = []
-    for buffer in buffers[:-1]:
-        sources.append(copy.deepcopy(rng))
-        for rows in _row_blocks(n_rows, row_entries):
-            rng.standard_normal(out=buffer[: rows.stop - rows.start])
-    sources.append(rng)
+    buffer = np.empty((block_rows, row_size))
     for rows in _row_blocks(n_rows, row_entries):
-        blocks = [buffer[: rows.stop - rows.start] for buffer in buffers]
-        for source, block in zip(sources, blocks):
-            source.standard_normal(out=block)
-        yield rows, blocks
+        block = buffer[: rows.stop - rows.start]
+        rng.standard_normal(out=block)
+        yield rows, block
 
 
-def _add_walks(phases: np.ndarray, steps) -> None:
-    """phases[..., 1:] = 0 + cumsum(a) + cumsum(b) + ... over the blocks of
-    steps, each cumulated in place, as a full-size sum would be."""
-    phases[..., 1:] = 0.0
-    for block_steps in steps:
-        np.cumsum(block_steps, axis=-1, out=block_steps)
-        phases[..., 1:] += block_steps
-
-
-def _summed_wiener_phases(shape: tuple[int, ...], rng: np.random.Generator):
+def _summed_wiener_phases(
+    shape: tuple[int, ...], rng: np.random.Generator, n_lead: int = 0
+):
     """Phases of two independent Wiener oscillators summed, one trace along
     the last axis of shape, each starting at zero with unit-variance steps,
     yielded one row block of the leading axis at a time as (rows,
-    phases[rows]).
+    lead[rows], phases[rows]).
 
     A walk with steps of standard deviation sigma is sigma times this unit
-    walk, so one draw serves every bandwidth.  The steps are two
-    (shape[0], ..., N - 1) draws, first oscillator first, streamed by
-    _streamed_normals, whose contract on rng and on the blocks holds here.
+    walk, so one draw serves every bandwidth.  Row t of the full-size draw
+    of _streamed_normals holds lead[t], n_lead normals for the caller, then
+    trace t's steps as a (2, ..., N - 1) array, first oscillator first;
+    that streamer's contract on rng and on the blocks holds here.
     """
     row_entries = int(np.prod(shape[1:]))
     block_rows = next(_row_blocks(shape[0], row_entries)).stop
     phases = np.zeros((block_rows,) + shape[1:])
-    steps = [shape[1:-1] + (shape[-1] - 1,)] * 2
-    for rows, blocks in _streamed_normals(shape[0], row_entries, steps, rng):
+    steps_shape = (2,) + shape[1:-1] + (shape[-1] - 1,)
+    draws = _streamed_normals(
+        shape[0], row_entries, n_lead + int(np.prod(steps_shape)), rng
+    )
+    for rows, normals in draws:
         block = phases[: rows.stop - rows.start]
-        _add_walks(block, blocks)
-        yield rows, block
+        steps = normals[:, n_lead:].reshape(block.shape[:1] + steps_shape)
+        np.cumsum(steps, axis=-1, out=steps)
+        np.sum(steps, axis=1, out=block[..., 1:])
+        yield rows, normals[:, :n_lead], block
 
 
 def ici_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -448,9 +438,11 @@ def simulate_mixing_covariance(
     running Gram.  Every trace is transformed on its own by
     ici_coefficients, so the oracle checks the closed form's transform
     convention, and the traces enter only through their sample Gram.  The
-    rng draws (two blocks of n_traces x (n_subcarriers - 1) normals,
-    whatever the number of bandwidths) are part of the oracle's contract: a
-    given rng state always yields the same traces.
+    rng draw is part of the oracle's contract: one full-size
+    standard_normal((n_traces, 2 * (n_subcarriers - 1))) whose row t holds
+    trace t's steps, the first oscillator's then the second's, whatever the
+    number of bandwidths, so a given rng state always yields the same
+    traces.
     """
     if len(delta_fs) == 0:
         raise ValueError("delta_fs must name at least one bandwidth")
@@ -463,7 +455,7 @@ def simulate_mixing_covariance(
     return _streamed_grams(
         (
             (ici_coefficients(sigma * phases) for sigma in sigmas)
-            for _, phases in walks
+            for _, _, phases in walks
         ),
         n_subcarriers,
     )
@@ -538,15 +530,25 @@ def simulate_si_covariance(
     per-antenna oscillator pairs each trial.  The channel outputs come from
     direct circular convolution of the taps with the delayed symbol
     waveforms rather than from the FFT pair of channel_outputs, so the
-    oracle shares no route with it.  The taps, built as gen_si_channel
-    builds them, and the unit-step walks, scaled to the bandwidth, come one
-    block of trials at a time; the rotated outputs are summed over antennas
-    and transformed and enter only through their sample Gram, so nothing
-    exists at full size.  The rng draws (those of gen_si_channel(n_trials *
-    n_tx, pdp, rng), then two blocks of oscillator steps) keep their order,
-    shapes and count: a given rng state always yields the same channels and
-    traces.
+    oracle shares no route with it.  The taps, sqrt(pdp / 2) * (re + j im)
+    as gen_si_channel builds them, and the unit-step walks, scaled to the
+    bandwidth, come one block of trials at a time; the rotated outputs are
+    summed over antennas and transformed and enter only through their
+    sample Gram, so nothing exists at full size.  The rng draw is part of
+    the oracle's contract: one full-size standard_normal((n_trials, S))
+    whose row t holds trial t's normals, the (n_tx, L) tap real parts, the
+    (n_tx, L) tap imaginary parts, then the (2, n_tx, N - 1) oscillator
+    steps, first oscillator first, so a given rng state always yields the
+    same channels and traces.  An empty or negative pdp or an n_tx below 1
+    is rejected, as gen_si_channel rejects them.
     """
+    pdp = np.asarray(pdp, dtype=np.float64)
+    if n_tx < 1:
+        raise ValueError("n_tx must be positive")
+    if pdp.ndim != 1 or pdp.size == 0:
+        raise ValueError(f"pdp must be a non-empty vector, got shape {pdp.shape}")
+    if np.any(pdp < 0.0):
+        raise ValueError("pdp entries must be non-negative")
     _require_samples(n_trials, "n_trials")
     n = symbols.size
     sigma = np.sqrt(phase_increment_variance(delta_f, n))
@@ -554,18 +556,15 @@ def simulate_si_covariance(
     delayed = _delayed_waveforms(symbols, pdp.size)
     block_rows = next(_row_blocks(n_trials, n_tx * n)).stop
     taps = np.empty((block_rows, n_tx, pdp.size), dtype=np.complex128)
-    phases = np.zeros((block_rows, n_tx, n))
-    shapes = [(n_tx, pdp.size)] * 2 + [(n_tx, n - 1)] * 2
+    n_parts = n_tx * pdp.size
 
     def si_vectors():
-        draws = _streamed_normals(n_trials, n_tx * n, shapes, rng)
-        for rows, (real, imag, *steps) in draws:
+        walks = _summed_wiener_phases((n_trials, n_tx, n), rng, 2 * n_parts)
+        for rows, parts, block in walks:
             block_taps = taps[: rows.stop - rows.start]
-            block_taps.real = real
-            block_taps.imag = imag
+            block_taps.real = parts[:, :n_parts].reshape(block_taps.shape)
+            block_taps.imag = parts[:, n_parts:].reshape(block_taps.shape)
             block_taps *= scale
-            block = phases[: rows.stop - rows.start]
-            _add_walks(block, steps)
             block *= sigma
             outputs = _direct_channel_outputs(block_taps, delayed)
             outputs *= unit_rotation(block)
@@ -667,63 +666,58 @@ def time_domain_si_reference(
     tx_phases: list[np.ndarray],
     rx_phases: np.ndarray,
     cp_length: int,
+    order: str = "model",
 ) -> np.ndarray:
     """Sample-domain reference for the SI part of one symbol.
 
     Modulates with a cyclic prefix, runs a plain linear FIR per antenna over
-    the prefixed stream, applies the combined oscillator rotation at the
-    receive window, sums antennas and transforms.  Requires the channel to
-    fit inside the prefix so the window sees only circular history.
+    the prefixed stream, rotates by the oscillators, sums antennas and
+    transforms.  tx_phases holds one trace per antenna, or one shared trace;
+    rx_phases covers the N samples of the receive window.  order says where
+    the transmit oscillators act:
+
+    - "model": on the channel output, with the receive oscillator at the
+      receive window, as synthesize_received applies them; the transmit
+      traces cover the N window samples.
+    - "exact": where they physically act, each on the CP-prefixed samples
+      before they enter that antenna's FIR; the transmit traces cover the
+      N + cp_length samples of the prefixed stream.  The model's order
+      takes the transmit phase at the receive instant rather than at the
+      instant each tap's sample left the antenna.
+
+    Requires the channel to fit inside the prefix so the window sees only
+    circular history, and every trace to have the length its order needs.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     n = symbols.size
     n_tx, n_taps = taps.shape
     if n_taps > cp_length + 1:
         raise ValueError("channel must fit inside the cyclic prefix")
+    if order not in ("model", "exact"):
+        raise ValueError(f"order must be 'model' or 'exact', got {order!r}")
     prefixed = modulate(symbols, cp_length)
+    covered = "symbol" if order == "model" else "prefixed symbol"
+    tx_length = n if order == "model" else prefixed.size
+    if len(tx_phases) not in (1, n_tx):
+        raise ValueError(f"tx_phases must hold 1 or n_tx={n_tx} traces")
+    if any(np.shape(phases) != (tx_length,) for phases in tx_phases):
+        raise ValueError(f"transmit traces must cover the {covered}")
+    if np.shape(rx_phases) != (n,):
+        raise ValueError("the receive trace must cover the symbol")
     window = np.zeros(n, dtype=np.complex128)
-    n_osc = len(tx_phases)
     for antenna in range(n_tx):
-        phases = tx_phases[antenna if n_osc > 1 else 0]
-        convolved = np.convolve(prefixed, taps[antenna])
-        body = convolved[cp_length : cp_length + n]
-        window += np.exp(1j * (phases + rx_phases)) * body
+        phases = tx_phases[antenna if len(tx_phases) > 1 else 0]
+        if order == "model":
+            convolved = np.convolve(prefixed, taps[antenna])
+            body = convolved[cp_length : cp_length + n]
+            window += np.exp(1j * (phases + rx_phases)) * body
+        else:
+            rotated = np.exp(1j * phases) * prefixed
+            convolved = np.convolve(rotated, taps[antenna])
+            window += convolved[cp_length : cp_length + n]
+    if order == "exact":
+        window = np.exp(1j * rx_phases) * window
     return np.fft.fft(window)
-
-
-def exact_order_si_reference(
-    symbols: np.ndarray,
-    taps: np.ndarray,
-    tx_phases: list[np.ndarray],
-    rx_phases: np.ndarray,
-    cp_length: int,
-) -> np.ndarray:
-    """Sample-domain SI with every oscillator where it physically acts.
-
-    Each transmit oscillator rotates the CP-prefixed samples before they
-    enter that antenna's FIR, and the receive oscillator rotates the receive
-    window.  tx_phases holds one trace of N + cp_length samples per antenna,
-    or one shared trace, aligned with the prefixed stream; rx_phases covers
-    the N window samples.  synthesize_received and time_domain_si_reference
-    instead rotate the channel output by tx_phases[cp_length:], the transmit
-    phase at the receive instant rather than at the instant each tap's
-    sample left the antenna.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    n = symbols.size
-    n_tx, n_taps = taps.shape
-    if n_taps > cp_length + 1:
-        raise ValueError("channel must fit inside the cyclic prefix")
-    prefixed = modulate(symbols, cp_length)
-    window = np.zeros(n, dtype=np.complex128)
-    n_osc = len(tx_phases)
-    for antenna in range(n_tx):
-        phases = tx_phases[antenna if n_osc > 1 else 0]
-        if np.shape(phases) != prefixed.shape:
-            raise ValueError("transmit traces must cover the prefixed symbol")
-        rotated = np.exp(1j * phases) * prefixed
-        window += np.convolve(rotated, taps[antenna])[cp_length : cp_length + n]
-    return np.fft.fft(np.exp(1j * rx_phases) * window)
 
 
 def check_model_equivalence(n_trials: int = 100) -> CheckResult:

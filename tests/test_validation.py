@@ -34,7 +34,6 @@ from fdsic.validation import (
     check_pn_covariance,
     check_qp_oracle,
     check_si_covariance,
-    exact_order_si_reference,
     simulate_mixing_covariance,
     simulate_si_covariance,
     subcarrier_si_covariance,
@@ -163,27 +162,34 @@ def test_hermitian_gram_matches_einsum(order):
     assert np.array_equal(gram, gram.conj().T)
 
 
-def _one_shot_phases(shape, delta_f, rng):
-    sigma = np.sqrt(phase_increment_variance(delta_f, shape[-1]))
-    phases = np.zeros(shape)
-    for _ in range(2):
-        steps = sigma * rng.standard_normal(shape[:-1] + (shape[-1] - 1,))
-        phases[..., 1:] += np.cumsum(steps, axis=-1)
-    return phases
+def _one_shot_walks(steps):
+    # the walks of steps[:, 0] and steps[:, 1] summed, each from zero
+    walks = np.cumsum(steps, axis=-1)
+    summed = walks[:, 0] + walks[:, 1]
+    start = np.zeros(summed.shape[:-1] + (1,))
+    return np.concatenate([start, summed], axis=-1)
 
 
 def _one_shot_mixing_rows(delta_f, n, n_traces, rng):
-    phases = _one_shot_phases((n_traces, n), delta_f, rng)
+    # one full-size draw: row t holds trace t's two oscillators' steps
+    sigma = np.sqrt(phase_increment_variance(delta_f, n))
+    steps = rng.standard_normal((n_traces, 2 * (n - 1))).reshape(-1, 2, n - 1)
+    phases = sigma * _one_shot_walks(steps)
     return np.fft.ifft(np.exp(1j * phases), axis=1)
 
 
 def _one_shot_si_rows(symbols, pdp, n_tx, delta_f, n_trials, rng):
+    # one full-size draw: row t holds trial t's tap real parts, tap
+    # imaginary parts, then both oscillators' steps on every antenna
     n = symbols.size
+    sigma = np.sqrt(phase_increment_variance(delta_f, n))
+    parts = n_tx * pdp.size
+    draw = rng.standard_normal((n_trials, 2 * parts + 2 * n_tx * (n - 1)))
     taps = np.sqrt(pdp / 2.0) * (
-        rng.standard_normal((n_trials, n_tx, pdp.size))
-        + 1j * rng.standard_normal((n_trials, n_tx, pdp.size))
-    )
-    phases = _one_shot_phases((n_trials, n_tx, n), delta_f, rng)
+        draw[:, :parts] + 1j * draw[:, parts : 2 * parts]
+    ).reshape(n_trials, n_tx, pdp.size)
+    steps = draw[:, 2 * parts :].reshape(n_trials, 2, n_tx, n - 1)
+    phases = sigma * _one_shot_walks(steps)
     waveform = np.fft.ifft(np.fft.fft(taps, n=n, axis=2) * symbols, axis=2)
     return np.fft.fft((waveform * np.exp(1j * phases)).sum(axis=1), axis=1)
 
@@ -264,14 +270,18 @@ def test_streamed_walks_match_one_full_size_draw(
     monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
     rng = np.random.Generator(bit_generator(98))
     reference_rng = np.random.Generator(bit_generator(98))
+    # one full-size draw: row t holds trace t's steps, first oscillator first
+    steps_shape = (2,) + shape[1:-1] + (shape[-1] - 1,)
+    steps = reference_rng.standard_normal(
+        (shape[0], int(np.prod(steps_shape)))
+    ).reshape(shape[:1] + steps_shape)
     reference = np.zeros(shape)
-    for _ in range(2):
-        steps = reference_rng.standard_normal(shape[:-1] + (shape[-1] - 1,))
-        reference[..., 1:] += np.cumsum(steps, axis=-1)
+    walks = np.cumsum(steps, axis=-1)
+    reference[..., 1:] = walks[:, 0] + walks[:, 1]
     # each block is overwritten by the next, so keep copies
     walks = [
         (rows, phases.copy())
-        for rows, phases in validation._summed_wiener_phases(shape, rng)
+        for rows, _, phases in validation._summed_wiener_phases(shape, rng)
     ]
     starts = [rows.start for rows, _ in walks]
     stops = [rows.stop for rows, _ in walks]
@@ -285,35 +295,34 @@ def test_streamed_walks_match_one_full_size_draw(
 
 # With 128-entry blocks and rows of n_tx * N = 16 entries a block holds 8
 # rows: counts below one block, exactly two blocks, and two blocks and a
-# remainder; 24 antennas make a row larger than a block.  The draws' rows
-# are taps of (n_tx, L) and steps of (n_tx, N - 1), with L = 3 and N = 8.
+# remainder; 24 antennas make a row larger than a block.  A row holds the
+# last n_parts of the SI oracle's four row parts: the taps' real and
+# imaginary parts of (n_tx, L) each, then two oscillators' steps of
+# (n_tx, N - 1) each, with L = 3 and N = 8.
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
-@pytest.mark.parametrize("n_draws", [1, 2, 4])
+@pytest.mark.parametrize("n_parts", [1, 2, 4])
 @pytest.mark.parametrize("n_tx, count", [(2, 5), (2, 16), (2, 19), (24, 3)])
 def test_streamed_normals_are_consecutive_full_size_draws(
-    monkeypatch, bit_generator, n_draws, n_tx, count
+    monkeypatch, bit_generator, n_parts, n_tx, count
 ):
     monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
     n = 8
-    row_shapes = ([(n_tx, 3), (n_tx, n - 1)] * 2)[-n_draws:]
+    row_size = sum(([n_tx * 3] * 2 + [n_tx * (n - 1)] * 2)[-n_parts:])
     rng = np.random.Generator(bit_generator(97))
     reference_rng = np.random.Generator(bit_generator(97))
-    references = [
-        reference_rng.standard_normal((count,) + shape) for shape in row_shapes
-    ]
+    reference = reference_rng.standard_normal((count, row_size))
     # each block is overwritten by the next, so keep copies
     streamed = [
-        (rows, [block.copy() for block in blocks])
-        for rows, blocks in validation._streamed_normals(
-            count, n_tx * n, row_shapes, rng
+        (rows, block.copy())
+        for rows, block in validation._streamed_normals(
+            count, n_tx * n, row_size, rng
         )
     ]
     starts = [rows.start for rows, _ in streamed]
     stops = [rows.stop for rows, _ in streamed]
     assert starts == [0] + stops[:-1] and stops[-1] == count
-    for draw, reference in enumerate(references):
-        blocks = [blocks[draw] for _, blocks in streamed]
-        assert np.array_equal(np.concatenate(blocks), reference)
+    blocks = [block for _, block in streamed]
+    assert np.array_equal(np.concatenate(blocks), reference)
     assert _same_state(
         rng.bit_generator.state, reference_rng.bit_generator.state
     )
@@ -323,8 +332,9 @@ def test_streamed_normals_are_consecutive_full_size_draws(
 def test_si_oracle_taps_are_the_simulator_channel_draw(
     monkeypatch, n_tx, count
 ):
-    # the taps the SI oracle convolves, block by block, are bit for bit one
-    # gen_si_channel draw of count * n_tx channels
+    # the taps the SI oracle convolves, block by block, are bit for bit
+    # sqrt(pdp / 2) * (re + j im) of the tap parts of each row of one
+    # full-size draw: n_tx * L real parts, then n_tx * L imaginary parts
     monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
     convolve = validation._direct_channel_outputs
     seen = []
@@ -334,13 +344,17 @@ def test_si_oracle_taps_are_the_simulator_channel_draw(
         return convolve(taps, delayed)
 
     monkeypatch.setattr(validation, "_direct_channel_outputs", recording)
-    pdp = np.array([1.0, 0.0, 0.25])
-    symbols = gen_bpsk_symbols(8, np.random.default_rng(91))
+    n, pdp = 8, np.array([1.0, 0.0, 0.25])
+    symbols = gen_bpsk_symbols(n, np.random.default_rng(91))
     simulate_si_covariance(
         symbols, pdp, n_tx, 1e-2, count, np.random.default_rng(89)
     )
-    reference = gen_si_channel(
-        count * n_tx, pdp, np.random.default_rng(89)
+    parts = n_tx * pdp.size
+    draw = np.random.default_rng(89).standard_normal(
+        (count, 2 * parts + 2 * n_tx * (n - 1))
+    )
+    reference = np.sqrt(pdp / 2.0) * (
+        draw[:, :parts] + 1j * draw[:, parts : 2 * parts]
     ).reshape(count, n_tx, pdp.size)
     assert np.array_equal(np.concatenate(seen), reference)
 
@@ -411,6 +425,26 @@ def test_si_oracle_rejects_zero_trials():
         check_si_covariance(n_trials=0)
 
 
+@pytest.mark.parametrize(
+    "pdp, n_tx, message",
+    [
+        ([1.0, -0.25], 4, "pdp entries"),
+        ([1.0], 0, "n_tx"),
+        ([], 4, "pdp must be a non-empty vector"),
+    ],
+    ids=["negative-pdp", "no-antenna", "empty-pdp"],
+)
+def test_si_oracle_rejects_bad_channel_inputs(pdp, n_tx, message):
+    # as gen_si_channel rejects them, before any draw: unchecked, these
+    # gave an all-NaN Gram, a ZeroDivisionError and a numpy stacking error
+    symbols = gen_bpsk_symbols(8, np.random.default_rng(91))
+    rng = np.random.default_rng(87)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        simulate_si_covariance(symbols, np.array(pdp), n_tx, 1e-3, 10, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_full_size_oracles_stream_within_4_mb():
     # One full-size call of each oracle, as `fdsic validate` makes them.
     # Built on full-size arrays they peaked at 146 and 156 MB; streamed,
@@ -469,6 +503,35 @@ def test_time_domain_reference_needs_full_prefix():
         time_domain_si_reference(symbols, taps, [trace], trace, 4)
 
 
+@pytest.mark.parametrize("order", ["model", "exact"])
+@pytest.mark.parametrize("short", ["tx", "rx"])
+def test_time_domain_reference_rejects_short_traces(order, short):
+    # a length-1 trace would broadcast over the window instead of failing
+    rng = np.random.default_rng(86)
+    n, cp = 16, 4
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(2, np.ones(3), rng)
+    traces = {"tx": np.zeros(n if order == "model" else n + cp)}
+    traces["rx"] = np.zeros(n)
+    traces[short] = np.zeros(1)
+    with pytest.raises(ValueError, match="must cover the"):
+        time_domain_si_reference(
+            symbols, taps, [traces["tx"]], traces["rx"], cp, order
+        )
+
+
+def test_time_domain_reference_rejects_unknown_order_and_trace_count():
+    rng = np.random.default_rng(86)
+    n, cp = 16, 4
+    symbols = gen_bpsk_symbols(n, rng)
+    taps = gen_si_channel(3, np.ones(3), rng)
+    trace = np.zeros(n)
+    with pytest.raises(ValueError, match="order"):
+        time_domain_si_reference(symbols, taps, [trace], trace, cp, "physical")
+    with pytest.raises(ValueError, match="n_tx=3"):
+        time_domain_si_reference(symbols, taps, [trace] * 2, trace, cp)
+
+
 def test_exact_order_reference_needs_prefixed_traces():
     rng = np.random.default_rng(82)
     n, cp = 16, 4
@@ -476,9 +539,9 @@ def test_exact_order_reference_needs_prefixed_traces():
     taps = gen_si_channel(2, np.ones(3), rng)
     trace = np.sqrt(1e-3) * gen_wiener_phase(n, rng)
     with pytest.raises(ValueError, match="prefixed"):
-        exact_order_si_reference(symbols, taps, [trace], trace, cp)
+        time_domain_si_reference(symbols, taps, [trace], trace, cp, "exact")
     with pytest.raises(ValueError, match="prefix"):
-        exact_order_si_reference(symbols, taps, [trace], trace, 1)
+        time_domain_si_reference(symbols, taps, [trace], trace, 1, "exact")
 
 
 def test_exact_order_matches_model_without_phase_noise():
@@ -488,7 +551,7 @@ def test_exact_order_matches_model_without_phase_noise():
     taps = gen_si_channel(3, np.ones(4), rng)
     tx = [np.full(n + cp, 0.7)]
     rx = np.full(n, -0.2)
-    exact = exact_order_si_reference(symbols, taps, tx, rx, cp)
+    exact = time_domain_si_reference(symbols, taps, tx, rx, cp, "exact")
     outputs = channel_outputs(symbols[None], taps[None])
     model = synthesize_received(outputs, tx[0][None, None, cp:], rx[None])[0]
     np.testing.assert_allclose(exact, model, rtol=1e-12, atol=1e-12)
@@ -516,7 +579,9 @@ def test_exact_order_samples_have_the_model_covariance():
         taps = gen_si_channel(n_tx, pdp, rng)
         tx = [sigma * gen_wiener_phase(n + cp, rng) for _ in range(n_tx)]
         rx = sigma * gen_wiener_phase(n, rng)
-        exact_row[:] = exact_order_si_reference(symbols, taps, tx, rx, cp)
+        exact_row[:] = time_domain_si_reference(
+            symbols, taps, tx, rx, cp, "exact"
+        )
         model_row[:] = synthesize_received(
             channel_outputs(symbols[None], taps[None]),
             np.array(tx)[None, :, cp:],
@@ -557,8 +622,8 @@ def _si_in_both_orders(rng, delta_f):
         np.array(tx)[None, :, NODE_CP:],
         rx[None],
     )[0]
-    return symbols, model, exact_order_si_reference(
-        symbols, taps, tx, rx, NODE_CP
+    return symbols, model, time_domain_si_reference(
+        symbols, taps, tx, rx, NODE_CP, "exact"
     )
 
 
