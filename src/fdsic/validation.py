@@ -20,26 +20,32 @@ checks use: the partial DFT matrix (dft_matrix), the subcarrier mixing
 coefficients of phase traces (ici_coefficients) and cyclic-prefix
 modulation (modulate).  The simulator imports nothing from this module.
 
-Both Monte Carlo oracles stream their samples through fixed-size blocks of
-rows: the SI oracle's channel taps and both oracles' oscillator walks come
-one block at a time, the walks at unit step, and each block is scaled to
-its bandwidth, rotated and transformed on its own and folded into a
-running BLAS-3 Hermitian rank-k update (zherk), so no draw, walk or
-temporary exists at full size and each oracle's memory is bounded by one
-block.  Because only the scale depends on the bandwidth, the mixing oracle
-serves every bandwidth of a check from one pass of the walks, folding each
-block into one triangle per bandwidth.  The SI oracle forms its channel
-outputs by direct circular convolution with the delayed symbol waveforms,
-a route independent of the simulator's FFT-based channel_outputs.  Their
-random draws are part of the contract: each oracle's normals are one
-full-size draw rng.standard_normal((n_rows, S)) whose row t holds all of
-sample t's normals (the SI oracle's tap real parts, tap imaginary parts,
-then both oscillators' steps; the mixing oracle's two oscillators' steps).
+Both Monte Carlo oracles stream their samples through one generator,
+_summed_wiener_phases, which draws a block of rows at a time into one
+reused buffer and turns each row's oscillator steps into unit-step walks;
+each block is scaled to its bandwidth, rotated and transformed on its own
+and folded by _streamed_grams into a running BLAS-3 Hermitian rank-k
+update (zherk), so no draw, walk or temporary exists at full size and
+each oracle's memory is bounded by one block.  Because only the scale
+depends on the bandwidth, the mixing oracle serves every bandwidth of a
+check from one pass of the walks, folding each block into one triangle
+per bandwidth.  The SI oracle forms its channel outputs by direct
+circular convolution with the delayed symbol waveforms, a route
+independent of the simulator's FFT-based channel_outputs.  Their random
+draws are part of the contract: each oracle's normals are one full-size
+draw rng.standard_normal((n_rows, S)) whose row t holds all of sample t's
+normals (the SI oracle's tap real parts, tap imaginary parts, then both
+oscillators' steps; the mixing oracle's two oscillators' steps).
 standard_normal fills C order, so each block of rows is drawn by one call
 and gets exactly those rows of the full-size draw, whatever the block
 size, every normal is drawn once and the generator ends where the
 full-size draw leaves it.  So the reported worst errors change only in the
 last digits when the arithmetic around the draws changes.
+
+Each check fixes its sizes, seeds and tolerances itself, in two profiles:
+the full one, and the fast one (fast=True) that fdsic validate --fast runs
+with fewer Monte Carlo samples against looser tolerances.  A result passes
+when its worst error is at most its tolerance.
 
 run_all runs the suites in two processes.  The four checks are independent
 and separately seeded, so a forked child runs the mixing oracle while the
@@ -49,9 +55,10 @@ Threads cannot overlap them: the RNG fills and scipy's BLAS and LAPACK
 wrappers hold the interpreter lock (on two threads standard_normal ran
 1.09x, zhetrd 1.02x and zherk 0.80x as fast as on one).  A spawned child
 would spend longer importing numpy and scipy than the mixing oracle takes.
-On two CPUs a full-size run takes about 0.4 s instead of 0.7 s; on one CPU
-the two processes take turns, at a median 1.09 times the serial wall time
-(0.97 to 1.5 times in ten pairs).
+On two CPUs a full-size run takes about 0.3 s instead of 0.55 s serially
+(medians of 0.28 to 0.34 s against 0.52 to 0.55 s, six interpreters of
+four runs each); on one CPU the two processes take turns, at a median
+1.09 times the serial wall time (0.97 to 1.5 times in ten pairs).
 
 Every BLAS and LAPACK call here (zherk and zgemm for the oracles' products,
 potrf and potrs for the Cholesky solves) goes to the compiled modules
@@ -91,10 +98,13 @@ from .ofdm import gen_bpsk_symbols
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     worst_error: float
     tolerance: float
     detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_error <= self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -220,8 +230,10 @@ def expected_residual_power(
     n = si_cov.shape[0]
     if si_cov.shape != (n, n) or weights.shape != (n, n):
         raise ValueError("si_cov and weights must be square and equally sized")
-    if noise_power < 0.0 or soi_power < 0.0:
-        raise ValueError("powers must be non-negative")
+    powers = (("noise_power", noise_power), ("soi_power", soi_power))
+    for name, power in powers:
+        if not (np.isfinite(power) and power >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative")
     eye = np.eye(n)
     si_noise = si_cov + noise_power * eye
     received = si_noise + soi_power * eye
@@ -311,20 +323,12 @@ def mixing_covariance(kernel: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 2**15
 
 
-def _row_blocks(n_rows: int, row_entries: int):
-    """Consecutive slices that cover n_rows rows of row_entries entries
-    each, in blocks of at most _BLOCK_ENTRIES entries and at least one row."""
-    step = max(1, _BLOCK_ENTRIES // row_entries)
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows))
-
-
 def _require_samples(count: int, name: str) -> None:
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
 
 
-def _streamed_grams(steps, n: int) -> list[np.ndarray]:
+def _streamed_grams(steps) -> list[np.ndarray]:
     """Sample second moments sum_t r_t conj(r_t).T / T of several streams
     of T rows each, passed together: each step of steps is a sequence of
     (rows, n) blocks, one per stream, all with the same rows.
@@ -343,6 +347,7 @@ def _streamed_grams(steps, n: int) -> list[np.ndarray]:
             if stream == len(uppers):
                 # zherk never touches the strictly lower triangle, which
                 # stays zero
+                n = rows.shape[1]
                 uppers.append(np.zeros((n, n), dtype=np.complex128, order="F"))
             uppers[stream] = blas.zherk(
                 1.0, rows.T, beta=1.0, c=uppers[stream], overwrite_c=1
@@ -355,58 +360,38 @@ def _streamed_grams(steps, n: int) -> list[np.ndarray]:
     return grams
 
 
-def _streamed_gram(blocks, n: int) -> np.ndarray:
-    """Sample second moment of the rows of one sequence of (rows, n)
-    blocks, as _streamed_grams computes it."""
-    (gram,) = _streamed_grams(((rows,) for rows in blocks), n)
-    return gram
-
-
-def _streamed_normals(n_rows: int, row_entries: int, row_size: int, rng):
-    """The rows of one full-size draw rng.standard_normal((n_rows,
-    row_size)), yielded one row block of _row_blocks(n_rows, row_entries)
-    at a time as (rows, draw[rows]).
-
-    standard_normal fills C order, so one call per block draws exactly
-    those rows of the full-size draw, and rng ends where that draw leaves
-    it.  Each block is a view of one buffer the next block overwrites, and
-    rng must not be drawn from elsewhere until the blocks are exhausted.
-    """
-    block_rows = next(_row_blocks(n_rows, row_entries)).stop
-    buffer = np.empty((block_rows, row_size))
-    for rows in _row_blocks(n_rows, row_entries):
-        block = buffer[: rows.stop - rows.start]
-        rng.standard_normal(out=block)
-        yield rows, block
-
-
 def _summed_wiener_phases(
     shape: tuple[int, ...], rng: np.random.Generator, n_lead: int = 0
 ):
     """Phases of two independent Wiener oscillators summed, one trace along
     the last axis of shape, each starting at zero with unit-variance steps,
-    yielded one row block of the leading axis at a time as (rows,
-    lead[rows], phases[rows]).
+    yielded one block of rows of the leading axis at a time as (lead,
+    phases).
 
     A walk with steps of standard deviation sigma is sigma times this unit
-    walk, so one draw serves every bandwidth.  Row t of the full-size draw
-    of _streamed_normals holds lead[t], n_lead normals for the caller, then
-    trace t's steps as a (2, ..., N - 1) array, first oscillator first;
-    that streamer's contract on rng and on the blocks holds here.
+    walk, so one draw serves every bandwidth.  The normals are the rows of
+    one full-size draw rng.standard_normal((shape[0], n_lead + S)): row t
+    holds lead[t], n_lead normals for the caller, then trace t's S steps
+    as a (2, ..., N - 1) array, first oscillator first.  A block holds at
+    most _BLOCK_ENTRIES trace entries, and at least one row.
+    standard_normal fills C order, so one call per block draws exactly
+    those rows of the full-size draw, and rng ends where that draw leaves
+    it.  Each block is a view of buffers the next block overwrites, and
+    rng must not be drawn from elsewhere until the blocks are exhausted.
     """
-    row_entries = int(np.prod(shape[1:]))
-    block_rows = next(_row_blocks(shape[0], row_entries)).stop
-    phases = np.zeros((block_rows,) + shape[1:])
-    steps_shape = (2,) + shape[1:-1] + (shape[-1] - 1,)
-    draws = _streamed_normals(
-        shape[0], row_entries, n_lead + int(np.prod(steps_shape)), rng
-    )
-    for rows, normals in draws:
-        block = phases[: rows.stop - rows.start]
-        steps = normals[:, n_lead:].reshape(block.shape[:1] + steps_shape)
+    n_rows, trace_shape = shape[0], shape[1:]
+    step = min(n_rows, max(1, _BLOCK_ENTRIES // int(np.prod(trace_shape))))
+    steps_shape = (2,) + trace_shape[:-1] + (trace_shape[-1] - 1,)
+    normals = np.empty((step, n_lead + int(np.prod(steps_shape))))
+    phases = np.zeros((step,) + trace_shape)
+    for start in range(0, n_rows, step):
+        rows = min(step, n_rows - start)
+        draw, block = normals[:rows], phases[:rows]
+        rng.standard_normal(out=draw)
+        steps = draw[:, n_lead:].reshape((rows,) + steps_shape)
         np.cumsum(steps, axis=-1, out=steps)
         np.sum(steps, axis=1, out=block[..., 1:])
-        yield rows, normals[:, :n_lead], block
+        yield draw[:, :n_lead], block
 
 
 def ici_coefficients(phases: np.ndarray) -> np.ndarray:
@@ -453,22 +438,17 @@ def simulate_mixing_covariance(
     ]
     walks = _summed_wiener_phases((n_traces, n_subcarriers), rng)
     return _streamed_grams(
-        (
-            (ici_coefficients(sigma * phases) for sigma in sigmas)
-            for _, _, phases in walks
-        ),
-        n_subcarriers,
+        (ici_coefficients(sigma * phases) for sigma in sigmas)
+        for _, phases in walks
     )
 
 
-def check_pn_covariance(
-    delta_fs: Sequence[float] = (1e-4, 1e-3),
-    n_subcarriers: int = 32,
-    n_traces: int = 100_000,
-    tolerance: float = 2e-3,
-) -> list[CheckResult]:
+def check_pn_covariance(fast: bool = False) -> list[CheckResult]:
     """Closed-form mixing covariance versus the Monte Carlo oracle, one
-    result per bandwidth in delta_fs, all from one draw of traces."""
+    result per bandwidth, all from one draw of traces; fast draws a fifth
+    of the traces against a looser tolerance."""
+    delta_fs, n_subcarriers = (1e-4, 1e-3), 32
+    n_traces, tolerance = (20_000, 5e-3) if fast else (100_000, 2e-3)
     rng = np.random.default_rng(7001)
     estimates = simulate_mixing_covariance(
         delta_fs, n_subcarriers, n_traces, rng
@@ -480,7 +460,6 @@ def check_pn_covariance(
         results.append(
             CheckResult(
                 name="pn-covariance",
-                passed=worst <= tolerance,
                 worst_error=worst,
                 tolerance=tolerance,
                 detail=(
@@ -540,13 +519,23 @@ def simulate_si_covariance(
     (n_tx, L) tap imaginary parts, then the (2, n_tx, N - 1) oscillator
     steps, first oscillator first, so a given rng state always yields the
     same channels and traces.  An empty or negative pdp or an n_tx below 1
-    is rejected, as gen_si_channel rejects them.
+    is rejected, as gen_si_channel rejects them, and so are symbols that
+    are not a non-empty vector and a pdp longer than the symbols.
     """
+    symbols = np.asarray(symbols)
     pdp = np.asarray(pdp, dtype=np.float64)
+    if symbols.ndim != 1 or symbols.size == 0:
+        raise ValueError(
+            f"symbols must be a non-empty vector, got shape {symbols.shape}"
+        )
     if n_tx < 1:
         raise ValueError("n_tx must be positive")
     if pdp.ndim != 1 or pdp.size == 0:
         raise ValueError(f"pdp must be a non-empty vector, got shape {pdp.shape}")
+    if pdp.size > symbols.size:
+        raise ValueError(
+            f"pdp of {pdp.size} taps is longer than the {symbols.size} symbols"
+        )
     if np.any(pdp < 0.0):
         raise ValueError("pdp entries must be non-negative")
     _require_samples(n_trials, "n_trials")
@@ -554,31 +543,36 @@ def simulate_si_covariance(
     sigma = np.sqrt(phase_increment_variance(delta_f, n))
     scale = np.sqrt(pdp / 2.0)
     delayed = _delayed_waveforms(symbols, pdp.size)
-    block_rows = next(_row_blocks(n_trials, n_tx * n)).stop
-    taps = np.empty((block_rows, n_tx, pdp.size), dtype=np.complex128)
     n_parts = n_tx * pdp.size
 
     def si_vectors():
         walks = _summed_wiener_phases((n_trials, n_tx, n), rng, 2 * n_parts)
-        for rows, parts, block in walks:
-            block_taps = taps[: rows.stop - rows.start]
+        taps = None
+        for parts, block in walks:
+            if taps is None:
+                # the first block is the largest; the rest reuse its buffer
+                taps = np.empty(
+                    (len(parts), n_tx, pdp.size), dtype=np.complex128
+                )
+            block_taps = taps[: len(parts)]
             block_taps.real = parts[:, :n_parts].reshape(block_taps.shape)
             block_taps.imag = parts[:, n_parts:].reshape(block_taps.shape)
             block_taps *= scale
             block *= sigma
             outputs = _direct_channel_outputs(block_taps, delayed)
             outputs *= unit_rotation(block)
-            yield np.fft.fft(outputs.sum(axis=1), axis=1)
+            yield (np.fft.fft(outputs.sum(axis=1), axis=1),)
 
-    return _streamed_gram(si_vectors(), n)
+    (gram,) = _streamed_grams(si_vectors())
+    return gram
 
 
-def check_si_covariance(
-    n_trials: int = 100_000, tolerance: float = 0.03
-) -> CheckResult:
+def check_si_covariance(fast: bool = False) -> CheckResult:
     """Analytic SI covariance versus the sample covariance of simulated SI,
-    entrywise within tolerance * max |entry|."""
+    entrywise within tolerance * max |entry|; fast simulates a fifth of the
+    trials against a looser tolerance."""
     n_subcarriers, n_taps, n_tx, delta_f = 8, 2, 4, 1e-3
+    n_trials, tolerance = (20_000, 0.06) if fast else (100_000, 0.03)
     rng = np.random.default_rng(7002)
     symbols = gen_bpsk_symbols(n_subcarriers, rng)
     pdp = np.exp(-np.arange(n_taps) / 4.0)
@@ -593,7 +587,6 @@ def check_si_covariance(
     worst = float(np.max(np.abs(estimate - analytic))) / scale
     return CheckResult(
         name="si-covariance",
-        passed=worst <= tolerance,
         worst_error=worst,
         tolerance=tolerance,
         detail=(
@@ -603,14 +596,13 @@ def check_si_covariance(
     )
 
 
-def check_qp_oracle(
-    sizes: tuple[int, ...] = (4, 8, 16),
-    n_instances: int = 100,
-) -> CheckResult:
+def check_qp_oracle(fast: bool = False) -> CheckResult:
     """Real-embedded per-subcarrier programs versus the complex normal
     equations and the explicit inverse on random Hermitian positive definite
-    instances; also enforces that every program optimum is non-positive."""
-    tolerance = 1e-8
+    instances; also enforces that every program optimum is non-positive.
+    fast solves a quarter of the instances."""
+    sizes, tolerance = (4, 8, 16), 1e-8
+    n_instances = 25 if fast else 100
     rng = np.random.default_rng(7003)
     worst = 0.0
     for n in sizes:
@@ -632,14 +624,12 @@ def check_qp_oracle(
             if top > 1e-12:
                 return CheckResult(
                     name="qp-oracle",
-                    passed=False,
                     worst_error=top,
                     tolerance=0.0,
                     detail="positive program optimum encountered",
                 )
     return CheckResult(
         name="qp-oracle",
-        passed=worst <= tolerance,
         worst_error=worst,
         tolerance=tolerance,
         detail=f"sizes={sizes} instances={n_instances} per size",
@@ -720,10 +710,10 @@ def time_domain_si_reference(
     return np.fft.fft(window)
 
 
-def check_model_equivalence(n_trials: int = 100) -> CheckResult:
+def check_model_equivalence() -> CheckResult:
     """Subcarrier-domain synthesis versus the sample-domain FIR reference."""
     n_subcarriers, n_taps, n_tx, delta_f = 32, 4, 3, 1e-3
-    tolerance = 1e-8
+    n_trials, tolerance = 100, 1e-8
     rng = np.random.default_rng(7004)
     cp_length = n_taps + 2
     sigma = np.sqrt(phase_increment_variance(delta_f, n_subcarriers))
@@ -753,7 +743,6 @@ def check_model_equivalence(n_trials: int = 100) -> CheckResult:
         )
     return CheckResult(
         name="model-equivalence",
-        passed=worst <= tolerance,
         worst_error=worst,
         tolerance=tolerance,
         detail=(
@@ -813,7 +802,7 @@ def _received(reader, child):
 @one_blas_thread()
 def run_all(fast: bool = False) -> list[CheckResult]:
     """Run every validation suite, with scipy's OpenBLAS on one thread; fast
-    mode shrinks the Monte Carlo sizes.
+    runs each check's fast profile.
 
     check_pn_covariance runs in a forked child while this process runs the
     SI, QP and model-equivalence checks; the results keep the serial order,
@@ -821,13 +810,7 @@ def run_all(fast: bool = False) -> list[CheckResult]:
     here with its type and message.  If this process's checks raise, the
     child is terminated; it is joined before run_all returns or raises.
     """
-    traces = 20_000 if fast else 100_000
-    trials = 20_000 if fast else 100_000
-    instances = 25 if fast else 100
-    pn_check = functools.partial(
-        check_pn_covariance, delta_fs=(1e-4, 1e-3), n_traces=traces,
-        tolerance=2e-3 if not fast else 5e-3,
-    )
+    pn_check = functools.partial(check_pn_covariance, fast=fast)
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
     child = context.Process(target=_send_result, args=(writer, pn_check))
@@ -836,9 +819,8 @@ def run_all(fast: bool = False) -> list[CheckResult]:
     writer.close()
     try:
         others = [
-            check_si_covariance(n_trials=trials,
-                                tolerance=0.03 if not fast else 0.06),
-            check_qp_oracle(n_instances=instances),
+            check_si_covariance(fast=fast),
+            check_qp_oracle(fast=fast),
             check_model_equivalence(),
         ]
         return [*_received(reader, child), *others]

@@ -168,7 +168,7 @@ def test_criterion_4_si_covariance_oracle():
 
 def test_criterion_5_mixing_covariance_oracle():
     # one draw of traces serves both bandwidths
-    results = check_pn_covariance(delta_fs=(1e-4, 1e-3))
+    results = check_pn_covariance()
     passed = len(results) == 2 and all(result.passed for result in results)
     _verdict(
         "criterion 5", passed, "; ".join(result.line() for result in results)

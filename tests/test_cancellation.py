@@ -120,6 +120,16 @@ def test_expected_residual_validation():
         expected_residual_power(cov, np.eye(4), -1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["noise_power", "soi_power"])
+def test_expected_residual_rejects_non_finite_powers(name, value):
+    # unchecked, these returned nan with a RuntimeWarning
+    powers = {"noise_power": 1.0, "soi_power": 1.0, name: value}
+    cov = np.eye(4, dtype=np.complex128)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        expected_residual_power(cov, np.eye(4), **powers)
+
+
 def test_optimal_weights_beat_fixed_competitors():
     rng = np.random.default_rng(77)
     n, n_taps = 32, 4

@@ -29,7 +29,7 @@ from fdsic.impairments import (
 from fdsic.ofdm import gen_bpsk_symbols
 from fdsic.validation import (
     CheckResult,
-    _streamed_gram,
+    _streamed_grams,
     check_model_equivalence,
     check_pn_covariance,
     check_qp_oracle,
@@ -43,21 +43,28 @@ from fdsic.validation import (
 
 def test_check_result_line_format():
     result = CheckResult(
-        name="demo", passed=True, worst_error=1.5e-4, tolerance=2e-3,
-        detail="small",
+        name="demo", worst_error=1.5e-4, tolerance=2e-3, detail="small",
     )
     assert result.line() == (
         "PASS demo: worst error 1.500e-04 (tolerance 2.000e-03) small"
     )
-    failed = CheckResult("demo", False, 1.0, 0.5, "big")
-    assert failed.line().startswith("FAIL demo")
+    failed = CheckResult("demo", 1.0, 0.5, "big")
+    assert failed.line() == (
+        "FAIL demo: worst error 1.000e+00 (tolerance 5.000e-01) big"
+    )
+
+
+def test_check_result_passes_at_its_tolerance():
+    # passed is worst_error <= tolerance, so an error at the bound passes
+    # and one that is not a number fails
+    assert CheckResult("demo", 2e-3, 2e-3, "").passed
+    assert not CheckResult("demo", np.nextafter(2e-3, 1.0), 2e-3, "").passed
+    assert not CheckResult("demo", float("nan"), 2e-3, "").passed
+    assert not CheckResult("demo", 1e-12, 0.0, "").passed
 
 
 def test_pn_covariance_check_small():
-    results = check_pn_covariance(
-        delta_fs=(1e-4, 1e-3), n_subcarriers=16, n_traces=20_000,
-        tolerance=5e-3,
-    )
+    results = check_pn_covariance(fast=True)
     assert [result.detail.split()[0] for result in results] == [
         "delta_f=0.0001", "delta_f=0.001",
     ]
@@ -66,17 +73,17 @@ def test_pn_covariance_check_small():
 
 
 def test_si_covariance_check_small():
-    result = check_si_covariance(n_trials=20_000, tolerance=0.06)
+    result = check_si_covariance(fast=True)
     assert result.passed, result.line()
 
 
 def test_qp_oracle_check_small():
-    result = check_qp_oracle(sizes=(4, 8), n_instances=10)
+    result = check_qp_oracle(fast=True)
     assert result.passed, result.line()
 
 
 def test_model_equivalence_check_small():
-    result = check_model_equivalence(n_trials=20)
+    result = check_model_equivalence()
     assert result.passed, result.line()
 
 
@@ -155,7 +162,7 @@ def test_hermitian_gram_matches_einsum(order):
     rng = np.random.default_rng(80)
     rows = rng.standard_normal((500, 12)) + 1j * rng.standard_normal((500, 12))
     rows = np.asarray(rows, order=order)
-    gram = _streamed_gram((rows,), rows.shape[1])
+    (gram,) = _streamed_grams(((rows,),))
     reference = np.einsum("ta,tb->ab", rows, rows.conj()) / rows.shape[0]
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(gram - reference)) <= 1e-12 * scale
@@ -270,59 +277,61 @@ def test_streamed_walks_match_one_full_size_draw(
     monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
     rng = np.random.Generator(bit_generator(98))
     reference_rng = np.random.Generator(bit_generator(98))
-    # one full-size draw: row t holds trace t's steps, first oscillator first
-    steps_shape = (2,) + shape[1:-1] + (shape[-1] - 1,)
-    steps = reference_rng.standard_normal(
-        (shape[0], int(np.prod(steps_shape)))
-    ).reshape(shape[:1] + steps_shape)
-    reference = np.zeros(shape)
-    walks = np.cumsum(steps, axis=-1)
-    reference[..., 1:] = walks[:, 0] + walks[:, 1]
-    # each block is overwritten by the next, so keep copies
-    walks = [
-        (rows, phases.copy())
-        for rows, _, phases in validation._summed_wiener_phases(shape, rng)
-    ]
-    starts = [rows.start for rows, _ in walks]
-    stops = [rows.stop for rows, _ in walks]
-    assert starts == [0] + stops[:-1] and stops[-1] == shape[0]
-    streamed = np.concatenate([phases for _, phases in walks])
-    assert np.array_equal(streamed, reference)
-    assert _same_state(
-        rng.bit_generator.state, reference_rng.bit_generator.state
-    )
+    reference = _one_shot_draw(reference_rng, shape, 0)
+    streamed = _streamed_draw(rng, shape, 0)
+    _assert_same_draw(streamed, reference, shape, rng, reference_rng)
 
 
-# With 128-entry blocks and rows of n_tx * N = 16 entries a block holds 8
+# With 128-entry blocks and traces of n_tx * N = 16 entries a block holds 8
 # rows: counts below one block, exactly two blocks, and two blocks and a
 # remainder; 24 antennas make a row larger than a block.  A row holds the
-# last n_parts of the SI oracle's four row parts: the taps' real and
-# imaginary parts of (n_tx, L) each, then two oscillators' steps of
-# (n_tx, N - 1) each, with L = 3 and N = 8.
+# SI oracle's normals with L = n_taps and N = 8: the lead, the taps' real
+# and imaginary parts of (n_tx, L) each, then two oscillators' steps of
+# (n_tx, N - 1) each.
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
-@pytest.mark.parametrize("n_parts", [1, 2, 4])
+@pytest.mark.parametrize("n_taps", [1, 2, 4])
 @pytest.mark.parametrize("n_tx, count", [(2, 5), (2, 16), (2, 19), (24, 3)])
 def test_streamed_normals_are_consecutive_full_size_draws(
-    monkeypatch, bit_generator, n_parts, n_tx, count
+    monkeypatch, bit_generator, n_taps, n_tx, count
 ):
     monkeypatch.setattr(validation, "_BLOCK_ENTRIES", 128)
-    n = 8
-    row_size = sum(([n_tx * 3] * 2 + [n_tx * (n - 1)] * 2)[-n_parts:])
+    shape, n_lead = (count, n_tx, 8), 2 * n_tx * n_taps
     rng = np.random.Generator(bit_generator(97))
     reference_rng = np.random.Generator(bit_generator(97))
-    reference = reference_rng.standard_normal((count, row_size))
+    reference = _one_shot_draw(reference_rng, shape, n_lead)
+    streamed = _streamed_draw(rng, shape, n_lead)
+    _assert_same_draw(streamed, reference, shape, rng, reference_rng)
+
+
+def _one_shot_draw(rng, shape, n_lead):
+    # one full-size draw: row t holds n_lead normals, then trace t's steps,
+    # first oscillator first; the walks of both summed, each from zero
+    steps_shape = (2,) + shape[1:-1] + (shape[-1] - 1,)
+    draw = rng.standard_normal((shape[0], n_lead + int(np.prod(steps_shape))))
+    walks = np.cumsum(draw[:, n_lead:].reshape(shape[:1] + steps_shape), -1)
+    phases = np.zeros(shape)
+    phases[..., 1:] = walks[:, 0] + walks[:, 1]
+    return draw[:, :n_lead], phases
+
+
+def _streamed_draw(rng, shape, n_lead):
     # each block is overwritten by the next, so keep copies
-    streamed = [
-        (rows, block.copy())
-        for rows, block in validation._streamed_normals(
-            count, n_tx * n, row_size, rng
-        )
+    return [
+        (lead.copy(), phases.copy())
+        for lead, phases in validation._summed_wiener_phases(shape, rng, n_lead)
     ]
-    starts = [rows.start for rows, _ in streamed]
-    stops = [rows.stop for rows, _ in streamed]
-    assert starts == [0] + stops[:-1] and stops[-1] == count
-    blocks = [block for _, block in streamed]
-    assert np.array_equal(np.concatenate(blocks), reference)
+
+
+def _assert_same_draw(streamed, reference, shape, rng, reference_rng):
+    # consecutive blocks of 128 trace entries, or of one row if a row is
+    # larger, that hold the rows of the full-size draw bit for bit and
+    # leave the generator where that draw leaves it
+    step = max(1, 128 // int(np.prod(shape[1:])))
+    assert [len(phases) for _, phases in streamed] == [
+        min(step, shape[0] - start) for start in range(0, shape[0], step)
+    ]
+    for streamed_part, reference_part in zip(zip(*streamed), reference):
+        assert np.array_equal(np.concatenate(streamed_part), reference_part)
     assert _same_state(
         rng.bit_generator.state, reference_rng.bit_generator.state
     )
@@ -397,8 +406,6 @@ def test_mixing_oracle_rejects_no_bandwidth():
     rng = np.random.default_rng(95)
     with pytest.raises(ValueError, match="delta_fs"):
         simulate_mixing_covariance((), 16, 10, rng)
-    with pytest.raises(ValueError, match="delta_fs"):
-        check_pn_covariance(delta_fs=())
 
 
 @pytest.mark.parametrize("n_taps", [1, 2, 16])
@@ -421,8 +428,11 @@ def test_si_oracle_convolution_matches_channel_outputs(n_taps):
 
 
 def test_si_oracle_rejects_zero_trials():
+    symbols = gen_bpsk_symbols(8, np.random.default_rng(91))
     with pytest.raises(ValueError, match="n_trials"):
-        check_si_covariance(n_trials=0)
+        simulate_si_covariance(
+            symbols, np.ones(2), 4, 1e-3, 0, np.random.default_rng(92)
+        )
 
 
 @pytest.mark.parametrize(
@@ -442,6 +452,25 @@ def test_si_oracle_rejects_bad_channel_inputs(pdp, n_tx, message):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=message):
         simulate_si_covariance(symbols, np.array(pdp), n_tx, 1e-3, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "symbols, n_taps, message",
+    [
+        (np.ones((1, 8)), 2, "symbols must be a non-empty vector"),
+        (np.ones(0), 1, "symbols must be a non-empty vector"),
+        (np.ones(4), 6, "pdp of 6 taps is longer than the 4 symbols"),
+    ],
+    ids=["row-of-symbols", "no-symbols", "pdp-longer-than-symbols"],
+)
+def test_si_oracle_rejects_bad_symbols(symbols, n_taps, message):
+    # before any draw: unchecked, (1, N) symbols failed with numpy's
+    # broadcasting error and 6 taps on 4 symbols wrapped around the symbol
+    rng = np.random.default_rng(87)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        simulate_si_covariance(symbols, np.ones(n_taps), 2, 1e-3, 10, rng)
     assert rng.bit_generator.state == state
 
 
@@ -591,11 +620,9 @@ def test_exact_order_samples_have_the_model_covariance():
     kernel = pn_covariance_table(delta_f, n)
     analytic = subcarrier_si_covariance(stats, kernel)[0]
     scale = np.max(np.abs(analytic))
-    exact_gram = _streamed_gram((exact,), n)
+    exact_gram, model_gram = _streamed_grams(((exact, model),))
     assert np.max(np.abs(exact_gram - analytic)) <= 0.06 * scale
-    assert np.max(np.abs(exact_gram - _streamed_gram((model,), n))) <= (
-        0.01 * scale
-    )
+    assert np.max(np.abs(exact_gram - model_gram)) <= 0.01 * scale
 
 
 # The reference node: N = 128, prefix 16, 16 exponential taps, 64 antennas.
