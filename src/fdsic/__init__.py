@@ -11,7 +11,6 @@ ability.
 
 __version__ = "0.1.0"
 
-from .cancellation import cancellation_ability
 from .estimator import (
     EstimatorStatistics,
     SingularMatrixError,
@@ -24,6 +23,7 @@ from .estimator import (
 from .harness import (
     SimConfig,
     SweepRecord,
+    cancellation_ability,
     emit_csv,
     read_csv,
     sweep,

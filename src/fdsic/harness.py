@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .cancellation import cancellation_ability, reconstruct_si
+from .cancellation import reconstruct_si
 from .estimator import (
     EstimatorStatistics,
     SiSpectrum,
@@ -391,6 +392,25 @@ def sweep(
     ]
     records.sort(key=lambda record: (record.value, record.method))
     return records
+
+
+def cancellation_ability(pre_power: float, residual_power: float) -> float:
+    """Cancellation ability 10 log10(pre_power / residual) in dB, pre_power
+    being the SI-plus-noise power before cancellation; +inf when the
+    residual is not positive.  pre_power must be finite and positive, the
+    residual finite.  Powers whose ratio underflows or overflows still get
+    their finite ability, from the difference of their logarithms."""
+    if not (math.isfinite(pre_power) and pre_power > 0.0):
+        raise ValueError(f"pre_power must be finite and positive: {pre_power!r}")
+    if not math.isfinite(residual_power):
+        raise ValueError(f"residual_power must be finite: {residual_power!r}")
+    if residual_power <= 0.0:
+        return math.inf
+    ratio = pre_power / residual_power
+    if sys.float_info.min <= ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    # the ratio left the normal float range: subtract the logarithms instead
+    return 10.0 * (math.log10(pre_power) - math.log10(residual_power))
 
 
 def _aggregate(

@@ -12,13 +12,15 @@ physical order, and so measures the error of the model's ordering.
 The module also holds the dense oracles the spectral engine of
 fdsic.estimator is tested against: the subcarrier-domain SI covariance, the
 Cholesky solve of the normal equations, the real-embedded quadratic
-programs, the direct evaluation of the expected residual power, and the
-least-squares projector built from a general Gram solve.  The closed-form
-subcarrier mixing covariance, which the simulator never needs, is built
-here from the phase correlation kernel.  So are the transforms only these
-checks use: the partial DFT matrix (dft_matrix), the subcarrier mixing
-coefficients of phase traces (ici_coefficients) and cyclic-prefix
-modulation (modulate).  The simulator imports nothing from this module.
+programs (real_qp_weights), the direct evaluation of the expected residual
+power at the model's unit noise power (expected_residual_power(si_cov,
+weights, soi_power)), and the least-squares projector built from a general
+Gram solve.  The closed-form subcarrier mixing covariance, which the
+simulator never needs, is built here from the phase correlation kernel.
+So are the transforms only these checks use: the partial DFT matrix
+(dft_matrix), the subcarrier mixing coefficients of phase traces
+(ici_coefficients) and cyclic-prefix modulation (modulate).  The
+simulator imports nothing from this module.
 
 Both Monte Carlo oracles stream their samples through one generator,
 _summed_wiener_phases, which draws a block of rows at a time into one
@@ -161,85 +163,53 @@ def optimal_weights(
     return weights, opt_values
 
 
-def real_embedding(matrix: np.ndarray) -> np.ndarray:
-    """Real 2Nx2N block form [[Re M, Im M], [-Im M, Re M]] of a complex matrix.
-
-    The embedding multiplies like the matrices themselves, so the inverse of
-    an embedding is the embedding of inv(M); for Hermitian positive definite
-    M the result is symmetric positive definite.
-    """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    return np.block(
-        [[matrix.real, matrix.imag], [-matrix.imag, matrix.real]]
-    )
-
-
-def real_qp_blocks(
-    received_cov: np.ndarray, si_noise_cov: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-program blocks of every receive subcarrier.
-
-    Returns (phi, b) such that the real stacking v = [Re w; Im w] of
-    subcarrier k's weight row w minimizes v.T @ phi @ v - 2 b[:, k].T @ v.
-    All subcarriers share phi.
-    """
-    received_cov, si_noise_cov = _covariance_pair(received_cov, si_noise_cov)
-    b = np.concatenate([si_noise_cov.real, -si_noise_cov.imag])
-    return real_embedding(received_cov), b
-
-
-def solve_qp(phi: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize v.T @ phi @ v - 2 b.T @ v for symmetric positive definite phi,
-    for one linear term b or for each column of b, from one factorization.
-
-    Returns the minimizers and the minimum values -b.T @ inv(phi) @ b, which
-    are never positive.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or phi.shape != (len(b), len(b)):
-        raise ValueError("phi and b sizes disagree")
-    v = _cholesky_solve(
-        lapack.dpotrf, lapack.dpotrs, phi, b, "quadratic-program matrix"
-    )
-    return v, -np.sum(b * v, axis=0)
-
-
 def real_qp_weights(
     received_cov: np.ndarray, si_noise_cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal weights and program optima from the real-embedded programs of
-    all subcarriers, solved together; row k of V is assembled from the
-    minimizer [Re w; Im w] of subcarrier k's program."""
-    phi, b = real_qp_blocks(received_cov, si_noise_cov)
-    v, opt_values = solve_qp(phi, b)
-    n = b.shape[1]
-    return (v[:n] + 1j * v[n:]).T, opt_values
+    all subcarriers, solved together from one factorization.
+
+    The real stacking v = [Re w; Im w] of subcarrier k's weight row w
+    minimizes v.T @ phi @ v - 2 b[:, k].T @ v, where phi is the embedding
+    [[Re C, Im C], [-Im C, Re C]] of the received covariance C, shared by
+    all subcarriers, and b = [Re B; -Im B] stacks the SI plus noise
+    covariance B.  Row k of V is assembled from the minimizer of program k,
+    whose optimum -b[:, k].T @ inv(phi) @ b[:, k] is never positive.
+    """
+    received_cov, si_noise_cov = _covariance_pair(received_cov, si_noise_cov)
+    # the real embedding multiplies the way the complex matrices do, so
+    # solving with phi solves with C
+    phi = np.block(
+        [[received_cov.real, received_cov.imag],
+         [-received_cov.imag, received_cov.real]]
+    )
+    b = np.concatenate([si_noise_cov.real, -si_noise_cov.imag])
+    v = _cholesky_solve(
+        lapack.dpotrf, lapack.dpotrs, phi, b, "quadratic-program matrix"
+    )
+    n = len(received_cov)
+    return (v[:n] + 1j * v[n:]).T, -np.sum(b * v, axis=0)
 
 
 def expected_residual_power(
-    si_cov: np.ndarray,
-    weights: np.ndarray,
-    noise_power: float,
-    soi_power: float,
+    si_cov: np.ndarray, weights: np.ndarray, soi_power: float
 ) -> float:
-    """Expected residual power of weights V for fixed transmit symbols:
-    N*noise + tr{A} + tr{V C conj(V).T} - 2 Re tr{V B}."""
+    """Expected residual power of weights V for fixed transmit symbols at
+    the model's unit noise power: N + tr{A} + tr{V C conj(V).T}
+    - 2 Re tr{V B}."""
     si_cov = np.asarray(si_cov, dtype=np.complex128)
     weights = np.asarray(weights, dtype=np.complex128)
     n = si_cov.shape[0]
     if si_cov.shape != (n, n) or weights.shape != (n, n):
         raise ValueError("si_cov and weights must be square and equally sized")
-    powers = (("noise_power", noise_power), ("soi_power", soi_power))
-    for name, power in powers:
-        if not (np.isfinite(power) and power >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative")
+    if not (np.isfinite(soi_power) and soi_power >= 0.0):
+        raise ValueError("soi_power must be finite and non-negative")
     eye = np.eye(n)
-    si_noise = si_cov + noise_power * eye
+    si_noise = si_cov + eye
     received = si_noise + soi_power * eye
     quad = np.einsum("km,km->", weights @ received, weights.conj()).real
     cross = np.einsum("km,mk->", weights, si_noise).real
-    value = n * noise_power + np.trace(si_cov).real + quad - 2.0 * cross
+    value = n + np.trace(si_cov).real + quad - 2.0 * cross
     return max(float(value), 0.0)
 
 
@@ -614,19 +584,20 @@ def check_qp_oracle(fast: bool = False) -> CheckResult:
             real_weights, real_values = real_qp_weights(received, si_noise)
             weights, values = optimal_weights(received, si_noise)
             oracle = si_noise.conj().T @ np.linalg.inv(received)
-            worst = max(
+            # np.max, unlike the builtin max, propagates a NaN, so it fails
+            worst = float(np.max([
                 worst,
-                float(np.max(np.abs(real_weights - oracle))),
-                float(np.max(np.abs(weights - oracle))),
-                float(np.max(np.abs(real_weights - weights))),
-            )
-            top = float(max(real_values.max(), values.max()))
-            if top > 1e-12:
+                np.max(np.abs(real_weights - oracle)),
+                np.max(np.abs(weights - oracle)),
+                np.max(np.abs(real_weights - weights)),
+            ]))
+            top = float(np.max([real_values.max(), values.max()]))
+            if not top <= 1e-12:
                 return CheckResult(
                     name="qp-oracle",
                     worst_error=top,
                     tolerance=0.0,
-                    detail="positive program optimum encountered",
+                    detail="positive or NaN program optimum encountered",
                 )
     return CheckResult(
         name="qp-oracle",
@@ -734,13 +705,8 @@ def check_model_equivalence() -> CheckResult:
         reference = time_domain_si_reference(
             symbols, taps, tx_phases, rx_phases, cp_length
         )
-        worst = max(
-            worst,
-            float(
-                np.linalg.norm(si - reference)
-                / np.linalg.norm(reference)
-            ),
-        )
+        error = np.linalg.norm(si - reference) / np.linalg.norm(reference)
+        worst = float(np.max([worst, error]))
     return CheckResult(
         name="model-equivalence",
         worst_error=worst,

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdsic.cancellation import cancellation_ability, reconstruct_si
+from fdsic.cancellation import reconstruct_si
 from fdsic.estimator import EstimatorStatistics
+from fdsic.harness import cancellation_ability
 from fdsic.impairments import (
     channel_outputs,
     gen_awgn,
@@ -71,7 +72,7 @@ def test_expected_residual_with_zero_weights():
     rng = np.random.default_rng(74)
     _, _, cov = _small_covariance(rng)
     n = cov.shape[0]
-    value = expected_residual_power(cov, np.zeros((n, n)), 1.0, 2.0)
+    value = expected_residual_power(cov, np.zeros((n, n)), 2.0)
     assert value == pytest.approx(n * 1.0 + np.trace(cov).real, rel=1e-12)
 
 
@@ -80,7 +81,7 @@ def test_expected_residual_with_identity_weights_is_soi_power():
     rng = np.random.default_rng(75)
     _, _, cov = _small_covariance(rng)
     n = cov.shape[0]
-    value = expected_residual_power(cov, np.eye(n), 1.0, 2.0)
+    value = expected_residual_power(cov, np.eye(n), 2.0)
     assert value == pytest.approx(n * 2.0, rel=1e-9)
 
 
@@ -89,7 +90,7 @@ def test_expected_residual_matches_monte_carlo():
     n, n_taps, n_tx = 16, 2, 2
     symbols, pdp, cov = _small_covariance(rng, n, n_taps, n_tx)
     weights = ls_weight_matrix(symbols, n_taps)
-    predicted = expected_residual_power(cov, weights, 1.0, 2.0)
+    predicted = expected_residual_power(cov, weights, 2.0)
     sigma = np.sqrt(phase_increment_variance(1e-3, n))
     total = 0.0
     trials = 4000
@@ -115,19 +116,17 @@ def test_expected_residual_matches_monte_carlo():
 def test_expected_residual_validation():
     cov = np.eye(4, dtype=np.complex128)
     with pytest.raises(ValueError):
-        expected_residual_power(cov, np.eye(3), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        expected_residual_power(cov, np.eye(4), -1.0, 1.0)
+        expected_residual_power(cov, np.eye(3), 1.0)
+    with pytest.raises(ValueError, match="^soi_power must be finite and non-"):
+        expected_residual_power(cov, np.eye(4), -1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["noise_power", "soi_power"])
-def test_expected_residual_rejects_non_finite_powers(name, value):
+def test_expected_residual_rejects_non_finite_powers(value):
     # unchecked, these returned nan with a RuntimeWarning
-    powers = {"noise_power": 1.0, "soi_power": 1.0, name: value}
     cov = np.eye(4, dtype=np.complex128)
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        expected_residual_power(cov, np.eye(4), **powers)
+    with pytest.raises(ValueError, match="^soi_power must be finite"):
+        expected_residual_power(cov, np.eye(4), value)
 
 
 def test_optimal_weights_beat_fixed_competitors():
@@ -139,14 +138,14 @@ def test_optimal_weights_beat_fixed_competitors():
     cov = subcarrier_si_covariance(stats, pn_covariance_table(1e-3, n))[0]
     si_noise = cov + np.eye(n)
     best, _ = optimal_weights(si_noise + 3.0 * np.eye(n), si_noise)
-    best_value = expected_residual_power(cov, best, 1.0, 3.0)
+    best_value = expected_residual_power(cov, best, 3.0)
     competitors = [
         np.zeros((n, n)),
         np.eye(n),
         ls_weight_matrix(symbols, n_taps),
     ]
     for weights in competitors:
-        other = expected_residual_power(cov, weights, 1.0, 3.0)
+        other = expected_residual_power(cov, weights, 3.0)
         assert best_value <= other * (1.0 + 1e-9)
 
 

@@ -104,6 +104,10 @@ def test_validate_fast_smoke(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in lines)
     worst = [result.worst_error for result in results]
     assert worst == pytest.approx(FAST_WORST_ERRORS, rel=1e-6)
+    # the mixing oracle reports its bandwidths in increasing order
+    assert [result.detail.split()[0] for result in results[:2]] == [
+        "delta_f=0.0001", "delta_f=0.001",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -43,10 +43,7 @@ from fdsic.validation import (
     ls_weight_matrix,
     mixing_covariance,
     optimal_weights,
-    real_embedding,
-    real_qp_blocks,
     real_qp_weights,
-    solve_qp,
     subcarrier_si_covariance,
 )
 
@@ -216,46 +213,14 @@ def test_si_spectrum_rejects_a_covariance_of_other_statistics():
     assert si_spectrum(cov[:1], one_trial).n_taps == 2
 
 
-def test_real_embedding_is_multiplicative():
-    rng = np.random.default_rng(47)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    k = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert_allclose(
-        real_embedding(m) @ real_embedding(k), real_embedding(m @ k), atol=1e-12
-    )
-    root = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    hpd = root @ root.conj().T + np.eye(5)
-    assert_allclose(
-        np.linalg.inv(real_embedding(hpd)),
-        real_embedding(np.linalg.inv(hpd)),
-        atol=1e-10,
-    )
-
-
-def test_real_qp_blocks_reproduce_complex_objective():
-    rng = np.random.default_rng(48)
-    n, k = 6, 2
-    root = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    received = root @ root.conj().T + np.eye(n)
-    herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    si_noise = 0.5 * (herm + herm.conj().T)
-    phi, b = real_qp_blocks(received, si_noise)
-    assert b.shape == (2 * n, n)
-    for _ in range(10):
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = np.concatenate([w.real, w.imag])
-        complex_value = (
-            np.real(w @ received @ w.conj()) - 2.0 * np.real(w @ si_noise[:, k])
-        )
-        assert v @ phi @ v - 2.0 * b[:, k] @ v == pytest.approx(complex_value)
-
-
-def test_real_qp_blocks_validation():
+def test_real_qp_weights_validation():
     eye = np.eye(3, dtype=np.complex128)
     with pytest.raises(ValueError, match="square"):
-        real_qp_blocks(eye, np.eye(2, dtype=np.complex128))
+        real_qp_weights(eye, np.eye(2, dtype=np.complex128))
     with pytest.raises(ValueError, match="square"):
-        real_qp_blocks(np.ones((3, 2), dtype=np.complex128), eye)
+        real_qp_weights(np.ones((3, 2), dtype=np.complex128), eye)
+    with pytest.raises(ValueError, match="square"):
+        real_qp_weights(np.complex128(1.0), np.complex128(1.0))
 
 
 def test_optimal_weights_validation():
@@ -269,37 +234,11 @@ def test_optimal_weights_validation():
         optimal_weights(np.complex128(1.0), np.complex128(1.0))
 
 
-def test_solve_qp_against_dense_solve():
-    rng = np.random.default_rng(49)
-    root = rng.standard_normal((8, 8))
-    phi = root @ root.T + np.eye(8)
-    b = rng.standard_normal(8)
-    v, value = solve_qp(phi, b)
-    expected = np.linalg.solve(phi, b)
-    assert_allclose(v, expected, atol=1e-10)
-    assert value == pytest.approx(-b @ expected)
-    assert value <= 0.0
-
-
-def test_solve_qp_validation():
-    # one or two dimensional b only, matching phi: LAPACK never sees a
-    # mismatch
-    for b in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
-        with pytest.raises(ValueError, match="sizes disagree"):
-            solve_qp(np.eye(2), b)
-
-
 def test_dense_solves_of_an_empty_system_are_empty():
     empty = np.zeros((0, 0))
-    weights, values = optimal_weights(empty, empty)
-    assert (weights.shape, values.shape) == ((0, 0), (0,))
-    v, value = solve_qp(empty, np.zeros(0))
-    assert (v.shape, value) == ((0,), 0.0)
-
-
-def test_solve_qp_rejects_indefinite_matrix():
-    with pytest.raises(SingularMatrixError):
-        solve_qp(np.zeros((4, 4)), np.ones(4))
+    for route in (optimal_weights, real_qp_weights):
+        weights, values = route(empty, empty)
+        assert (weights.shape, values.shape) == ((0, 0), (0,))
 
 
 def _random_covariance(rng, n=12, n_taps=3, n_tx=2, delta_f=1e-3):
@@ -344,7 +283,7 @@ def test_optimal_weights_without_soi_pass_everything_through():
     symbols, cov = _random_covariance(rng)
     weights, _ = optimal_weights(*_loaded(cov, 1.0, 0.0))
     assert_allclose(weights, np.eye(symbols.size), atol=1e-10)
-    residual = expected_residual_power(cov, weights, 1.0, 0.0)
+    residual = expected_residual_power(cov, weights, 0.0)
     assert residual == pytest.approx(0.0, abs=1e-9)
 
 
@@ -362,7 +301,7 @@ def test_optimal_weights_closed_form_residual_consistency():
     rng = np.random.default_rng(55)
     _, cov = _random_covariance(rng, n=16)
     weights, opt_values = optimal_weights(*_loaded(cov, 1.0, 5.0))
-    direct = expected_residual_power(cov, weights, 1.0, 5.0)
+    direct = expected_residual_power(cov, weights, 5.0)
     closed = 16 * 1.0 + np.trace(cov).real + opt_values.sum()
     assert direct == pytest.approx(closed, rel=1e-9)
 
@@ -447,18 +386,6 @@ def test_ls_weight_matrix_reproduces_ls_reconstruction():
                     via_taps, atol=1e-10)
 
 
-def test_qp_direct_use_matches_optimal_weights_row():
-    rng = np.random.default_rng(65)
-    _, cov = _random_covariance(rng, n=8)
-    received, si_noise = _loaded(cov, 1.0, 5.0)
-    weights, opt_values = optimal_weights(received, si_noise)
-    phi, b = real_qp_blocks(received, si_noise)
-    v, value = solve_qp(phi, b[:, 3])
-    row = v[:8] + 1j * v[8:]
-    assert_allclose(row, weights[3], atol=1e-10)
-    assert value == pytest.approx(opt_values[3], abs=1e-10)
-
-
 def test_optimal_weights_rejects_indefinite_received():
     zeros = np.zeros((4, 4), dtype=np.complex128)
     for route, name in (
@@ -506,10 +433,10 @@ def test_spectral_engine_matches_cholesky_oracles(inr_db, delta_f, n_tx, mode):
     oracle, _ = optimal_weights(*_loaded(cov, noise, soi))
     assert np.linalg.norm(weights - oracle) <= 1e-9 * np.linalg.norm(oracle)
     assert solution.residual_power[0, 0] == pytest.approx(
-        expected_residual_power(cov, weights, noise, soi), rel=1e-9
+        expected_residual_power(cov, weights, soi), rel=1e-9
     )
     ls_oracle = expected_residual_power(
-        cov, ls_weight_matrix(symbols, n_taps), noise, soi
+        cov, ls_weight_matrix(symbols, n_taps), soi
     )
     assert ls_residual_power(spectrum, *point)[0, 0] == pytest.approx(
         ls_oracle, rel=1e-9
@@ -554,7 +481,7 @@ def test_spectral_engine_at_one_and_two_subcarriers(n):
             spectrum.eigenvalues[0], np.linalg.eigvalsh(unit), atol=1e-12 * n
         )
         assert solution.residual_power[0, 0] == pytest.approx(
-            expected_residual_power(scale * unit, oracle, noise, soi),
+            expected_residual_power(scale * unit, oracle, soi),
             rel=1e-12,
         )
 

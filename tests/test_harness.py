@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from fdsic import estimator, harness
-from fdsic.cancellation import cancellation_ability
 from fdsic.estimator import (
     EstimatorStatistics,
     SingularMatrixError,
@@ -22,6 +21,7 @@ from fdsic.harness import (
     Scenario,
     SimConfig,
     SweepRecord,
+    cancellation_ability,
     emit_csv,
     pdp_profile,
     read_csv,

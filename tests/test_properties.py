@@ -7,7 +7,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from fdsic.cancellation import cancellation_ability
 from fdsic.estimator import (
     EstimatorStatistics,
     ls_residual_power,
@@ -15,6 +14,7 @@ from fdsic.estimator import (
     si_spectrum,
     spectral_weights,
 )
+from fdsic.harness import cancellation_ability
 from fdsic.impairments import pn_covariance_table
 from fdsic.ofdm import gen_bpsk_symbols
 

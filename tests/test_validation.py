@@ -1,4 +1,7 @@
-"""Reduced-size runs of the self-check suites and their reporting."""
+"""The self-check suites' Monte Carlo oracles, their streaming and memory,
+the sample-domain reference, and how run_all and CheckResult report.  The
+checks themselves run at full size in tests/test_acceptance.py and in their
+fast profile in tests/test_cli.py."""
 
 import multiprocessing
 import os
@@ -10,7 +13,6 @@ import numpy as np
 import pytest
 
 from fdsic import validation
-from fdsic.cancellation import cancellation_ability
 from fdsic.estimator import (
     EstimatorStatistics,
     SingularMatrixError,
@@ -18,6 +20,7 @@ from fdsic.estimator import (
     si_spectrum,
     spectral_weights,
 )
+from fdsic.harness import cancellation_ability
 from fdsic.impairments import (
     channel_outputs,
     gen_si_channel,
@@ -30,10 +33,6 @@ from fdsic.ofdm import gen_bpsk_symbols
 from fdsic.validation import (
     CheckResult,
     _streamed_grams,
-    check_model_equivalence,
-    check_pn_covariance,
-    check_qp_oracle,
-    check_si_covariance,
     simulate_mixing_covariance,
     simulate_si_covariance,
     subcarrier_si_covariance,
@@ -61,30 +60,6 @@ def test_check_result_passes_at_its_tolerance():
     assert not CheckResult("demo", np.nextafter(2e-3, 1.0), 2e-3, "").passed
     assert not CheckResult("demo", float("nan"), 2e-3, "").passed
     assert not CheckResult("demo", 1e-12, 0.0, "").passed
-
-
-def test_pn_covariance_check_small():
-    results = check_pn_covariance(fast=True)
-    assert [result.detail.split()[0] for result in results] == [
-        "delta_f=0.0001", "delta_f=0.001",
-    ]
-    for result in results:
-        assert result.passed, result.line()
-
-
-def test_si_covariance_check_small():
-    result = check_si_covariance(fast=True)
-    assert result.passed, result.line()
-
-
-def test_qp_oracle_check_small():
-    result = check_qp_oracle(fast=True)
-    assert result.passed, result.line()
-
-
-def test_model_equivalence_check_small():
-    result = check_model_equivalence()
-    assert result.passed, result.line()
 
 
 @pytest.fixture
