@@ -21,7 +21,11 @@ eigenvalues lam0 of T are those of A0 and give both the optimal and the
 least-squares expected residuals in closed form, and the SI estimate is
 V y = y - soi * U Q inv(s*T + (1 + soi)*I) Q^H U^H y, where U and U^H
 are one FFT and one inverse FFT.  The subcarrier-domain A0 is never formed
-on this path; fdsic.validation builds it for the oracles.
+on this path; fdsic.validation builds it for the oracles.  The
+tridiagonalization works in the caller's A_t: si_spectrum leaves the
+packed reflectors and T in each Fortran-ordered trial matrix of its
+argument instead of an N x N copy per trial, so a caller that needs A_t
+afterwards passes a copy.
 
 Every entry point takes the one layout the simulator sends: a batch of B
 trials, each with its own symbols, and a block of P operating points that
@@ -249,8 +253,11 @@ def si_covariance(stats: EstimatorStatistics, kernel: np.ndarray) -> np.ndarray:
     if kernel.shape != (n, n):
         raise ValueError(f"kernel must be (N, N) = {(n, n)}, got {kernel.shape}")
     # K depends on |n1 - n2| only, so K.T is K in the sample covariance's
-    # Fortran order, and the product keeps that order
-    return kernel.T * stats.sample_covariance * (n * stats.n_tx)
+    # Fortran order, and the product keeps that order; scaled in place, so
+    # the stack is the only (B, N, N) array made
+    product = np.multiply(kernel.T, stats.sample_covariance)
+    product *= n * stats.n_tx
+    return product
 
 
 def _constant_modulus_power(symbols: np.ndarray) -> np.ndarray:
@@ -311,8 +318,18 @@ def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
     zhemm on the same lower triangle forms A_t w_l.  si_cov is the
     (B, N, N) stack for the B trials of stats, and each trial gets its own
     zhemm, zhetrd and dsterf.
+
+    si_cov is workspace: zhetrd overwrites each Fortran-ordered complex
+    trial matrix with its packed reflectors and T, as si_covariance
+    returns them, so pass a copy if you need the matrix afterwards.  A
+    trial matrix of any other layout or dtype, or a read-only si_cov, is
+    copied and left intact; the spectrum is the same bit for bit either
+    way.
     """
     si_cov = np.asarray(si_cov, dtype=np.complex128)
+    if not si_cov.flags.writeable:
+        # f2py's overwrite_a writes into a read-only array all the same
+        si_cov = si_cov.copy(order="K")
     symbols = stats.symbols
     n = symbols.shape[-1]
     if si_cov.shape != symbols.shape + (n,):
@@ -330,16 +347,20 @@ def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
     tau = np.empty((b, n - 1), dtype=np.complex128)
     # each trial's reflectors Fortran-ordered, as zunmqr takes them
     reflectors = np.empty((b, n - 1, n - 1), dtype=np.complex128).swapaxes(1, 2)
+    # zhetrd overwrites A_t, so everything else that reads it comes first
+    trace = np.trace(si_cov, axis1=-2, axis2=-1).real
     for trial in range(b):
         # shifted[trial].T is the Fortran-ordered N x L operand
         product[trial] = blas.zhemm(
             1.0, si_cov[trial], shifted[trial].T, lower=1
         ).T
+        # in place on a Fortran-ordered trial matrix; f2py copies any other
         packed, diagonal[trial], off, tau[trial], _ = lapack.zhetrd(
-            si_cov[trial], lower=1, lwork=lwork
+            si_cov[trial], lower=1, lwork=lwork, overwrite_a=1
         )
         off_diagonal[trial] = off[: n - 1]
         reflectors[trial] = packed[1:, :-1]
+        del packed
         # scipy's tridiagonal wrappers reject an empty off-diagonal at N = 1
         eigenvalues[trial], info = lapack.dsterf(
             diagonal[trial], off_diagonal[trial] if n > 1 else np.zeros(1)
@@ -347,7 +368,7 @@ def si_spectrum(si_cov: np.ndarray, stats: EstimatorStatistics) -> SiSpectrum:
         if info != 0:
             raise SingularMatrixError(f"dsterf did not converge (info={info})")
     captured = (shifted.conj() * product).real.sum(axis=(-2, -1)) / power
-    leakage = np.trace(si_cov, axis1=-2, axis2=-1).real - captured
+    leakage = trace - captured
     return SiSpectrum(
         eigenvalues=eigenvalues,
         diagonal=diagonal,

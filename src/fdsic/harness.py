@@ -59,6 +59,16 @@ _DB_LIMIT = 300.0
 # (B*N^2) or per channel-output stack (B*n_tx*N): 32 trials on the fast
 # profile, 2 on the reference node, 1 from N = 256 on.
 _CHUNK_ENTRIES = 2**15
+# Largest array working set of a sweep's chunk, in bytes (_working_set); a
+# sweep that needs more is rejected before its first table is built.  A
+# constant, so that whether a config runs does not depend on the machine.
+_WORKING_SET_BUDGET = 2 * 2**30
+# Bytes a chunk holds per (trial, antenna, sample) entry at its peak: the
+# channel outputs, the walks before and after they are stacked and scaled,
+# and the rotation and its product with the outputs.  Measured at N = 32
+# with 32768 and 131072 antennas: 82 bytes of peak RSS, 72 under
+# tracemalloc.
+_ANTENNA_ENTRY_BYTES = 80
 # The methods along the first axis of a sweep's residual array; its second
 # axis holds the empirical and the theoretical residual power.
 _METHODS = ("ls", "optimal")
@@ -204,6 +214,25 @@ def _chunk_size(config: SimConfig) -> int:
     return max(1, min(config.n_trials, _CHUNK_ENTRIES // per_trial))
 
 
+def _working_set(config: SimConfig, n_kernels: int) -> int:
+    """Bytes of arrays a sweep's largest chunk holds at its peak, with
+    n_kernels distinct phase-noise bandwidths.
+
+    Per trial of the chunk: three complex N x N stacks (the sample
+    covariance S, the SI covariance A_t that si_spectrum tridiagonalizes in
+    place, and the copy of its reflectors) and _ANTENNA_ENTRY_BYTES per
+    antenna and sample; per bandwidth, one real N x N kernel.  At N = 512,
+    1024 and 2048, one trial at one point with 64 antennas peaks about 17,
+    65 and 232 MiB above the 42.6 MiB of a sweep at N = 8, and the terms
+    add up to 16.5, 61.0 and 234.0 MiB: a least-squares coefficient of
+    1.00, so the terms stand as the estimate.
+    """
+    n = config.n_subcarriers
+    trials = _chunk_size(config)
+    per_trial = 3 * 16 * n * n + _ANTENNA_ENTRY_BYTES * config.n_tx * n
+    return trials * per_trial + n_kernels * 8 * n * n
+
+
 def _run_trial(
     config: SimConfig, trial_index: int, unit_pdp: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -259,6 +288,7 @@ def _run_chunk(
     unit_pdp = pdp_profile(cfg, 1.0)
     draws = [_run_trial(cfg, trial, unit_pdp) for trial in trials]
     symbols, taps, walks, soi, noise = (np.array(part) for part in zip(*draws))
+    del draws
 
     groups: dict[float, list[int]] = {}
     for index, scenario in enumerate(scenarios):
@@ -281,6 +311,9 @@ def _run_chunk(
             residuals[:, :, group] = _run_block(
                 [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )
+            # one group's arrays at a time: the next covariance is built
+            # after this spectrum and these SI vectors are gone
+            del phases, si, spectrum
     except Exception as exc:
         which = f"trial {trials[0]}"
         if len(trials) > 1:
@@ -360,7 +393,9 @@ def sweep(
     every point rescales that same realization, so points are paired.  The
     trials run in chunks of _chunk_size(config), with scipy's OpenBLAS on
     one thread.  Records come back sorted by (value, method).  A repeated
-    value raises ValueError.
+    value raises ValueError, and so does a config whose chunk would need
+    more than _WORKING_SET_BUDGET bytes of arrays (_working_set), before
+    anything is built.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -373,9 +408,17 @@ def sweep(
         seen.add(value)
     field = _SWEEP_FIELDS[variable]
     points = [replace(config, **{field: float(value)}) for value in values]
+    bandwidths = dict.fromkeys(point.delta_f for point in points)
+    working_set = _working_set(config, len(bandwidths))
+    if working_set > _WORKING_SET_BUDGET:
+        raise ValueError(
+            f"n_subcarriers={config.n_subcarriers} with n_tx={config.n_tx} "
+            f"needs about {working_set / 2**30:.1f} GiB of arrays per chunk, "
+            f"above the {_WORKING_SET_BUDGET / 2**30:g} GiB limit"
+        )
     tables = {
         delta_f: pn_covariance_table(delta_f, config.n_subcarriers)
-        for delta_f in dict.fromkeys(point.delta_f for point in points)
+        for delta_f in bandwidths
     }
     scenarios = [Scenario.from_config(p, tables[p.delta_f]) for p in points]
     chunk = _chunk_size(config)

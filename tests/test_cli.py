@@ -235,6 +235,23 @@ def test_overflowing_phase_noise_bandwidth_fails_before_any_trial(
     assert message in err
 
 
+def test_over_budget_config_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a node whose sweep would need more than the working-set budget is
+    # rejected before any table is built, naming N and the estimate
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the config was rejected")
+
+    monkeypatch.setattr(harness, "pn_covariance_table", no_table)
+    cfg = tmp_path / "node.cfg"
+    cfg.write_text("n_subcarriers = 32768\n")
+    with pytest.raises(SystemExit) as caught:
+        main(["single", "--trials", "1", "--config", str(cfg)])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fdsic")
+    assert "n_subcarriers=32768 with n_tx=64 needs about 56.2 GiB" in err
+
+
 def test_rejected_config_file_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "node.cfg"
     for text, message in (

@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from fdsic.cancellation import reconstruct_si
 from fdsic.estimator import (
     EstimatorStatistics,
+    SiSpectrum,
     SingularMatrixError,
     ls_estimate,
     ls_residual_power,
@@ -211,6 +212,30 @@ def test_si_spectrum_rejects_a_covariance_of_other_statistics():
         with pytest.raises(ValueError, match=re.escape("(B, N, N)")):
             si_spectrum(si_cov, of)
     assert si_spectrum(cov[:1], one_trial).n_taps == 2
+
+
+def test_si_spectrum_works_in_a_fortran_ordered_covariance():
+    # zhetrd tridiagonalizes each Fortran-ordered trial matrix of si_cov in
+    # place; f2py copies a C-ordered one and leaves it intact, and a
+    # read-only stack is copied first.  Every route gives the same spectrum
+    # bit for bit.
+    rng = np.random.default_rng(47)
+    symbols = np.array([gen_bpsk_symbols(16, rng) for _ in range(2)])
+    stats, kernel = _statistics(symbols, np.ones(3), 2, 1e-2)
+    cov = si_covariance(stats, kernel)
+    original = cov.copy()
+    c_ordered = np.ascontiguousarray(cov)
+    read_only = cov.copy(order="K")
+    read_only.flags.writeable = False
+    overwritten = si_spectrum(cov, stats)
+    assert not np.array_equal(cov, original)
+    for kept in (c_ordered, read_only):
+        spectrum = si_spectrum(kept, stats)
+        assert np.array_equal(kept, original)
+        for name in (field.name for field in dataclasses.fields(SiSpectrum)):
+            assert np.array_equal(
+                getattr(overwritten, name), getattr(spectrum, name)
+            )
 
 
 def test_real_qp_weights_validation():
@@ -689,7 +714,8 @@ def test_sweep_covariance_is_the_sample_domain_image_of_the_oracle(
     original = harness.si_spectrum
 
     def recorded(si_cov, stats):
-        handed.append((si_cov, stats.symbols))
+        # si_spectrum tridiagonalizes its argument in place
+        handed.append((si_cov.copy(), stats.symbols))
         return original(si_cov, stats)
 
     monkeypatch.setattr(harness, "si_spectrum", recorded)

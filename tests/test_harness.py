@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import pickle
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -846,6 +848,76 @@ def test_sweep_rejects_repeated_values():
         sweep(config, "inr", [20.0, 30.0, 20])
     with pytest.raises(ValueError, match="0.001"):
         sweep(config, "delta_f", [1e-3, 1e-3])
+
+
+def _traced_peak(config, variable, values):
+    """tracemalloc's peak over one sweep, after a one-point sweep of the
+    same config has run outside the count."""
+    sweep(config, variable, values[:1])
+    tracemalloc.start()
+    try:
+        sweep(config, variable, values)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bandwidth_sweep_holds_one_bandwidth_at_a_time():
+    # A reference-node delta_f sweep of one chunk: si_spectrum works in the
+    # covariance it is handed, and each bandwidth's spectrum and SI vectors
+    # are gone before the next covariance is built.  It peaked at 4.13 MB
+    # with a copy per zhetrd call and every group's arrays alive, and peaks
+    # at 2.95 MB now.
+    peak = _traced_peak(
+        SimConfig(n_trials=2), "delta_f", [1e-5, 1e-4, 1e-3, 1e-2]
+    )
+    assert peak < 3.25e6, peak
+
+
+def test_large_trial_tridiagonalizes_in_place():
+    # One trial at N = 512 holds S, A_t and the reflector copy, 12.6 MB of
+    # its 16.3 MB peak; an N x N copy per zhetrd call took it to 20.8 MB.
+    peak = _traced_peak(SimConfig(n_subcarriers=512, n_trials=1), "inr", [40.0])
+    assert peak < 17.5e6, peak
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(n_subcarriers=2**15), "n_subcarriers=32768 with n_tx=64 needs "
+         "about 56.2 GiB of arrays per chunk, above the 2 GiB limit"),
+        (dict(n_subcarriers=8192), "n_subcarriers=8192 with n_tx=64 needs "
+         "about 3.5 GiB"),
+        # 80 GiB of per-antenna arrays at N = 32
+        (dict(n_subcarriers=32, n_tx=2**25), "n_tx=33554432 needs about "
+         "80.0 GiB"),
+    ],
+    ids=["n32768", "n8192", "n-tx-2**25"],
+)
+def test_sweep_rejects_an_over_budget_config_up_front(
+    monkeypatch, overrides, message
+):
+    # the estimate is arithmetic: nothing is built or drawn before the
+    # config is rejected
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the config was rejected")
+
+    monkeypatch.setattr(harness, "pn_covariance_table", no_table)
+    config = SimConfig(n_trials=1, **overrides)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(config, "inr", [40.0])
+
+
+def test_working_set_budget_admits_n4096():
+    # the n1024 edge config runs; N = 4096 is the largest power of two the
+    # budget admits on the reference node, at about 0.9 GiB
+    for n, fits in ((1024, True), (4096, True), (8192, False)):
+        working_set = harness._working_set(SimConfig(n_subcarriers=n), 1)
+        assert (working_set <= harness._WORKING_SET_BUDGET) is fits, n
+    # every distinct bandwidth keeps its kernel for the whole sweep
+    config = SimConfig(n_subcarriers=2048)
+    one = harness._working_set(config, 1)
+    assert harness._working_set(config, 3) - one == 2 * 8 * 2048**2
 
 
 def test_single_trial_sweep_has_zero_interval():

@@ -56,8 +56,9 @@ def _power(db):
 @given(trial=sized_trials)
 def test_tridiagonal_eigenvalues_match_dense_solver(trial):
     cov, stats = trial
-    eigenvalues = si_spectrum(cov, stats).eigenvalues[0]
+    # before si_spectrum, which tridiagonalizes cov in place
     dense = np.linalg.eigvalsh(cov[0])
+    eigenvalues = si_spectrum(cov, stats).eigenvalues[0]
     tolerance = 1e-12 * np.max(np.abs(dense))
     assert np.max(np.abs(eigenvalues - dense)) <= tolerance
 
@@ -98,8 +99,9 @@ def test_optimal_prediction_never_exceeds_least_squares(trial, inr_db, snr_db):
 )
 def test_optimal_prediction_is_monotone_in_inr(trial, inr_db, snr_db):
     cov, stats = trial
-    spectrum = si_spectrum(cov, stats)
+    # before si_spectrum, which tridiagonalizes cov in place
     unit_si_power = float(np.trace(cov[0]).real)
+    spectrum = si_spectrum(cov, stats)
     scales = _power(np.array(sorted(inr_db)))
     soi = np.full(scales.size, _power(snr_db))
     residuals = spectral_weights(spectrum, scales, soi).residual_power
