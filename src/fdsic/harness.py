@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import typing
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -69,6 +70,13 @@ _WORKING_SET_BUDGET = 2 * 2**30
 # with 32768 and 131072 antennas: 82 bytes of peak RSS, 72 under
 # tracemalloc.
 _ANTENNA_ENTRY_BYTES = 80
+# Bytes a chunk holds per (trial, point, sample) entry of a block of points
+# that share one delta_f (_run_block), about ten complex stacks: the
+# received block, the scaled SOI, both estimates and residuals, and the
+# real squares their powers are summed from.  Measured under tracemalloc:
+# 154 bytes for one trial at N = 256 from 200 to 1000 INR points, 158 on a
+# fast-profile SNR sweep of 200 points.
+_POINT_ENTRY_BYTES = 160
 # The methods along the first axis of a sweep's residual array; its second
 # axis holds the empirical and the theoretical residual power.
 _METHODS = ("ls", "optimal")
@@ -214,14 +222,16 @@ def _chunk_size(config: SimConfig) -> int:
     return max(1, min(config.n_trials, _CHUNK_ENTRIES // per_trial))
 
 
-def _working_set(config: SimConfig, n_kernels: int) -> int:
+def _working_set(config: SimConfig, n_kernels: int, group_points: int) -> int:
     """Bytes of arrays a sweep's largest chunk holds at its peak, with
-    n_kernels distinct phase-noise bandwidths.
+    n_kernels distinct phase-noise bandwidths and group_points points in
+    the largest group of points that share one.
 
     Per trial of the chunk: three complex N x N stacks (the sample
     covariance S, the SI covariance A_t that si_spectrum tridiagonalizes in
-    place, and the copy of its reflectors) and _ANTENNA_ENTRY_BYTES per
-    antenna and sample; per bandwidth, one real N x N kernel.  At N = 512,
+    place, and the copy of its reflectors), _ANTENNA_ENTRY_BYTES per
+    antenna and sample, and _POINT_ENTRY_BYTES per point of the group and
+    sample; per bandwidth, one real N x N kernel.  At N = 512,
     1024 and 2048, one trial at one point with 64 antennas peaks about 17,
     65 and 232 MiB above the 42.6 MiB of a sweep at N = 8, and the terms
     add up to 16.5, 61.0 and 234.0 MiB: a least-squares coefficient of
@@ -229,7 +239,11 @@ def _working_set(config: SimConfig, n_kernels: int) -> int:
     """
     n = config.n_subcarriers
     trials = _chunk_size(config)
-    per_trial = 3 * 16 * n * n + _ANTENNA_ENTRY_BYTES * config.n_tx * n
+    per_trial = (
+        3 * 16 * n * n
+        + _ANTENNA_ENTRY_BYTES * config.n_tx * n
+        + _POINT_ENTRY_BYTES * group_points * n
+    )
     return trials * per_trial + n_kernels * 8 * n * n
 
 
@@ -393,9 +407,9 @@ def sweep(
     every point rescales that same realization, so points are paired.  The
     trials run in chunks of _chunk_size(config), with scipy's OpenBLAS on
     one thread.  Records come back sorted by (value, method).  A repeated
-    value raises ValueError, and so does a config whose chunk would need
-    more than _WORKING_SET_BUDGET bytes of arrays (_working_set), before
-    anything is built.
+    value raises ValueError, and so does a config with values whose chunk
+    would need more than _WORKING_SET_BUDGET bytes of arrays (_working_set),
+    before anything is built.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -408,13 +422,15 @@ def sweep(
         seen.add(value)
     field = _SWEEP_FIELDS[variable]
     points = [replace(config, **{field: float(value)}) for value in values]
-    bandwidths = dict.fromkeys(point.delta_f for point in points)
-    working_set = _working_set(config, len(bandwidths))
+    bandwidths = Counter(point.delta_f for point in points)
+    group_points = max(bandwidths.values())
+    working_set = _working_set(config, len(bandwidths), group_points)
     if working_set > _WORKING_SET_BUDGET:
+        at_points = f" at {group_points} points" if group_points > 1 else ""
         raise ValueError(
-            f"n_subcarriers={config.n_subcarriers} with n_tx={config.n_tx} "
-            f"needs about {working_set / 2**30:.1f} GiB of arrays per chunk, "
-            f"above the {_WORKING_SET_BUDGET / 2**30:g} GiB limit"
+            f"n_subcarriers={config.n_subcarriers} with n_tx={config.n_tx}"
+            f"{at_points} needs about {working_set / 2**30:.1f} GiB of arrays "
+            f"per chunk, above the {_WORKING_SET_BUDGET / 2**30:g} GiB limit"
         )
     tables = {
         delta_f: pn_covariance_table(delta_f, config.n_subcarriers)

@@ -49,11 +49,8 @@ def gen_wiener_phase(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     A walk whose increments have variance v is sqrt(v) times it."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    walk = np.empty(n_samples)
-    walk[0] = 0.0
-    rng.standard_normal(out=walk[1:])
-    np.cumsum(walk[1:], out=walk[1:])
-    return walk
+    steps = rng.standard_normal(n_samples - 1)
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def pn_covariance_table(delta_f: float, n_subcarriers: int) -> np.ndarray:
@@ -93,13 +90,9 @@ def gen_si_channel(
         raise ValueError(f"pdp must be a non-empty vector, got shape {pdp.shape}")
     if np.any(pdp < 0.0):
         raise ValueError("pdp entries must be non-negative")
-    # built in place: the same bits as sqrt(pdp / 2) * (re + 1j * im), with
-    # one real draw as the only temporary
-    taps = np.empty((n_tx, pdp.size), dtype=np.complex128)
-    taps.real = rng.standard_normal((n_tx, pdp.size))
-    taps.imag = rng.standard_normal((n_tx, pdp.size))
-    taps *= np.sqrt(pdp / 2.0)
-    return taps
+    re = rng.standard_normal((n_tx, pdp.size))
+    im = rng.standard_normal((n_tx, pdp.size))
+    return np.sqrt(pdp / 2.0) * (re + 1j * im)
 
 
 def gen_awgn(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -53,14 +53,15 @@ run_all runs the suites in two processes.  The four checks are independent
 and separately seeded, so a forked child runs the mixing oracle while the
 parent runs the SI oracle and the two round-off checks; the parent, which
 keeps the larger working set, returns every result in the serial order.
-Threads cannot overlap them: the RNG fills and scipy's BLAS and LAPACK
-wrappers hold the interpreter lock (on two threads standard_normal ran
-1.09x, zhetrd 1.02x and zherk 0.80x as fast as on one).  A spawned child
-would spend longer importing numpy and scipy than the mixing oracle takes.
-On two CPUs a full-size run takes about 0.3 s instead of 0.55 s serially
-(medians of 0.28 to 0.34 s against 0.52 to 0.55 s, six interpreters of
-four runs each); on one CPU the two processes take turns, at a median
-1.09 times the serial wall time (0.97 to 1.5 times in ten pairs).
+A forked child is the fastest layout measured: on two CPUs, six
+alternations in one interpreter took medians of 0.35 s forked, 0.48 s with
+the mixing oracle on a second thread and 0.62 s serially.  Threads would
+also interleave the spans of a tracer that keeps one span stack per
+process, as perfbench's does.  A spawned child would spend longer
+importing numpy and scipy than the mixing oracle takes.  On one CPU the
+two processes take turns, at a median 1.10 times the serial wall time
+(1.07 to 1.27 times; the best of three runs in each of ten pairs of
+interpreters).
 
 Every BLAS and LAPACK call here (zherk and zgemm for the oracles' products,
 potrf and potrs for the Cholesky solves) goes to the compiled modules
@@ -70,7 +71,6 @@ its start-up and 15 MB of its peak memory.  scipy.linalg's cho_factor and
 cho_solve wrap the same two routines, so the results are the same bits.
 """
 
-import ctypes
 import functools
 import multiprocessing
 from dataclasses import dataclass
@@ -718,30 +718,10 @@ def check_model_equivalence() -> CheckResult:
     )
 
 
-def _release_free_heap() -> None:
-    """Return the free memory of the C heap to the system, where the C
-    library offers glibc's malloc_trim.
-
-    A forked child shares the parent's heap pages until either writes to
-    one, and both reuse the same free blocks, so without this each copies
-    pages the other also copies.  Called first thing in the child, it
-    leaves the parent its pages and gives the child fresh zeroed ones.  A
-    full-size run_all repeated in one interpreter on two CPUs took about
-    21,000 minor page faults without it and 9,000 with it, and 1.17 and
-    1.10 times the CPU time of running the checks in one process.
-    """
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes = [ctypes.c_size_t]
-        trim.restype = ctypes.c_int
-        trim(0)
-
-
 def _send_result(writer, check) -> None:
     """Body of run_all's child: run check and send (True, its results), or
     (False, the exception it raised).  The child is forked inside run_all's
     one_blas_thread, so it runs on one BLAS thread too."""
-    _release_free_heap()
     try:
         message = (True, check())
     except Exception as exc:

@@ -882,20 +882,25 @@ def test_large_trial_tridiagonalizes_in_place():
 
 
 @pytest.mark.parametrize(
-    "overrides, message",
+    "overrides, values, message",
     [
-        (dict(n_subcarriers=2**15), "n_subcarriers=32768 with n_tx=64 needs "
-         "about 56.2 GiB of arrays per chunk, above the 2 GiB limit"),
-        (dict(n_subcarriers=8192), "n_subcarriers=8192 with n_tx=64 needs "
-         "about 3.5 GiB"),
+        (dict(n_subcarriers=2**15), [40.0], "n_subcarriers=32768 with "
+         "n_tx=64 needs about 56.2 GiB of arrays per chunk, above the 2 GiB "
+         "limit"),
+        (dict(n_subcarriers=8192), [40.0], "n_subcarriers=8192 with n_tx=64 "
+         "needs about 3.5 GiB"),
         # 80 GiB of per-antenna arrays at N = 32
-        (dict(n_subcarriers=32, n_tx=2**25), "n_tx=33554432 needs about "
-         "80.0 GiB"),
+        (dict(n_subcarriers=32, n_tx=2**25), [40.0], "n_tx=33554432 needs "
+         "about 80.0 GiB"),
+        # N = 4096 fits alone; 3000 INR points of one delta_f add 1.8 GiB of
+        # received blocks, estimates and residuals
+        (dict(n_subcarriers=4096), [0.02 * i for i in range(3000)],
+         "n_subcarriers=4096 with n_tx=64 at 3000 points needs about 2.7 GiB"),
     ],
-    ids=["n32768", "n8192", "n-tx-2**25"],
+    ids=["n32768", "n8192", "n-tx-2**25", "n4096-3000-points"],
 )
 def test_sweep_rejects_an_over_budget_config_up_front(
-    monkeypatch, overrides, message
+    monkeypatch, overrides, values, message
 ):
     # the estimate is arithmetic: nothing is built or drawn before the
     # config is rejected
@@ -905,19 +910,38 @@ def test_sweep_rejects_an_over_budget_config_up_front(
     monkeypatch.setattr(harness, "pn_covariance_table", no_table)
     config = SimConfig(n_trials=1, **overrides)
     with pytest.raises(ValueError, match=re.escape(message)):
-        sweep(config, "inr", [40.0])
+        sweep(config, "inr", values)
+
+
+@pytest.mark.parametrize(
+    "overrides, values",
+    [
+        (dict(n_subcarriers=512), [40.0]),
+        (dict(n_subcarriers=32, n_tx=16384), [40.0]),
+        (dict(n_subcarriers=256), list(np.linspace(0.0, 60.0, 200))),
+    ],
+    ids=["n512", "n32-16384-antennas", "n256-200-points"],
+)
+def test_working_set_bounds_the_traced_peak(overrides, values):
+    # one trial's tracemalloc peak against the estimate the budget is held
+    # to: 0.94, 0.90 and 0.86 of it; before the points counted, 200 INR
+    # points at N = 256 peaked at 2.27 times the estimate
+    config = SimConfig(n_trials=1, **overrides)
+    peak = _traced_peak(config, "inr", values)
+    estimate = harness._working_set(config, 1, len(values))
+    assert peak <= estimate, (peak, estimate)
 
 
 def test_working_set_budget_admits_n4096():
     # the n1024 edge config runs; N = 4096 is the largest power of two the
     # budget admits on the reference node, at about 0.9 GiB
     for n, fits in ((1024, True), (4096, True), (8192, False)):
-        working_set = harness._working_set(SimConfig(n_subcarriers=n), 1)
+        working_set = harness._working_set(SimConfig(n_subcarriers=n), 1, 1)
         assert (working_set <= harness._WORKING_SET_BUDGET) is fits, n
     # every distinct bandwidth keeps its kernel for the whole sweep
     config = SimConfig(n_subcarriers=2048)
-    one = harness._working_set(config, 1)
-    assert harness._working_set(config, 3) - one == 2 * 8 * 2048**2
+    one = harness._working_set(config, 1, 1)
+    assert harness._working_set(config, 3, 1) - one == 2 * 8 * 2048**2
 
 
 def test_single_trial_sweep_has_zero_interval():

@@ -66,9 +66,9 @@ def test_wiener_phase_starts_at_initial_value():
 
 
 @pytest.mark.parametrize("n", [1, 2, 32])
-def test_wiener_phase_built_in_place_keeps_the_draws(n):
-    # the walk is built in one array, the same bits and generator state as
-    # the zero prepended to the cumulated draw
+def test_wiener_phase_draws_exactly_its_steps(n):
+    # call after call, each walk is the zero prepended to the cumulated
+    # draw of its n - 1 steps, and leaves the generator where that draw does
     rng = np.random.Generator(np.random.PCG64(23))
     reference_rng = np.random.Generator(np.random.PCG64(23))
     for _ in range(5):
@@ -213,8 +213,8 @@ def test_si_channel_tap_powers_follow_profile():
 
 @pytest.mark.parametrize("n_tx", [1, 5])
 def test_si_channel_taps_are_the_scaled_pair_of_draws(n_tx):
-    # the taps are built in place, bit for bit the product of the scale and
-    # the complex pair of draws, a zero-power tap included
+    # the taps are bit for bit the product of the scale and the complex
+    # pair of draws, real parts first, a zero-power tap included
     pdp = np.array([1.0, 0.0, 0.25])
     taps = gen_si_channel(n_tx, pdp, np.random.default_rng(29))
     rng = np.random.default_rng(29)
