@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--values",
             type=_sweep_values,
             help="comma-separated sweep values, default "
-            + ",".join(f"{v:g}" for v in defaults),
+            + ",".join(f"{v:g}" for v in defaults)
+            + "; a list that starts with a negative value takes an equals "
+            "sign, as in --values=-10,0,10",
         )
     single = sub.add_parser("single", help="run one sweep point")
     _add_common(single)

@@ -61,7 +61,7 @@ _DB_LIMIT = 300.0
 # profile, 2 on the reference node, 1 from N = 256 on.
 _CHUNK_ENTRIES = 2**15
 # Largest array working set of a sweep's chunk, in bytes (_working_set); a
-# sweep that needs more is rejected before its first table is built.  A
+# sweep that needs more is rejected before its first trial is drawn.  A
 # constant, so that whether a config runs does not depend on the machine.
 _WORKING_SET_BUDGET = 2 * 2**30
 # Bytes a chunk holds per (trial, antenna, sample) entry at its peak: the
@@ -122,10 +122,8 @@ class SimConfig:
             raise ValueError(
                 f"oscillator_mode must be one of {OSCILLATOR_MODES}"
             )
-        # rejects a negative delta_f; the pair's 8*pi*delta_f/N must be finite
-        pair = 2.0 * phase_increment_variance(self.delta_f, self.n_subcarriers)
-        if not math.isfinite(pair):
-            raise ValueError(f"delta_f={self.delta_f!r} overflows 8*pi*delta_f/N")
+        # rejects a negative delta_f or an overflowing pair variance
+        phase_increment_variance(self.delta_f, self.n_subcarriers)
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if self.master_seed < 0:
@@ -139,14 +137,16 @@ class SimConfig:
     def from_file(cls, path: str | Path) -> "SimConfig":
         """Parse a plain 'key = value' file, one setting per line, '#' comments.
 
-        Each value is converted by its field's type (int, float or str).  A
-        key may appear only once.  Text that does not decode and values the
-        config rejects raise ValueError naming the file.
+        The file is read as UTF-8, whatever the locale, and a leading
+        byte-order mark is skipped.  Each value is converted by its field's
+        type (int, float or str).  A key may appear only once.  Text that
+        does not decode and values the config rejects raise ValueError
+        naming the file.
         """
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -188,26 +188,21 @@ class Scenario:
     power N * n_tx * sum(pdp) over one symbol of unit-power symbols at the
     configured INR above the unit-power noise floor N; soi_power follows
     from the SNR.  pre_power, the SI-plus-noise power before cancellation,
-    is the numerator of the point's cancellation ability.  pn is the
-    point's (N, N) phase correlation kernel (pn_covariance_table), which
-    depends only on delta_f and N, so a sweep builds it once per distinct
-    delta_f and shares it; it takes no part in repr, == or hash.
+    is the numerator of the point's cancellation ability.
     """
 
     config: SimConfig
-    pn: np.ndarray = dataclasses.field(repr=False, compare=False)
     channel_power: float
     soi_power: float
     pre_power: float
 
     @classmethod
-    def from_config(cls, config: SimConfig, pn: np.ndarray) -> "Scenario":
+    def from_config(cls, config: SimConfig) -> "Scenario":
         channel_power = float(10.0 ** (config.inr_db / 10.0) / config.n_tx)
         n = config.n_subcarriers
         pdp = pdp_profile(config, channel_power)
         return cls(
             config=config,
-            pn=pn,
             channel_power=channel_power,
             soi_power=float(10.0 ** (config.snr_db / 10.0)),
             pre_power=float(n * config.n_tx * pdp.sum()) + n,
@@ -222,16 +217,17 @@ def _chunk_size(config: SimConfig) -> int:
     return max(1, min(config.n_trials, _CHUNK_ENTRIES // per_trial))
 
 
-def _working_set(config: SimConfig, n_kernels: int, group_points: int) -> int:
+def _working_set(config: SimConfig, group_points: int) -> int:
     """Bytes of arrays a sweep's largest chunk holds at its peak, with
-    n_kernels distinct phase-noise bandwidths and group_points points in
-    the largest group of points that share one.
+    group_points points in the largest group of points that share one
+    phase-noise bandwidth.
 
     Per trial of the chunk: three complex N x N stacks (the sample
     covariance S, the SI covariance A_t that si_spectrum tridiagonalizes in
     place, and the copy of its reflectors), _ANTENNA_ENTRY_BYTES per
     antenna and sample, and _POINT_ENTRY_BYTES per point of the group and
-    sample; per bandwidth, one real N x N kernel.  At N = 512,
+    sample; per chunk, one real N x N kernel, since a chunk builds each
+    bandwidth's kernel only when it runs that bandwidth.  At N = 512,
     1024 and 2048, one trial at one point with 64 antennas peaks about 17,
     65 and 232 MiB above the 42.6 MiB of a sweep at N = 8, and the terms
     add up to 16.5, 61.0 and 234.0 MiB: a least-squares coefficient of
@@ -244,7 +240,7 @@ def _working_set(config: SimConfig, n_kernels: int, group_points: int) -> int:
         + _ANTENNA_ENTRY_BYTES * config.n_tx * n
         + _POINT_ENTRY_BYTES * group_points * n
     )
-    return trials * per_trial + n_kernels * 8 * n * n
+    return trials * per_trial + 8 * n * n
 
 
 def _run_trial(
@@ -280,9 +276,10 @@ def _run_chunk(
     rescales it: the channel power scales the SI, the SOI power scales the
     SOI, and the phase-noise bandwidth scales the walks.  The channel
     outputs and the symbols' delayed waveforms and sample covariances are
-    built once per chunk, the SI vectors and the SI covariance
-    decompositions once per distinct delta_f, and the points that share a
-    delta_f run through both cancellers as one block.
+    built once per chunk; the phase correlation kernel, the SI vectors and
+    the SI covariance decomposition once per chunk and distinct delta_f,
+    each group's gone before the next group's are built; and the points
+    that share a delta_f run through both cancellers as one block.
 
     Returns residual powers of shape (2, 2, P, B): [m, 0] the empirical and
     [m, 1] the theoretical residual of method _METHODS[m], at point p in
@@ -320,14 +317,14 @@ def _run_chunk(
             sigma = np.sqrt(phase_increment_variance(delta_f, cfg.n_subcarriers))
             phases = sigma * walks
             si = synthesize_received(outputs, phases[:, :-1], phases[:, -1])
-            kernel = scenarios[group[0]].pn
+            kernel = pn_covariance_table(delta_f, cfg.n_subcarriers)
             spectrum = si_spectrum(si_covariance(stats, kernel), stats)
             residuals[:, :, group] = _run_block(
                 [scenarios[i] for i in group], symbols, si, soi, noise, spectrum
             )
-            # one group's arrays at a time: the next covariance is built
-            # after this spectrum and these SI vectors are gone
-            del phases, si, spectrum
+            # one group's arrays at a time: the next kernel and covariance
+            # are built after this spectrum and these SI vectors are gone
+            del phases, si, kernel, spectrum
     except Exception as exc:
         which = f"trial {trials[0]}"
         if len(trials) > 1:
@@ -422,9 +419,8 @@ def sweep(
         seen.add(value)
     field = _SWEEP_FIELDS[variable]
     points = [replace(config, **{field: float(value)}) for value in values]
-    bandwidths = Counter(point.delta_f for point in points)
-    group_points = max(bandwidths.values())
-    working_set = _working_set(config, len(bandwidths), group_points)
+    group_points = max(Counter(point.delta_f for point in points).values())
+    working_set = _working_set(config, group_points)
     if working_set > _WORKING_SET_BUDGET:
         at_points = f" at {group_points} points" if group_points > 1 else ""
         raise ValueError(
@@ -432,11 +428,7 @@ def sweep(
             f"{at_points} needs about {working_set / 2**30:.1f} GiB of arrays "
             f"per chunk, above the {_WORKING_SET_BUDGET / 2**30:g} GiB limit"
         )
-    tables = {
-        delta_f: pn_covariance_table(delta_f, config.n_subcarriers)
-        for delta_f in bandwidths
-    }
-    scenarios = [Scenario.from_config(p, tables[p.delta_f]) for p in points]
+    scenarios = [Scenario.from_config(point) for point in points]
     chunk = _chunk_size(config)
     residuals = np.empty((len(_METHODS), 2, len(scenarios), config.n_trials))
     for start in range(0, config.n_trials, chunk):

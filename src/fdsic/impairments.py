@@ -29,7 +29,8 @@ def phase_increment_variance(delta_f: float, n_subcarriers: int) -> float:
     delta_f is the phase-noise bandwidth relative to the subcarrier spacing,
     so one oscillator accumulates variance 4*pi*delta_f over a symbol body of
     n_subcarriers samples.  A delta_f that is negative or not finite, or
-    whose variance overflows, raises ValueError.
+    whose pair variance overflows, raises ValueError: every oscillator pair
+    of the simulator sums two walks, 8*pi*delta_f/N per sample.
     """
     if not (math.isfinite(delta_f) and delta_f >= 0.0):
         raise ValueError(
@@ -38,8 +39,8 @@ def phase_increment_variance(delta_f: float, n_subcarriers: int) -> float:
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be positive")
     variance = 4.0 * np.pi * delta_f / n_subcarriers
-    if not math.isfinite(variance):
-        raise ValueError(f"delta_f={delta_f!r} overflows 4*pi*delta_f/N")
+    if not math.isfinite(2.0 * variance):
+        raise ValueError(f"delta_f={delta_f!r} overflows 8*pi*delta_f/N")
     return variance
 
 
@@ -63,13 +64,9 @@ def pn_covariance_table(delta_f: float, n_subcarriers: int) -> np.ndarray:
     subcarrier mixing covariance, which fdsic.validation.mixing_covariance
     builds for the checks.  One pair serves both oscillator modes: sharing
     the transmit oscillator changes the draws, not the SI covariance, since
-    the channels are independent and zero-mean.  A pair variance that
-    overflows raises ValueError.
+    the channels are independent and zero-mean.
     """
-    sigma2 = phase_increment_variance(delta_f, n_subcarriers)
-    combined = 2.0 * sigma2
-    if not math.isfinite(combined):
-        raise ValueError(f"delta_f={delta_f!r} overflows 8*pi*delta_f/N")
+    combined = 2.0 * phase_increment_variance(delta_f, n_subcarriers)
     lags = np.arange(n_subcarriers)
     # a finite pair variance times a long lag may overflow; exp(-inf) = 0
     # is then the right limit, full decorrelation, so the overflow is

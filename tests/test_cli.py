@@ -58,6 +58,20 @@ def test_sweep_writes_csv_and_summary(tmp_path):
     assert payload["config"]["n_trials"] == 2
 
 
+def test_sweep_values_that_start_with_a_negative_number(tmp_path):
+    # argparse reads "--values -10,0" as an option; the equals form passes
+    # the list through
+    csv_path = tmp_path / "snr.csv"
+    code = main(
+        ["sweep-snr", "--fast", "--trials", "2", "--values=-10,0",
+         "--out", str(csv_path)]
+    )
+    assert code == 0
+    records = read_csv(csv_path)
+    assert sorted({r.value for r in records}) == [-10.0, 0.0]
+    assert len(records) == 4
+
+
 def test_sweep_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["sweep-inr", "--fast", "--trials", "2", "--values", "25"])

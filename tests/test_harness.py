@@ -117,6 +117,19 @@ def test_config_from_file(tmp_path):
     assert config.oscillator_mode == "shared"
 
 
+def test_config_from_file_reads_utf8_with_a_byte_order_mark(tmp_path):
+    # the file is UTF-8 whatever the locale, and an editor's leading BOM is
+    # not part of the first key
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(
+        "\ufeffn_tx = 8\ndelta_f = 1e-4  # Δf, relative to the spacing\n"
+        .encode("utf-8")
+    )
+    config = SimConfig.from_file(path)
+    assert config.n_tx == 8
+    assert config.delta_f == 1e-4
+
+
 def test_config_from_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_antennas = 4\n")
@@ -163,9 +176,8 @@ def test_config_from_file_rejects_a_repeated_key(tmp_path):
 
 
 def _scenario(config):
-    """config's sweep point with its own phase-noise kernel."""
-    kernel = pn_covariance_table(config.delta_f, config.n_subcarriers)
-    return Scenario.from_config(config, kernel)
+    """config's sweep point."""
+    return Scenario.from_config(config)
 
 
 def test_derive_powers_reference_point():
@@ -194,12 +206,6 @@ def test_scenario_power_bookkeeping():
     # SI plus the noise is N * (1 + 10^(INR/10))
     n = config.n_subcarriers
     assert scenario.pre_power == pytest.approx(n * (1.0 + 1e3))
-    kernel = pn_covariance_table(config.delta_f, n)
-    assert np.array_equal(scenario.pn, kernel)
-    # the kernel array takes no part in repr, == or hash
-    assert "pn=" not in repr(scenario)
-    assert scenario == dataclasses.replace(scenario, pn=np.eye(n))
-    assert hash(scenario) == hash(dataclasses.replace(scenario, pn=kernel))
 
 
 def _trial_cells(config, trial):
@@ -564,8 +570,9 @@ def test_trial_cells_do_not_depend_on_the_chunk(monkeypatch, mode, variable, val
 
 
 def test_sweep_builds_one_pn_table_per_delta_f(monkeypatch):
-    # the kernel depends only on delta_f and N: an INR sweep shares one, a
-    # delta_f sweep needs one per value, and none outlives the sweep call
+    # the kernel depends only on delta_f and N: each chunk builds one per
+    # distinct delta_f it runs, so an INR sweep of one chunk builds one, and
+    # 40 fast-profile trials run in two chunks of at most 32
     calls = []
     original = harness.pn_covariance_table
 
@@ -574,10 +581,14 @@ def test_sweep_builds_one_pn_table_per_delta_f(monkeypatch):
         return original(delta_f, n_subcarriers)
 
     monkeypatch.setattr(harness, "pn_covariance_table", counted)
-    config = SimConfig(**SMALL)
-    for variable, values, expected in (
-        ("inr", [20.0, 30.0, 40.0], [config.delta_f]),
-        ("delta_f", [1e-4, 1e-2], [1e-4, 1e-2]),
+    small = SimConfig(**SMALL)
+    two_chunks = dataclasses.replace(SimConfig().fast(), n_trials=40)
+    assert harness._chunk_size(small) == small.n_trials
+    assert harness._chunk_size(two_chunks) == 32
+    for config, variable, values, expected in (
+        (small, "inr", [20.0, 30.0, 40.0], [small.delta_f]),
+        (small, "delta_f", [1e-4, 1e-2], [1e-4, 1e-2]),
+        (two_chunks, "delta_f", [1e-4, 1e-2], [1e-4, 1e-2, 1e-4, 1e-2]),
     ):
         calls.clear()
         sweep(config, variable, values)
@@ -928,7 +939,7 @@ def test_working_set_bounds_the_traced_peak(overrides, values):
     # points at N = 256 peaked at 2.27 times the estimate
     config = SimConfig(n_trials=1, **overrides)
     peak = _traced_peak(config, "inr", values)
-    estimate = harness._working_set(config, 1, len(values))
+    estimate = harness._working_set(config, len(values))
     assert peak <= estimate, (peak, estimate)
 
 
@@ -936,12 +947,40 @@ def test_working_set_budget_admits_n4096():
     # the n1024 edge config runs; N = 4096 is the largest power of two the
     # budget admits on the reference node, at about 0.9 GiB
     for n, fits in ((1024, True), (4096, True), (8192, False)):
-        working_set = harness._working_set(SimConfig(n_subcarriers=n), 1, 1)
+        working_set = harness._working_set(SimConfig(n_subcarriers=n), 1)
         assert (working_set <= harness._WORKING_SET_BUDGET) is fits, n
-    # every distinct bandwidth keeps its kernel for the whole sweep
-    config = SimConfig(n_subcarriers=2048)
-    one = harness._working_set(config, 1, 1)
-    assert harness._working_set(config, 3, 1) - one == 2 * 8 * 2048**2
+
+
+# 12 phase-noise bandwidths from 1e-5 to about 5.6e-3
+TWELVE_BANDWIDTHS = [10.0 ** (-5 + 0.25 * i) for i in range(12)]
+
+
+def test_bandwidth_sweep_memory_does_not_grow_with_its_bandwidths():
+    # each chunk builds a bandwidth's kernel only when it runs it, and drops
+    # it with that bandwidth's spectrum, so 12 bandwidths at N = 512 peak
+    # where one does: 15.6 MiB, against 37.6 MiB with every kernel kept
+    # for the whole sweep
+    config = SimConfig(n_subcarriers=512, n_trials=1)
+    one = _traced_peak(config, "delta_f", TWELVE_BANDWIDTHS[:1])
+    twelve = _traced_peak(config, "delta_f", TWELVE_BANDWIDTHS)
+    assert twelve <= 1.05 * one, (twelve, one)
+    assert twelve <= harness._working_set(config, 1), twelve
+
+
+def test_budget_admits_a_bandwidth_sweep_at_n4096(monkeypatch):
+    # the budget counts one kernel per chunk, about 0.9 GiB in all on the
+    # reference node at N = 4096 whatever the number of bandwidths; every
+    # kernel kept for the whole sweep took 12 of them to 2.27 GiB
+    class Admitted(Exception):
+        pass
+
+    def no_chunk(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(harness, "_run_chunk", no_chunk)
+    config = SimConfig(n_subcarriers=4096, n_trials=1)
+    with pytest.raises(Admitted):
+        sweep(config, "delta_f", TWELVE_BANDWIDTHS)
 
 
 def test_single_trial_sweep_has_zero_interval():
